@@ -26,9 +26,10 @@ from .errors import (
     ExtrapolationError,
     NormalNeighborhoodError,
 )
-from .grassmann import GrassmannPoint, _exp_raw, _log_raw, _transport_raw, principal_angles
-from .linalg import rotation2, sym2_inv_sqrt, sym2_log, sym2_sqrt, thin_svd
+from .grassmann import GrassmannPoint, _exp_raw, _log_raw, _transport_raw
+from .linalg import mT, rotation2, sym2_inv_sqrt, sym2_sqrt, thin_svd
 from .shapes import LandmarkShape, la_standardize
+from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
 from .stats import MeanScale
@@ -43,14 +44,15 @@ def procrustes_rotation(a, b, allow_reflection=True):
 
     With allow_reflection=False the solution is constrained to SO(2) by
     flipping the smallest singular direction when det would be -1.
+    Broadcasts over leading axes of (..., n, 2) inputs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    u, _, vt = thin_svd(b.T @ a)
-    r = u @ vt
-    if not allow_reflection and np.linalg.det(r) < 0.0:
-        r = (u * np.array([1.0, -1.0])) @ vt
-    return r
+    u, _, vt = thin_svd(mT(b) @ a)
+    if not allow_reflection:
+        flip = np.linalg.det(u @ vt) < 0.0
+        u[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    return u @ vt
 
 
 def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
@@ -132,14 +134,8 @@ class BladeModel:
     def _rebuild(self):
         """Derive schedules and per-interval geodesic caches."""
         reps = self.reps
-        n_st = reps.shape[0]
-        gaps = np.empty(n_st - 1)
-        self._gr_logs = np.empty((n_st - 1,) + reps.shape[1:])
-        for k in range(n_st - 1):
-            self._gr_logs[k] = _log_raw(reps[k], reps[k + 1])
-            gaps[k] = np.sqrt(
-                np.sum(principal_angles(reps[k], reps[k + 1]) ** 2)
-            )
+        self._gr_logs = _log_raw(reps[:-1], reps[1:])
+        gaps = np.linalg.norm(self._gr_logs, axis=(-2, -1))
         self.ts = np.concatenate([[0.0], np.cumsum(gaps)])
         self._phi = PchipInterpolator(self.etas, self.ts)
         if self.variant == "gl2-schedule":
@@ -149,13 +145,9 @@ class BladeModel:
             self._angle_spline = None
             self.ell = None
         else:
-            spd_gaps = np.empty(n_st - 1)
-            self._spd_logs = np.empty((n_st - 1, 2, 2))
-            for k in range(n_st - 1):
-                self._spd_logs[k] = _spd_log_raw(self.spd_p[k], self.spd_p[k + 1])
-                rpi = sym2_inv_sqrt(self.spd_p[k])
-                mid = rpi @ self.spd_p[k + 1] @ rpi
-                spd_gaps[k] = np.linalg.norm(sym2_log(0.5 * (mid + mid.T)))
+            p = self.spd_p
+            self._spd_logs = _spd_log_raw(p[:-1], p[1:])
+            spd_gaps = _spd_distance_raw(p[:-1], p[1:])
             self.ell = np.concatenate([[0.0], np.cumsum(spd_gaps)])
             self._psi = PchipInterpolator(self.etas, self.ell)
             self._m_spline = None
@@ -165,43 +157,56 @@ class BladeModel:
         self._b_spline = _spanwise_spline(self.etas, self.affine_b)
 
     def _interval(self, eta):
+        """Interval index of each eta (an array); refuses any eta outside
+        the span."""
         etas = self.etas
-        if eta < etas[0] or eta > etas[-1]:
+        outside = (eta < etas[0]) | (eta > etas[-1])
+        if np.any(outside):
+            bad = float(np.asarray(eta)[outside].flat[0])
             raise ExtrapolationError(
-                f"eta={eta:g} outside the blade span [{etas[0]:g}, {etas[-1]:g}]"
+                f"eta={bad:g} outside the blade span [{etas[0]:g}, {etas[-1]:g}]"
             )
-        k = int(np.searchsorted(etas, eta, side="right")) - 1
-        return min(max(k, 0), etas.size - 2)
+        k = np.searchsorted(etas, eta, side="right") - 1
+        return np.clip(k, 0, etas.size - 2)
 
     def _rep_at(self, eta, k):
-        t = float(self._phi(eta))
-        dt = self.ts[k + 1] - self.ts[k]
-        tt = 0.0 if dt < FLAT_INTERVAL else np.clip((t - self.ts[k]) / dt, 0.0, 1.0)
-        return _exp_raw(self.reps[k], tt * self._gr_logs[k])
+        tt = _fraction(self._phi(eta), self.ts, k)
+        return _exp_raw(self.reps[k], tt[..., None, None] * self._gr_logs[k])
 
     def _scale_at(self, eta, k):
         if self.variant == "gl2-schedule":
             return self._m_spline(eta)
-        s = float(self._psi(eta))
-        dl = self.ell[k + 1] - self.ell[k]
-        ss = 0.0 if dl < FLAT_INTERVAL else np.clip((s - self.ell[k]) / dl, 0.0, 1.0)
-        p = _spd_exp_raw(self.spd_p[k], ss * self._spd_logs[k])
-        return p @ rotation2(float(self._angle_spline(eta)))
+        ss = _fraction(self._psi(eta), self.ell, k)
+        p = _spd_exp_raw(self.spd_p[k], ss[..., None, None] * self._spd_logs[k])
+        return p @ rotation2(self._angle_spline(eta))
+
+
+def _fraction(value, knots, k):
+    """Where value sits in [knots[k], knots[k + 1]], clipped to [0, 1];
+    0 on an interval shorter than FLAT_INTERVAL."""
+    width = knots[k + 1] - knots[k]
+    flat = width < FLAT_INTERVAL
+    frac = np.clip((value - knots[k]) / np.where(flat, 1.0, width), 0.0, 1.0)
+    return np.where(flat, 0.0, frac)
+
+
+def _sections(model, etas):
+    """Cross-section landmarks at each of ``etas``: (len(etas), n, 2)."""
+    etas = np.asarray(etas, dtype=float)
+    k = model._interval(etas)
+    m = model._scale_at(etas, k)
+    return model._rep_at(etas, k) @ m + model._b_spline(etas)[:, None, :]
 
 
 def evaluate_blade(model, eta):
     """The cross-section at spanwise position eta (interpolation only)."""
-    k = model._interval(float(eta))
-    rep = model._rep_at(float(eta), k)
-    m = model._scale_at(float(eta), k)
-    pts = rep @ m + model._b_spline(float(eta))
-    return LandmarkShape(pts, closed=model.closed)
+    return LandmarkShape(_sections(model, [float(eta)])[0], closed=model.closed)
 
 
 def evaluate_representative(model, eta):
     """The undulation component alone at eta, before scale and offset."""
-    k = model._interval(float(eta))
-    return GrassmannPoint(model._rep_at(float(eta), k))
+    etas = np.array([float(eta)])
+    return GrassmannPoint(model._rep_at(etas, model._interval(etas))[0])
 
 
 def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
@@ -247,38 +252,37 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
     aligned, rotations = cluster_representatives(
         reps, direction=direction, allow_reflection=allow_reflection
     )
-    has_reflection = any(np.linalg.det(r) < 0.0 for r in rotations)
+    rotations = np.stack(rotations)
+    has_reflection = bool(np.any(np.linalg.det(rotations) < 0.0))
     # the rotation moved into the representative comes out of the scale:
     # (X R)(R^T m) reproduces X m
-    ms = [rotations[k].T @ ms[k] for k in range(len(ms))]
+    ms = mT(rotations) @ np.asarray(ms, dtype=float)
     rep_stack = np.stack([p.rep for p in aligned])
     if variant == "gl2-schedule":
         return BladeModel(
-            variant, etas, rep_stack, np.stack(ms), np.stack(bs),
+            variant, etas, rep_stack, ms, np.stack(bs),
             closed=closed, has_reflection=has_reflection,
             span_length=span_length, bend=bend,
         )
     # product-spd: split each rotated factor into SPD part and rotation
     # angle; clustering was restricted to SO(2) so angles are well defined
-    spd_p = np.empty((len(ms), 2, 2))
-    angles = np.empty(len(ms))
-    for k, m in enumerate(ms):
-        sym = 0.5 * (m @ m.T + (m @ m.T).T)
-        # m = P R with P SPD, R in SO(2): P = (m m^T)^(1/2), R = P^-1 m
-        p = sym2_sqrt(sym)
-        r = sym2_inv_sqrt(sym) @ m
-        if np.linalg.det(r) < 0.0:
-            raise DegenerateGeometryError(
-                f"station {k}: scale factor contains a reflection; the "
-                "product-spd schedule needs proper rotations"
-            )
-        spd_p[k] = p
-        # rotation2 convention: R = [[c, s], [-s, c]]
-        angles[k] = float(np.arctan2(r[0, 1], r[0, 0]))
+    mmt = ms @ mT(ms)
+    sym = 0.5 * (mmt + mT(mmt))
+    # m = P R with P SPD, R in SO(2): P = (m m^T)^(1/2), R = P^-1 m
+    r = sym2_inv_sqrt(sym) @ ms
+    reflected = np.linalg.det(r) < 0.0
+    if np.any(reflected):
+        raise DegenerateGeometryError(
+            f"station {int(np.argmax(reflected))}: scale factor contains a "
+            "reflection; the product-spd schedule needs proper rotations"
+        )
     return BladeModel(
-        variant, etas, rep_stack, np.stack(ms), np.stack(bs),
-        spd_p=spd_p, angles=angles, closed=closed,
-        has_reflection=has_reflection, span_length=span_length, bend=bend,
+        variant, etas, rep_stack, ms, np.stack(bs),
+        spd_p=sym2_sqrt(sym),
+        # rotation2 convention: R = [[c, s], [-s, c]]
+        angles=np.arctan2(r[:, 0, 1], r[:, 0, 0]),
+        closed=closed, has_reflection=has_reflection,
+        span_length=span_length, bend=bend,
     )
 
 
@@ -317,33 +321,33 @@ def consistent_deform(model, pga, coeffs, scale=None):
             "PGA model and blade stations live on different Grassmannians"
         )
     delta = (pga.basis @ coeffs).reshape(2, -1).T  # unvec at the mean
-    new_reps = []
-    for k in range(model.n_stations):
-        rep = model.reps[k]
-        try:
-            d_k = _log_raw(mean_rep, rep)
-        except NormalNeighborhoodError as err:
-            raise NormalNeighborhoodError(
-                f"station {k} (eta={model.etas[k]:g}): {err}"
-            ) from err
-        moved = _transport_raw(mean_rep, d_k, 1.0, delta)
-        arrival = _exp_raw(mean_rep, d_k)
-        # re-express the transported lift at the station's own
-        # representative (arrival spans the station subspace but may be
-        # rotated relative to it)
-        g = procrustes_rotation(rep, arrival)
-        new_reps.append(GrassmannPoint(_exp_raw(rep, moved @ g)))
+    reps = model.reps
+    try:
+        d = _log_raw(mean_rep, reps)
+    except NormalNeighborhoodError as err:
+        k = err.index[0]
+        raise NormalNeighborhoodError(
+            f"station {k} (eta={model.etas[k]:g}) lies outside the normal "
+            "neighborhood of the PGA mean (a principal angle is at or near "
+            "pi/2); Log is undefined"
+        ) from err
+    moved = _transport_raw(mean_rep, d, 1.0, delta)
+    arrival = _exp_raw(mean_rep, d)
+    # re-express the transported lifts at the stations' own representatives
+    # (arrival spans each station subspace but may be rotated relative to it)
+    g = procrustes_rotation(reps, arrival)
+    new_reps = _exp_raw(reps, moved @ g)
     if scale is None:
-        ms = list(model.affine_m)
+        ms = model.affine_m
     elif isinstance(scale, MeanScale):
         if model.variant != "gl2-schedule":
             raise ContractError(
                 "constant mean scale replacement needs a gl2-schedule blade"
             )
-        ms = [scale.m.copy() for _ in range(model.n_stations)]
+        ms = np.broadcast_to(scale.m, model.affine_m.shape)
     else:
         raise ContractError("scale must be None or a MeanScale")
     return _assemble(
-        model.variant, model.etas, new_reps, ms, list(model.affine_b),
+        model.variant, model.etas, new_reps, ms, model.affine_b,
         model.closed, "tip-to-root", model.span_length, model.bend,
     )

@@ -23,11 +23,25 @@ import os
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .blade import BladeModel, build_blade, evaluate_blade
+from .blade import BladeModel, _sections, build_blade
+from .blade import evaluate_blade  # noqa: F401  (bench/spans.py traces this name)
 from .errors import ContractError
-from .model_io import _matrix_block, _Reader
-from .shapes import PreprocessConfig, read_landmarks, refine, write_landmarks
-from .textio import atomic_write_text, data_lines, fmt, fmt_row
+from .linalg import mT
+from .shapes import (
+    LandmarkShape,
+    PreprocessConfig,
+    read_landmarks,
+    refine,
+    write_landmarks,
+)
+from .textio import (
+    BlockReader,
+    atomic_write_text,
+    data_lines,
+    fmt,
+    matrix_block,
+    vector_block,
+)
 
 _BLADE_MAGIC = "shapetensors blade 1"
 
@@ -124,52 +138,39 @@ def save_blade(path, model):
     lines.append(f"closed {int(model.closed)}")
     lines.append(f"has-reflection {int(model.has_reflection)}")
     lines.append(f"span-length {fmt(model.span_length)}")
-    lines.append(f"etas {model.etas.size}")
-    lines.append(fmt_row(model.etas))
-    lines.extend(_matrix_block("reps", model.reps.reshape(-1, 2)))
-    lines.extend(_matrix_block("affine-m", model.affine_m.reshape(-1, 4)))
-    lines.extend(_matrix_block("affine-b", model.affine_b))
+    lines.extend(vector_block("etas", model.etas))
+    lines.extend(matrix_block("reps", model.reps.reshape(-1, 2)))
+    lines.extend(matrix_block("affine-m", model.affine_m.reshape(-1, 4)))
+    lines.extend(matrix_block("affine-b", model.affine_b))
     if model.variant == "product-spd":
-        lines.extend(_matrix_block("spd-p", model.spd_p.reshape(-1, 4)))
-        lines.append(f"angles {model.angles.size}")
-        lines.append(fmt_row(model.angles))
+        lines.extend(matrix_block("spd-p", model.spd_p.reshape(-1, 4)))
+        lines.extend(vector_block("angles", model.angles))
     if model.bend is None:
         lines.append("bend none")
     else:
-        lines.extend(_matrix_block("bend", model.bend))
+        lines.extend(matrix_block("bend", model.bend))
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_blade(path):
-    r = _Reader(path)
+    r = BlockReader(path)
     if r.next() != _BLADE_MAGIC:
         raise ContractError(f"{path}: not a shapetensors blade file")
     variant = r.next().split()[1]
     closed = bool(int(r.next().split()[1]))
     has_reflection = bool(int(r.next().split()[1]))
     span_length = float(r.next().split()[1])
-    n_st = int(r.next().split()[1])
-    etas = np.array([float(t) for t in r.next().split()])
-    if etas.size != n_st:
-        raise ContractError(f"{path}: eta row does not match station count")
+    etas = r.vector("etas")
+    n_st = etas.size
     reps = r.block("reps").reshape(n_st, -1, 2)
     affine_m = r.block("affine-m").reshape(n_st, 2, 2)
     affine_b = r.block("affine-b")
     spd_p = angles = None
     if variant == "product-spd":
         spd_p = r.block("spd-p").reshape(n_st, 2, 2)
-        head = r.next().split()
-        if head[0] != "angles":
-            raise ContractError(f"{path}: expected angles block")
-        angles = np.array([float(t) for t in r.next().split()])
-    head = r.next().split()
-    bend = None
-    if head[0] == "bend" and head[1] != "none":
-        rows = int(head[1])
-        bend = np.array(
-            [[float(t) for t in r.next().split()] for _ in range(rows)]
-        )
+        angles = r.vector("angles")
+    bend = r.block("bend", optional=True)
     if r.next() != "end":
         raise ContractError(f"{path}: missing end marker")
     return BladeModel(
@@ -179,24 +180,55 @@ def load_blade(path):
     )
 
 
-def _axis_frame(tangent):
-    """Rotation taking the z axis onto ``tangent`` (unit 3-vector)."""
+def _axis_frames(tangents):
+    """Rotations taking the z axis onto each unit tangent: (m, 3) -> (m, 3, 3)."""
     z = np.array([0.0, 0.0, 1.0])
-    c = np.cross(z, tangent)
-    s = np.linalg.norm(c)
-    d = float(np.dot(z, tangent))
-    if s < 1e-12:
-        if d > 0.0:
-            return np.eye(3)
-        return np.diag([1.0, -1.0, -1.0])  # half turn about x
-    axis = c / s
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    angle = np.arctan2(s, d)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    c = np.cross(z, tangents)
+    s = np.linalg.norm(c, axis=-1)
+    d = tangents[:, 2]
+    aligned = s < 1e-12
+    axis = c / np.where(aligned, 1.0, s)[:, None]
+    zero = np.zeros_like(s)
+    k = np.stack([
+        np.stack([zero, -axis[:, 2], axis[:, 1]], axis=-1),
+        np.stack([axis[:, 2], zero, -axis[:, 0]], axis=-1),
+        np.stack([-axis[:, 1], axis[:, 0], zero], axis=-1),
+    ], axis=-2)
+    angle = np.arctan2(s, d)[:, None, None]
+    frames = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    # along +z no turn, along -z a half turn about x
+    frames[aligned] = np.where(d[aligned, None, None] > 0.0, np.eye(3),
+                               np.diag([1.0, -1.0, -1.0]))
+    return frames
+
+
+def _placed_sections(model, etas):
+    """Sections at ``etas`` in the plane, (m, n, 2), and placed in
+    3-space along the stacking axis, (m, n, 3)."""
+    flat = _sections(model, etas)
+    pts = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    if model.bend is None:
+        offset = np.zeros((etas.size, 3))
+        offset[:, 2] = etas * model.span_length
+        return flat, pts + offset[:, None, :]
+    bc = "natural" if model.bend.shape[0] >= 4 else "not-a-knot"
+    curve = CubicSpline(model.bend[:, 0], model.bend[:, 1:4], bc_type=bc)
+    tan = curve.derivative()(etas)
+    norm = np.linalg.norm(tan, axis=-1)
+    vanishing = norm < 1e-12
+    if np.any(vanishing):
+        raise ContractError(
+            "bend curve has a vanishing tangent at "
+            f"eta={etas[np.argmax(vanishing)]:g}"
+        )
+    frames = _axis_frames(tan / norm[:, None])
+    return flat, pts @ mT(frames) + curve(etas)[:, None, :]
+
+
+def _section_etas(model, etas, count):
+    if etas is None:
+        etas = np.linspace(model.etas[0], model.etas[-1], count)
+    return np.asarray(etas, dtype=float)
 
 
 def wireframe_sections(model, etas=None, count=25):
@@ -208,49 +240,28 @@ def wireframe_sections(model, etas=None, count=25):
     positions each section at the curve point with the section plane
     normal to the curve tangent.
     """
-    if etas is None:
-        etas = np.linspace(model.etas[0], model.etas[-1], count)
-    etas = np.asarray(etas, dtype=float)
-    if model.bend is not None:
-        bc = "natural" if model.bend.shape[0] >= 4 else "not-a-knot"
-        curve = CubicSpline(model.bend[:, 0], model.bend[:, 1:4], bc_type=bc)
-        velocity = curve.derivative()
-    out = []
-    for eta in etas:
-        sec = evaluate_blade(model, float(eta))
-        flat = np.column_stack([sec.x, np.zeros(sec.n)])
-        if model.bend is None:
-            pts = flat + np.array([0.0, 0.0, float(eta) * model.span_length])
-        else:
-            tan = velocity(float(eta))
-            norm = np.linalg.norm(tan)
-            if norm < 1e-12:
-                raise ContractError(
-                    f"bend curve has a vanishing tangent at eta={eta:g}"
-                )
-            frame = _axis_frame(tan / norm)
-            pts = flat @ frame.T + curve(float(eta))
-        out.append((float(eta), pts))
-    return out
+    etas = _section_etas(model, etas, count)
+    _, placed = _placed_sections(model, etas)
+    return list(zip(etas.tolist(), placed))
 
 
 def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
     """Write per-section landmark files, an index manifest, and a lofted
     OBJ surface under ``out_dir``.  Returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
-    placed = wireframe_sections(model, etas=etas, count=count)
+    etas = _section_etas(model, etas, count)
+    flat, placed = _placed_sections(model, etas)
     manifest_lines = ["# file,eta"]
-    for i, (eta, _) in enumerate(placed):
-        sec = evaluate_blade(model, eta)
+    for i, (eta, sec) in enumerate(zip(etas.tolist(), flat)):
         fname = f"{prefix}_{i:03d}.txt"
         write_landmarks(
-            os.path.join(out_dir, fname), sec,
+            os.path.join(out_dir, fname), LandmarkShape(sec, closed=model.closed),
             header=f"blade section at eta {fmt(eta)}",
         )
         manifest_lines.append(f"{fname},{fmt(eta)}")
     manifest_path = os.path.join(out_dir, "manifest.txt")
     atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
-    write_obj(os.path.join(out_dir, "blade.obj"), [p for _, p in placed])
+    write_obj(os.path.join(out_dir, "blade.obj"), list(placed))
     return manifest_path
 
 

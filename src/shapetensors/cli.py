@@ -388,7 +388,9 @@ def build_parser():
     p = sub.add_parser("cst-gen", help="synthesize a CST airfoil dataset")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--coeff-range", type=_range_arg, default=(COEFF_LO, COEFF_HI),
-                   metavar="LO:HI", help="coefficient box (default 0:0.45)")
+                   metavar="LO:HI",
+                   help="coefficient box (default 0:0.45); write a negative "
+                        "LO as --coeff-range=-0.1:0.45")
     p.add_argument("--nc", type=int, default=401, help="landmarks per shape")
     p.add_argument("--sampling", choices=("cosine", "uniform"), default="cosine")
     p.add_argument("--seed", type=int, default=0)
@@ -423,7 +425,9 @@ def build_parser():
 
     p = sub.add_parser("sample", help="generate shapes from a fitted model")
     p.add_argument("--model", required=True)
-    p.add_argument("--coeffs", help="comma-separated normal coordinates")
+    p.add_argument("--coeffs", help="comma-separated normal coordinates; "
+                                    "write a leading minus as "
+                                    "--coeffs=-0.01,0.002")
     p.add_argument("--sweep", choices=("corner-to-corner",),
                    help="sweep between two random domain corners")
     p.add_argument("--count", type=int, default=20, help="sweep sample count")
@@ -468,7 +472,9 @@ def build_parser():
     p = bsub.add_parser("deform", help="consistent deformation of a blade")
     p.add_argument("--blade", required=True, help="blade artifact file")
     p.add_argument("--model", required=True, help="grassmann PGA model")
-    p.add_argument("--coeffs", required=True)
+    p.add_argument("--coeffs", required=True,
+                   help="comma-separated normal coordinates; write a leading "
+                        "minus as --coeffs=-0.01,0.002")
     p.add_argument("--scale", choices=("mean",),
                    help="replace the scale schedule by the model mean scale")
     p.add_argument("--out", required=True, help="deformed blade artifact")

@@ -24,7 +24,13 @@ class DegenerateGeometryError(ShapeTensorError, ValueError):
 
 class NormalNeighborhoodError(ShapeTensorError, ValueError):
     """A logarithm was requested between points too far apart: the
-    target lies outside the normal neighborhood of the base point."""
+    target lies outside the normal neighborhood of the base point.
+
+    Carries ``index``, the position of the first such target when the
+    logarithm was taken over a stack (``()`` for a single pair).
+    """
+
+    index = ()
 
 
 class ConvergenceError(ShapeTensorError, RuntimeError):

@@ -14,12 +14,16 @@ identities for geodesics of the quotient metric:
 
 with all trigonometric functions acting on the diagonal.  Distances come
 from the principal angles theta_i = arccos sigma_i(X.T Y).
+
+The raw-array kernels broadcast over leading axes: one pair, one base
+against an (N, n, 2) stack, and a stack against a stack all go through
+the same code.
 """
 
 import numpy as np
 
 from .errors import ContractError, NormalNeighborhoodError
-from .linalg import cond2, inv2, polar_orthonormalize, thin_svd
+from .linalg import inv2, mT, polar_orthonormalize
 
 # Orthonormality drift allowed in a representative.
 ORTHO_TOL = 1e-12
@@ -92,10 +96,9 @@ class GrassmannTangent:
 
 
 def _exp_raw(x, d):
-    """Exp on raw arrays; returns an (n, 2) representative."""
-    u, s, vt = thin_svd(d)
-    v = vt.T
-    y = (x @ v) @ (np.cos(s)[:, None] * vt) + u @ (np.sin(s)[:, None] * vt)
+    """Exp on raw (..., n, 2) arrays; returns representatives."""
+    u, s, vt = np.linalg.svd(d, full_matrices=False)
+    y = (x @ mT(vt)) @ (np.cos(s)[..., None] * vt) + u @ (np.sin(s)[..., None] * vt)
     # one polar step scrubs the O(eps) loss of orthonormality
     return polar_orthonormalize(y)
 
@@ -109,17 +112,28 @@ def gr_exp(base, delta):
 
 
 def _log_raw(x, y):
-    """Log on raw arrays; returns the horizontal (n, 2) tangent."""
-    q = x.T @ y
-    if cond2(q) > NEIGHBORHOOD_COND_MAX:
-        raise NormalNeighborhoodError(
-            "target subspace lies outside the normal neighborhood of the "
-            "base (a principal angle is at or near pi/2); Log is undefined"
+    """Log on raw (..., n, 2) arrays; returns the horizontal tangents.
+
+    Raises NormalNeighborhoodError if any target is outside the normal
+    neighborhood of its base; the error's ``index`` is the position of the
+    first such target in the stack (``()`` for a single pair).
+    """
+    q = mT(x) @ y
+    sv = np.linalg.svd(q, compute_uv=False)
+    outside = sv[..., 1] <= sv[..., 0] / NEIGHBORHOOD_COND_MAX
+    if np.any(outside):
+        index = tuple(int(i) for i in np.argwhere(outside)[0])
+        where = f"point {', '.join(map(str, index))}" if index else "target subspace"
+        err = NormalNeighborhoodError(
+            f"{where} lies outside the normal neighborhood of the base (a "
+            "principal angle is at or near pi/2); Log is undefined"
         )
+        err.index = index
+        raise err
     w = y @ inv2(q)
-    l = w - x @ (x.T @ w)
-    u, s, vt = thin_svd(l)
-    return u @ (np.arctan(s)[:, None] * vt)
+    w -= x @ (mT(x) @ w)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return u @ (np.arctan(s)[..., None] * vt)
 
 
 def gr_log(base, target):
@@ -164,13 +178,14 @@ def gr_distance(a, b, metric="frobenius"):
 
 def _transport_raw(x, d, t, g):
     """Parallel transport of payload g along the geodesic with velocity d,
-    evaluated at time t.  Raw arrays in, raw array out."""
-    u, s, vt = thin_svd(d)
-    ug = u.T @ g
+    evaluated at the scalar time t.  Raw (..., n, 2) arrays in, raw array
+    out."""
+    u, s, vt = np.linalg.svd(d, full_matrices=False)
+    ug = mT(u) @ g
     ts = t * s
     out = g - u @ ug
-    out += (x @ vt.T) @ (-np.sin(ts)[:, None] * ug)
-    out += u @ (np.cos(ts)[:, None] * ug)
+    out += (x @ mT(vt)) @ (-np.sin(ts)[..., None] * ug)
+    out += u @ (np.cos(ts)[..., None] * ug)
     return out
 
 
@@ -189,30 +204,3 @@ def gr_transport(gamma_base, gamma_dir, t, payload):
     out = _transport_raw(x, gamma_dir.delta, t, payload.delta)
     arrival = GrassmannPoint(_exp_raw(x, t * gamma_dir.delta))
     return GrassmannTangent(out, arrival)
-
-
-def _log_many(x, ys):
-    """Batched _log_raw: ys is (N, n, 2); returns (N, n, 2) tangents.
-
-    Used by the statistics routines where thousands of logarithms are
-    taken at a shared base point.  Raises the same neighborhood error as
-    the scalar path, reporting the worst offender.
-    """
-    q = np.einsum("ni,knj->kij", x, ys)
-    sv = np.linalg.svd(q, compute_uv=False)
-    if np.any(sv[:, 1] <= sv[:, 0] / NEIGHBORHOOD_COND_MAX):
-        k = int(np.argmin(sv[:, 1] / sv[:, 0]))
-        raise NormalNeighborhoodError(
-            f"point {k} lies outside the normal neighborhood of the base"
-        )
-    det = q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
-    qinv = np.empty_like(q)
-    qinv[:, 0, 0] = q[:, 1, 1]
-    qinv[:, 0, 1] = -q[:, 0, 1]
-    qinv[:, 1, 0] = -q[:, 1, 0]
-    qinv[:, 1, 1] = q[:, 0, 0]
-    qinv /= det[:, None, None]
-    w = ys @ qinv
-    l = w - np.einsum("ni,kij->knj", x, np.einsum("ni,knj->kij", x, w))
-    u, s, vt = np.linalg.svd(l, full_matrices=False)
-    return u @ (np.arctan(s)[..., None] * vt)

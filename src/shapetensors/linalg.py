@@ -12,7 +12,8 @@ globally so that downstream results are reproducible bit-for-bit:
 The 2x2 symmetric eigendecomposition and the matrix functions built on it
 (sqrt, inverse sqrt, exp, log) are closed form rather than iterative: at
 this fixed size the arithmetic is exact up to rounding and considerably
-faster than a general-purpose routine.
+faster than a general-purpose routine.  Like the SVD they broadcast over
+leading axes, so one call serves a single matrix or a whole stack.
 """
 
 import numpy as np
@@ -49,37 +50,45 @@ def thin_svd(a):
     return u, s, vt
 
 
-def eigh2(a):
-    """Eigendecomposition of a symmetric 2x2 matrix, closed form.
+def mT(a):
+    """Transpose of the last two axes (the matrix transpose of a stack)."""
+    return np.swapaxes(a, -1, -2)
 
-    Returns (w, q) with eigenvalues w descending and q orthogonal,
-    a = q @ diag(w) @ q.T.  The decomposition is deterministic: the first
-    eigenvector is chosen with a fixed orientation and the second is its
-    90-degree rotation.
+
+def eigh2(a):
+    """Eigendecomposition of symmetric 2x2 matrices, closed form.
+
+    ``a`` is (..., 2, 2).  Returns (w, q) with eigenvalues w (..., 2)
+    descending and q (..., 2, 2) orthogonal, a = q @ diag(w) @ q.T.  The
+    decomposition is deterministic: the first eigenvector is chosen with
+    a fixed orientation and the second is its 90-degree rotation; at a
+    double eigenvalue q is the identity.
     """
-    p, b = a[0, 0], 0.5 * (a[0, 1] + a[1, 0])
-    c = a[1, 1]
+    a = np.asarray(a, dtype=float)
+    p, b = a[..., 0, 0], 0.5 * (a[..., 0, 1] + a[..., 1, 0])
+    c = a[..., 1, 1]
     mid = 0.5 * (p + c)
     h = np.hypot(0.5 * (p - c), b)
-    w = np.array([mid + h, mid - h])
-    if h <= SIGN_TOL * max(1.0, abs(mid)):
-        return w, np.eye(2)
+    w = np.stack([mid + h, mid - h], axis=-1)
+    double = h <= SIGN_TOL * np.maximum(1.0, np.abs(mid))
     # (a - w1) v = 0; pick the residual column with the larger magnitude
-    if p - c >= 0.0:
-        v1 = np.array([w[0] - c, b])
-    else:
-        v1 = np.array([b, w[0] - p])
-    v1 /= np.hypot(v1[0], v1[1])
-    if v1[0] < 0.0 or (v1[0] == 0.0 and v1[1] < 0.0):
-        v1 = -v1
-    q = np.array([[v1[0], -v1[1]], [v1[1], v1[0]]])
+    right = p - c >= 0.0
+    v0 = np.where(right, w[..., 0] - c, b)
+    v1 = np.where(right, b, w[..., 0] - p)
+    norm = np.where(double, 1.0, np.hypot(v0, v1))
+    v0 = np.where(double, 1.0, v0 / norm)
+    v1 = np.where(double, 0.0, v1 / norm)
+    sign = np.where((v0 < 0.0) | ((v0 == 0.0) & (v1 < 0.0)), -1.0, 1.0)
+    v0, v1 = sign * v0, sign * v1
+    q = np.stack([np.stack([v0, -v1], axis=-1), np.stack([v1, v0], axis=-1)],
+                 axis=-2)
     return w, q
 
 
 def sym2_apply(fn, a):
-    """Apply a scalar function to a symmetric 2x2 matrix via eigh2."""
+    """Apply a scalar function to symmetric 2x2 matrices via eigh2."""
     w, q = eigh2(a)
-    return (q * fn(w)) @ q.T
+    return (q * fn(w)[..., None, :]) @ mT(q)
 
 
 def sym2_sqrt(a):
@@ -99,30 +108,26 @@ def sym2_log(a):
 
 
 def inv2(a):
-    """Inverse of a 2x2 matrix by the adjugate formula."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-
-
-def cond2(a):
-    """2-norm condition number of a 2x2 matrix (inf if singular)."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return s[0] / s[-1]
+    """Inverse of (..., 2, 2) matrices by the adjugate formula."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]],
+                   axis=-1)
+    return adj.reshape(a.shape) / det[..., None, None]
 
 
 def polar_orthonormalize(y):
     """One polar-projection step: the closest matrix with orthonormal columns.
 
-    For an (n, 2) matrix y with nearly orthonormal columns this returns
+    For (..., n, 2) matrices y with nearly orthonormal columns this returns
     y @ (y.T y)^(-1/2), removing O(eps) drift without changing the span.
     """
-    g = y.T @ y
-    return y @ sym2_inv_sqrt(0.5 * (g + g.T))
+    g = mT(y) @ y
+    return y @ sym2_inv_sqrt(0.5 * (g + mT(g)))
 
 
 def rotation2(theta):
-    """Clockwise-convention rotation [[cos, sin], [-sin, cos]]."""
+    """Clockwise-convention rotations [[cos, sin], [-sin, cos]], one per
+    entry of ``theta``: shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)],
+                    axis=-2)

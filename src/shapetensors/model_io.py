@@ -1,8 +1,9 @@
 """Structured-text serialization of fitted PGA models.
 
-The format is line-oriented: a header, then named blocks whose first
-line carries the dimensions.  Floats use shortest-exact decimals, so
-save -> load -> save reproduces the file byte for byte.
+The format is the line-block format of ``textio``: a header, then named
+blocks whose first line carries the dimensions.  Floats use
+shortest-exact decimals, so save -> load -> save reproduces the file
+byte for byte.
 """
 
 import numpy as np
@@ -12,30 +13,29 @@ from .grassmann import GrassmannPoint
 from .product import ProductPoint
 from .spd import SpdMatrix
 from .stats import MeanScale, PgaModel, SampleDomain
-from .textio import atomic_write_text, fmt, fmt_row
+from .textio import (
+    BlockReader,
+    atomic_write_text,
+    fmt,
+    fmt_row,
+    matrix_block,
+    vector_block,
+)
 
 _MAGIC = "shapetensors model 1"
-
-
-def _matrix_block(name, mat):
-    mat = np.atleast_2d(mat)
-    lines = [f"{name} {mat.shape[0]} {mat.shape[1]}"]
-    lines.extend(fmt_row(row) for row in mat)
-    return lines
 
 
 def save_model(path, model):
     lines = [_MAGIC, f"kind {model.kind}", f"epsilon {fmt(model.epsilon)}"]
     if model.kind in ("grassmann", "product"):
         rep = model.mean.rep if model.kind == "grassmann" else model.mean.grass.rep
-        lines.extend(_matrix_block("mean-grassmann", rep))
+        lines.extend(matrix_block("mean-grassmann", rep))
     if model.kind in ("spd", "product"):
         mat = model.mean.mat if model.kind == "spd" else model.mean.scale.mat
-        lines.extend(_matrix_block("mean-spd", mat))
-    lines.extend(_matrix_block("basis", model.basis))
-    lines.append(f"eigenvalues {model.eigenvalues.size}")
-    lines.append(fmt_row(model.eigenvalues))
-    lines.extend(_matrix_block("coords", model.coords))
+        lines.extend(matrix_block("mean-spd", mat))
+    lines.extend(matrix_block("basis", model.basis))
+    lines.extend(vector_block("eigenvalues", model.eigenvalues))
+    lines.extend(matrix_block("coords", model.coords))
     if model.mean_scale is None:
         lines.append("mean-scale none")
     else:
@@ -51,37 +51,8 @@ def save_model(path, model):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-class _Reader:
-    def __init__(self, path):
-        with open(path) as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-        self.path = path
-
-    def next(self):
-        if self.pos >= len(self.lines):
-            raise ContractError(f"{self.path}: truncated model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def block(self, name):
-        head = self.next().split()
-        if head[0] != name:
-            raise ContractError(
-                f"{self.path}: expected block {name!r}, found {head[0]!r}"
-            )
-        rows, cols = int(head[1]), int(head[2])
-        data = np.array(
-            [[float(t) for t in self.next().split()] for _ in range(rows)]
-        )
-        if data.shape != (rows, cols):
-            raise ContractError(f"{self.path}: block {name!r} has wrong shape")
-        return data
-
-
 def load_model(path):
-    r = _Reader(path)
+    r = BlockReader(path)
     if r.next() != _MAGIC:
         raise ContractError(f"{path}: not a shapetensors model file")
     kind = r.next().split()[1]
@@ -100,25 +71,15 @@ def load_model(path):
     else:
         mean = ProductPoint(grass, spd)
     basis = r.block("basis")
-    head = r.next().split()
-    if head[0] != "eigenvalues":
-        raise ContractError(f"{path}: expected eigenvalues block")
-    eigenvalues = np.array([float(t) for t in r.next().split()])
-    if eigenvalues.size != int(head[1]):
-        raise ContractError(f"{path}: eigenvalue count mismatch")
+    eigenvalues = r.vector("eigenvalues")
     coords = r.block("coords")
     mean_scale = None
-    tag = r.next().split()
-    if tag[0] != "mean-scale":
-        raise ContractError(f"{path}: expected mean-scale block")
+    tag = r.head("mean-scale")
     if tag[1] != "none":
         m = np.array([[float(t) for t in r.next().split()] for _ in range(2)])
         mean_scale = MeanScale(m, tag[1])
     domain = None
-    tag = r.next().split()
-    if tag[0] != "domain":
-        raise ContractError(f"{path}: expected domain block")
-    if tag[1] != "none":
+    if r.head("domain")[1] != "none":
         lo = np.array([float(t) for t in r.next().split()])
         hi = np.array([float(t) for t in r.next().split()])
         radius = float(r.next())

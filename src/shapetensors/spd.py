@@ -13,12 +13,14 @@ symmetric form E = P^(1/2) (P^(-1/2) D P^(-1/2))^(1/2) P^(-1/2).
 
 Distances and transports are invariant under congruence by any invertible
 A (P -> A P A.T), which is the property the tests pin down.
+
+The raw-array kernels broadcast over leading (..., 2, 2) axes.
 """
 
 import numpy as np
 
 from .errors import ContractError
-from .linalg import sym2_exp, sym2_inv_sqrt, sym2_log, sym2_sqrt
+from .linalg import eigh2, mT, sym2_exp, sym2_log, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
 
@@ -73,18 +75,31 @@ class SpdTangent:
         return f"SpdTangent(norm={self.norm():.3e})"
 
 
+def _sym(a):
+    return 0.5 * (a + mT(a))
+
+
+def _roots(p):
+    """P^(1/2) and P^(-1/2) from one eigendecomposition of P."""
+    w, q = eigh2(p)
+    root = np.sqrt(w)[..., None, :]
+    return (q * root) @ mT(q), (q * (1.0 / root)) @ mT(q)
+
+
 def _exp_raw(p, s):
-    rp = sym2_sqrt(p)
-    rpi = sym2_inv_sqrt(p)
-    out = rp @ sym2_exp(rpi @ s @ rpi) @ rp
-    return 0.5 * (out + out.T)
+    rp, rpi = _roots(p)
+    return _sym(rp @ sym2_exp(rpi @ s @ rpi) @ rp)
 
 
 def _log_raw(p, d):
-    rp = sym2_sqrt(p)
-    rpi = sym2_inv_sqrt(p)
-    out = rp @ sym2_log(rpi @ d @ rpi) @ rp
-    return 0.5 * (out + out.T)
+    rp, rpi = _roots(p)
+    return _sym(rp @ sym2_log(rpi @ d @ rpi) @ rp)
+
+
+def _distance_raw(p, d):
+    """Distances between (..., 2, 2) stacks of SPD matrices."""
+    _, rpi = _roots(p)
+    return np.linalg.norm(sym2_log(_sym(rpi @ d @ rpi)), axis=(-2, -1))
 
 
 def spd_exp(p, s):
@@ -100,16 +115,12 @@ def spd_log(p, d):
 
 def spd_distance(p, d):
     """Affine-invariant geodesic distance."""
-    rpi = sym2_inv_sqrt(p.mat)
-    mid = rpi @ d.mat @ rpi
-    return float(np.linalg.norm(sym2_log(0.5 * (mid + mid.T))))
+    return float(_distance_raw(p.mat, d.mat))
 
 
 def _transport_factor(p, d):
-    rp = sym2_sqrt(p)
-    rpi = sym2_inv_sqrt(p)
-    mid = rpi @ d @ rpi
-    return rp @ sym2_sqrt(0.5 * (mid + mid.T)) @ rpi
+    rp, rpi = _roots(p)
+    return rp @ sym2_sqrt(_sym(rpi @ d @ rpi)) @ rpi
 
 
 def spd_transport(p, d, s):
@@ -119,5 +130,4 @@ def spd_transport(p, d, s):
     tr(D^-1 T D^-1 T) = tr(P^-1 S P^-1 S) for T the transported tangent.
     """
     e = _transport_factor(p.mat, d.mat)
-    out = e @ s.sym @ e.T
-    return SpdTangent(0.5 * (out + out.T))
+    return SpdTangent(_sym(e @ s.sym @ e.T))

@@ -16,11 +16,16 @@ All decompositions use the deterministic SVD sign convention, making a
 fit a pure function of its input bytes.
 """
 
+import math
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, DegenerateGeometryError
-from .grassmann import GrassmannPoint, _exp_raw, _log_many, _log_raw
-from .linalg import thin_svd
+from .grassmann import GrassmannPoint
+from .grassmann import _exp_raw as _gr_exp_raw
+from .grassmann import _log_raw as _log_many
+from .linalg import mT, thin_svd
 from .product import ProductPoint
 from .shapes import AffineFactor
 from .spd import SpdMatrix
@@ -36,159 +41,103 @@ ZERO_VARIANCE_TOL = 1e-13
 _SQRT2 = np.sqrt(2.0)
 
 
-class _GrassmannOps:
-    kind = "grassmann"
+# Batched maps of one manifold factor on raw arrays.  log(base, stack)
+# and exp(base, tangent) broadcast over leading axes; vec flattens
+# (..., tangent) to (..., width) isometrically and unvec inverts it for one
+# vector; dim(base) is the intrinsic dimension.
+_Component = namedtuple("_Component", "log exp vec unvec dim")
 
-    @staticmethod
-    def check(points):
-        n = points[0].n
-        if any(p.n != n for p in points):
-            raise ContractError("all Grassmann points must share the same n")
+# The logs look their kernels up at call time, so a wrapper installed on
+# this module's ``_log_many`` or ``_spd_log_raw`` sees every sweep.
+_COMPONENTS = {
+    # Grassmann lifts stack their columns: (..., n, 2) -> (..., 2n)
+    "grassmann": _Component(
+        log=lambda x, ys: _log_many(x, ys),
+        exp=_gr_exp_raw,
+        vec=lambda d: mT(d).reshape(d.shape[:-2] + (-1,)),
+        unvec=lambda v: v.reshape(2, -1).T,
+        dim=lambda x: 2 * (x.shape[-2] - 2),
+    ),
+    # SPD tangents keep their three unique entries, off-diagonal * sqrt(2)
+    "spd": _Component(
+        log=lambda p, ds: _spd_log_raw(p, ds),
+        exp=_spd_exp_raw,
+        vec=lambda s: np.stack(
+            [s[..., 0, 0], _SQRT2 * s[..., 0, 1], s[..., 1, 1]], axis=-1
+        ),
+        unvec=lambda v: np.array([[v[0], v[1] / _SQRT2], [v[1] / _SQRT2, v[2]]]),
+        dim=lambda p: 3,
+    ),
+}
 
-    @staticmethod
-    def log_many(base, points):
-        return _log_many(base.rep, np.stack([p.rep for p in points]))
-
-    @staticmethod
-    def log(base, point):
-        return _log_raw(base.rep, point.rep)
-
-    @staticmethod
-    def exp(base, raw):
-        return GrassmannPoint(_exp_raw(base.rep, raw))
-
-    @staticmethod
-    def mean(raws):
-        return raws.mean(axis=0)
-
-    @staticmethod
-    def norm(raw):
-        return float(np.linalg.norm(raw))
-
-    @staticmethod
-    def vec_many(raws):
-        # stack columns: (N, n, 2) -> (N, 2n) with column-major order
-        return raws.transpose(0, 2, 1).reshape(raws.shape[0], -1)
-
-    @staticmethod
-    def unvec(v, base):
-        n = base.n
-        return v.reshape(2, n).T
-
-    @staticmethod
-    def intrinsic_dim(base):
-        return 2 * (base.n - 2)
-
-
-class _SpdOps:
-    kind = "spd"
-
-    @staticmethod
-    def check(points):
-        pass
-
-    @staticmethod
-    def log_many(base, points):
-        return np.stack([_spd_log_raw(base.mat, p.mat) for p in points])
-
-    @staticmethod
-    def log(base, point):
-        return _spd_log_raw(base.mat, point.mat)
-
-    @staticmethod
-    def exp(base, raw):
-        return SpdMatrix(_spd_exp_raw(base.mat, raw))
-
-    @staticmethod
-    def mean(raws):
-        return raws.mean(axis=0)
-
-    @staticmethod
-    def norm(raw):
-        return float(np.linalg.norm(raw))
-
-    @staticmethod
-    def vec_many(raws):
-        return np.column_stack(
-            [raws[:, 0, 0], _SQRT2 * raws[:, 0, 1], raws[:, 1, 1]]
-        )
-
-    @staticmethod
-    def unvec(v, base):
-        off = v[1] / _SQRT2
-        return np.array([[v[0], off], [off, v[2]]])
-
-    @staticmethod
-    def intrinsic_dim(base):
-        return 3
-
-
-class _ProductOps:
-    kind = "product"
-
-    @staticmethod
-    def check(points):
-        _GrassmannOps.check([p.grass for p in points])
-
-    @staticmethod
-    def log_many(base, points):
-        g = _GrassmannOps.log_many(base.grass, [p.grass for p in points])
-        s = _SpdOps.log_many(base.scale, [p.scale for p in points])
-        return g, s
-
-    @staticmethod
-    def log(base, point):
-        return (
-            _GrassmannOps.log(base.grass, point.grass),
-            _SpdOps.log(base.scale, point.scale),
-        )
-
-    @staticmethod
-    def exp(base, raw):
-        return ProductPoint(
-            _GrassmannOps.exp(base.grass, raw[0]),
-            _SpdOps.exp(base.scale, raw[1]),
-        )
-
-    @staticmethod
-    def mean(raws):
-        return raws[0].mean(axis=0), raws[1].mean(axis=0)
-
-    @staticmethod
-    def norm(raw):
-        return float(np.hypot(np.linalg.norm(raw[0]), np.linalg.norm(raw[1])))
-
-    @staticmethod
-    def vec_many(raws):
-        return np.hstack(
-            [_GrassmannOps.vec_many(raws[0]), _SpdOps.vec_many(raws[1])]
-        )
-
-    @staticmethod
-    def unvec(v, base):
-        cut = 2 * base.grass.n
-        return (
-            _GrassmannOps.unvec(v[:cut], base.grass),
-            _SpdOps.unvec(v[cut:], base.scale),
-        )
-
-    @staticmethod
-    def intrinsic_dim(base):
-        return 2 * (base.grass.n - 2) + 3
-
-    @staticmethod
-    def take(raws, k):
-        return raws[0][k], raws[1][k]
-
-
-def _ops_for(point):
+def _arrays(point):
+    """{component: raw array} of one manifold point; a product point is
+    its Grassmann part plus its SPD part."""
     if isinstance(point, GrassmannPoint):
-        return _GrassmannOps
+        return {"grassmann": point.rep}
     if isinstance(point, SpdMatrix):
-        return _SpdOps
+        return {"spd": point.mat}
     if isinstance(point, ProductPoint):
-        return _ProductOps
+        return {"grassmann": point.grass.rep, "spd": point.scale.mat}
     raise ContractError(f"unsupported manifold point type {type(point).__name__}")
+
+
+def _point(arrays):
+    """The manifold point made of these component arrays."""
+    grass, spd = arrays.get("grassmann"), arrays.get("spd")
+    if spd is None:
+        return GrassmannPoint(grass)
+    if grass is None:
+        return SpdMatrix(spd)
+    return ProductPoint(GrassmannPoint(grass), SpdMatrix(spd))
+
+
+def _stacks(points):
+    """{component: (N, ...) stack} of a list of points."""
+    parts = [_arrays(pt) for pt in points]
+    if any(part.keys() != parts[0].keys() for part in parts):
+        raise ContractError("points must all lie on the same kind of manifold")
+    stacks = {}
+    for c in parts[0]:
+        arrays = [part[c] for part in parts]
+        if len({a.shape for a in arrays}) != 1:
+            raise ContractError("all Grassmann points must share the same n")
+        stacks[c] = np.stack(arrays)
+    return stacks
+
+
+def _dim(point):
+    return sum(_COMPONENTS[c].dim(a) for c, a in _arrays(point).items())
+
+
+def _karcher(points, epsilon, max_iter):
+    """Karcher mean of a list of points and the logs taken at it.
+
+    Returns (mean, logs) with logs {component: (N, ...) tangents at the
+    mean}: the sweep that certified convergence, ready for PGA.
+    """
+    if not points:
+        raise ContractError("karcher_mean needs at least one point")
+    if epsilon <= 0.0:
+        raise ContractError("epsilon must be positive")
+    stacks = _stacks(points)
+    mean = points[0]
+    base = {c: a[0] for c, a in stacks.items()}
+    gnorm = None
+    for _ in range(max_iter):
+        logs = {c: _COMPONENTS[c].log(base[c], stacks[c]) for c in stacks}
+        step = {c: l.mean(axis=0) for c, l in logs.items()}
+        gnorm = math.hypot(*(np.linalg.norm(v) for v in step.values()))
+        if gnorm < epsilon:
+            return mean, logs
+        del logs
+        base = {c: _COMPONENTS[c].exp(base[c], step[c]) for c in stacks}
+        mean = _point(base)
+    raise ConvergenceError(
+        f"Karcher mean did not converge in {max_iter} iterations "
+        f"(last gradient norm {gnorm:.3e})",
+        gradient_norm=gnorm,
+    )
 
 
 def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
@@ -201,26 +150,7 @@ def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
     ConvergenceError (carrying the last gradient norm) if max_iter
     sweeps do not get there.
     """
-    if not points:
-        raise ContractError("karcher_mean needs at least one point")
-    if epsilon <= 0.0:
-        raise ContractError("epsilon must be positive")
-    ops = _ops_for(points[0])
-    ops.check(points)
-    p = points[0]
-    gnorm = None
-    for _ in range(max_iter):
-        raws = ops.log_many(p, points)
-        v = ops.mean(raws)
-        gnorm = ops.norm(v)
-        if gnorm < epsilon:
-            return p
-        p = ops.exp(p, v)
-    raise ConvergenceError(
-        f"Karcher mean did not converge in {max_iter} iterations "
-        f"(last gradient norm {gnorm:.3e})",
-        gradient_norm=gnorm,
-    )
+    return _karcher(points, epsilon, max_iter)[0]
 
 
 class PgaModel:
@@ -296,18 +226,18 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     """
     if len(points) < 2:
         raise ContractError("PGA needs at least two points")
-    ops = _ops_for(points[0])
-    ops.check(points)
     n = len(points)
-    mean = karcher_mean(points, epsilon=epsilon)
-    limit = min(n - 1, ops.intrinsic_dim(points[0]))
+    limit = min(n - 1, _dim(points[0]))
     if int(r) != r or not 1 <= r <= limit:
         raise ContractError(
             f"rank r={r} must be an integer in [1, {limit}] "
             f"(N-1 and the manifold dimension both cap it)"
         )
-    raws = ops.log_many(mean, points)
-    data = ops.vec_many(raws)  # (N, ambient)
+    mean, logs = _karcher(points, epsilon, KARCHER_MAX_ITER)
+    # each raw stack is dropped as soon as it is vectorized
+    parts = [_COMPONENTS[c].vec(logs.pop(c)) for c in list(logs)]
+    data = parts[0] if len(parts) == 1 else np.hstack(parts)
+    del parts
     scaled = data.T / np.sqrt(n - 1.0)  # columns are samples
     u, s, _ = thin_svd(scaled)
     if s[0] <= ZERO_VARIANCE_TOL:
@@ -317,14 +247,19 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     basis = u[:, :r]
     eigenvalues = s[:r] ** 2
     coords = data @ basis
-    return PgaModel(ops.kind, mean, basis, eigenvalues, coords, epsilon)
+    comps = _arrays(mean)
+    kind = "product" if len(comps) == 2 else next(iter(comps))
+    return PgaModel(kind, mean, basis, eigenvalues, coords, epsilon)
 
 
 def embed(model, point):
     """Normal coordinates of a point in the model's tangent frame."""
-    ops = _ops_for(model.mean)
-    raw = ops.log(model.mean, point)
-    v = ops.vec_many(_stack_one(ops, raw))[0]
+    base = _arrays(model.mean)
+    target = _arrays(point)
+    v = np.concatenate([
+        _COMPONENTS[c].vec(_COMPONENTS[c].log(base[c], target[c]))
+        for c in base
+    ])
     return model.basis.T @ v
 
 
@@ -335,15 +270,15 @@ def generate(model, coeffs):
         raise ContractError(
             f"coefficient vector must have length r={model.r}, got {coeffs.shape}"
         )
-    ops = _ops_for(model.mean)
-    raw = ops.unvec(model.basis @ coeffs, model.mean)
-    return ops.exp(model.mean, raw)
-
-
-def _stack_one(ops, raw):
-    if ops.kind == "product":
-        return raw[0][None], raw[1][None]
-    return raw[None]
+    base = _arrays(model.mean)
+    v = model.basis @ coeffs
+    out, start = {}, 0
+    for c, x in base.items():
+        comp = _COMPONENTS[c]
+        stop = start + comp.vec(x).size  # the vectorized length
+        out[c] = comp.exp(x, comp.unvec(v[start:stop]))
+        start = stop
+    return _point(out)
 
 
 def mean_scale(factors, kind="extrinsic"):

@@ -5,10 +5,20 @@ back to the identical IEEE-754 double, so every file round-trips
 bit-for-bit and reruns with the same inputs produce byte-identical output.
 Writes go through a temp file in the target directory followed by an
 atomic rename; readers never observe a half-written file.
+
+Model and blade files share one line-block format: a header line, then
+named blocks.  A matrix block is ``name rows cols`` followed by one row of
+floats per line (``name none`` where an optional matrix is absent); a
+vector block is ``name size`` followed by one row.  ``matrix_block`` and
+``vector_block`` write them, ``BlockReader`` reads them back.
 """
 
 import os
 import tempfile
+
+import numpy as np
+
+from .errors import ContractError
 
 
 def fmt(value):
@@ -18,6 +28,68 @@ def fmt(value):
 
 def fmt_row(values):
     return " ".join(fmt(v) for v in values)
+
+
+def matrix_block(name, mat):
+    """Lines of a named block: ``name rows cols`` and one line per row."""
+    mat = np.atleast_2d(mat)
+    lines = [f"{name} {mat.shape[0]} {mat.shape[1]}"]
+    lines.extend(fmt_row(row) for row in mat)
+    return lines
+
+
+def vector_block(name, values):
+    """Lines of a named vector: ``name size`` and the values on one line."""
+    return [f"{name} {len(values)}", fmt_row(values)]
+
+
+class BlockReader:
+    """Sequential reader of a line-block file."""
+
+    def __init__(self, path):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.pos = 0
+        self.path = path
+
+    def next(self):
+        if self.pos >= len(self.lines):
+            raise ContractError(f"{self.path}: truncated file")
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def head(self, name):
+        """The tokens of the next line, which must start with ``name``."""
+        line = self.next()
+        head = line.split()
+        if not head or head[0] != name:
+            raise ContractError(
+                f"{self.path}: expected block {name!r}, found {line!r}"
+            )
+        return head
+
+    def vector(self, name):
+        """The values of the named vector block that comes next."""
+        size = int(self.head(name)[1])
+        data = np.array([float(t) for t in self.next().split()])
+        if data.size != size:
+            raise ContractError(f"{self.path}: block {name!r} has wrong size")
+        return data
+
+    def block(self, name, optional=False):
+        """The matrix of the named block that comes next; None for
+        ``name none`` when the block is optional."""
+        head = self.head(name)
+        if optional and head[1] == "none":
+            return None
+        rows, cols = int(head[1]), int(head[2])
+        data = np.array(
+            [[float(t) for t in self.next().split()] for _ in range(rows)]
+        )
+        if data.shape != (rows, cols):
+            raise ContractError(f"{self.path}: block {name!r} has wrong shape")
+        return data
 
 
 def atomic_write_text(path, text):

@@ -2,14 +2,19 @@
 
 The geodesic and parallel-transport equations on the Stiefel representative
 of G(n, 2) are integrated with a generic ODE solver; none of the closed-form
-SVD identities under test appear here.
+SVD identities under test appear there.
 
     geodesic:   X'' + X (X'.T X') = 0
     transport:  V'   = -X (X'.T V)   along the geodesic X(t)
+
+Below them are earlier forms of the code, kept as references: the scalar
+kernels and the per-section wireframe writer.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from shapetensors.linalg import thin_svd
 
 
 def integrate_geodesic(x0, d0, t=1.0):
@@ -54,3 +59,201 @@ def subspace_gap(a, b):
     qb, _ = np.linalg.qr(b)
     r = qb - qa @ (qa.T @ qb)
     return float(np.linalg.svd(r, compute_uv=False).max())
+
+
+# ---------------------------------------------------------------------------
+# Scalar kernels as they stood before the manifold maps were made to
+# broadcast over leading axes.  They take one 2x2 matrix or one (n, 2)
+# representative at a time and are the per-item reference for the stacked
+# calls in test_broadcast.py.
+
+SIGN_TOL = 1e-12
+NEIGHBORHOOD_COND_MAX = 1e12
+
+
+def eigh2(a):
+    p, b = a[0, 0], 0.5 * (a[0, 1] + a[1, 0])
+    c = a[1, 1]
+    mid = 0.5 * (p + c)
+    h = np.hypot(0.5 * (p - c), b)
+    w = np.array([mid + h, mid - h])
+    if h <= SIGN_TOL * max(1.0, abs(mid)):
+        return w, np.eye(2)
+    if p - c >= 0.0:
+        v1 = np.array([w[0] - c, b])
+    else:
+        v1 = np.array([b, w[0] - p])
+    v1 /= np.hypot(v1[0], v1[1])
+    if v1[0] < 0.0 or (v1[0] == 0.0 and v1[1] < 0.0):
+        v1 = -v1
+    q = np.array([[v1[0], -v1[1]], [v1[1], v1[0]]])
+    return w, q
+
+
+def sym2_apply(fn, a):
+    w, q = eigh2(a)
+    return (q * fn(w)) @ q.T
+
+
+def sym2_sqrt(a):
+    return sym2_apply(np.sqrt, a)
+
+
+def sym2_inv_sqrt(a):
+    return sym2_apply(lambda w: 1.0 / np.sqrt(w), a)
+
+
+def sym2_exp(a):
+    return sym2_apply(np.exp, a)
+
+
+def sym2_log(a):
+    return sym2_apply(np.log, a)
+
+
+def inv2(a):
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+
+
+def cond2(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] == 0.0:
+        return np.inf
+    return s[0] / s[-1]
+
+
+def polar_orthonormalize(y):
+    g = y.T @ y
+    return y @ sym2_inv_sqrt(0.5 * (g + g.T))
+
+
+def gr_exp_raw(x, d):
+    u, s, vt = thin_svd(d)
+    v = vt.T
+    y = (x @ v) @ (np.cos(s)[:, None] * vt) + u @ (np.sin(s)[:, None] * vt)
+    return polar_orthonormalize(y)
+
+
+def gr_log_raw(x, y):
+    """Returns None where the scalar kernel raised NormalNeighborhoodError."""
+    q = x.T @ y
+    if cond2(q) > NEIGHBORHOOD_COND_MAX:
+        return None
+    w = y @ inv2(q)
+    l = w - x @ (x.T @ w)
+    u, s, vt = thin_svd(l)
+    return u @ (np.arctan(s)[:, None] * vt)
+
+
+def gr_transport_raw(x, d, t, g):
+    u, s, vt = thin_svd(d)
+    ug = u.T @ g
+    ts = t * s
+    out = g - u @ ug
+    out += (x @ vt.T) @ (-np.sin(ts)[:, None] * ug)
+    out += u @ (np.cos(ts)[:, None] * ug)
+    return out
+
+
+def spd_exp_raw(p, s):
+    rp = sym2_sqrt(p)
+    rpi = sym2_inv_sqrt(p)
+    out = rp @ sym2_exp(rpi @ s @ rpi) @ rp
+    return 0.5 * (out + out.T)
+
+
+def spd_log_raw(p, d):
+    rp = sym2_sqrt(p)
+    rpi = sym2_inv_sqrt(p)
+    out = rp @ sym2_log(rpi @ d @ rpi) @ rp
+    return 0.5 * (out + out.T)
+
+
+def spd_transport_factor(p, d):
+    rp = sym2_sqrt(p)
+    rpi = sym2_inv_sqrt(p)
+    mid = rpi @ d @ rpi
+    return rp @ sym2_sqrt(0.5 * (mid + mid.T)) @ rpi
+
+
+def spd_distance_raw(p, d):
+    rpi = sym2_inv_sqrt(p)
+    mid = rpi @ d @ rpi
+    return float(np.linalg.norm(sym2_log(0.5 * (mid + mid.T))))
+
+
+# ---------------------------------------------------------------------------
+# The wireframe writer as it stood before sections were evaluated in one
+# batch: one evaluate_blade call per section for the placed points, and a
+# second one per section for the section files.
+
+
+def _axis_frame(tangent):
+    z = np.array([0.0, 0.0, 1.0])
+    c = np.cross(z, tangent)
+    s = np.linalg.norm(c)
+    d = float(np.dot(z, tangent))
+    if s < 1e-12:
+        if d > 0.0:
+            return np.eye(3)
+        return np.diag([1.0, -1.0, -1.0])
+    axis = c / s
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    angle = np.arctan2(s, d)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def wireframe_sections(model, etas=None, count=25):
+    from scipy.interpolate import CubicSpline
+
+    from shapetensors.blade import evaluate_blade
+
+    if etas is None:
+        etas = np.linspace(model.etas[0], model.etas[-1], count)
+    etas = np.asarray(etas, dtype=float)
+    if model.bend is not None:
+        bc = "natural" if model.bend.shape[0] >= 4 else "not-a-knot"
+        curve = CubicSpline(model.bend[:, 0], model.bend[:, 1:4], bc_type=bc)
+        velocity = curve.derivative()
+    out = []
+    for eta in etas:
+        sec = evaluate_blade(model, float(eta))
+        flat = np.column_stack([sec.x, np.zeros(sec.n)])
+        if model.bend is None:
+            pts = flat + np.array([0.0, 0.0, float(eta) * model.span_length])
+        else:
+            tan = velocity(float(eta))
+            frame = _axis_frame(tan / np.linalg.norm(tan))
+            pts = flat @ frame.T + curve(float(eta))
+        out.append((float(eta), pts))
+    return out
+
+
+def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
+    import os
+
+    from shapetensors.blade import evaluate_blade
+    from shapetensors.bladeio import write_obj
+    from shapetensors.shapes import write_landmarks
+    from shapetensors.textio import atomic_write_text, fmt
+
+    os.makedirs(out_dir, exist_ok=True)
+    placed = wireframe_sections(model, etas=etas, count=count)
+    manifest_lines = ["# file,eta"]
+    for i, (eta, _) in enumerate(placed):
+        sec = evaluate_blade(model, eta)
+        fname = f"{prefix}_{i:03d}.txt"
+        write_landmarks(
+            os.path.join(out_dir, fname), sec,
+            header=f"blade section at eta {fmt(eta)}",
+        )
+        manifest_lines.append(f"{fname},{fmt(eta)}")
+    manifest_path = os.path.join(out_dir, "manifest.txt")
+    atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
+    write_obj(os.path.join(out_dir, "blade.obj"), [p for _, p in placed])
+    return manifest_path

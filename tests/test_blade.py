@@ -285,6 +285,32 @@ def test_consistent_deform_validates_inputs():
         consistent_deform(model, spd_pga, np.zeros(2))
 
 
+def test_consistent_deform_names_first_station_outside_neighborhood():
+    from shapetensors.blade import BladeModel
+    from shapetensors.errors import NormalNeighborhoodError
+    from shapetensors.stats import PgaModel
+
+    # station k turns the first column of the mean plane span(e0, e1)
+    # towards e2 by theta_k; the last two turn to (almost) pi/2
+    e = np.eye(5)
+    thetas = [0.0, 0.5, 1.0, np.pi / 2 - 1e-13, np.pi / 2]
+    reps = np.stack([np.column_stack([np.cos(t) * e[0] + np.sin(t) * e[2], e[1]])
+                     for t in thetas])
+    etas = np.linspace(0.0, 1.0, len(thetas))
+    model = BladeModel("gl2-schedule", etas, reps,
+                       np.broadcast_to(np.eye(2), (5, 2, 2)), np.zeros((5, 2)))
+    basis = np.zeros((10, 1))
+    basis[3, 0] = 1.0  # the lift [e3, 0], horizontal at the mean
+    pga = PgaModel("grassmann", GrassmannPoint(e[:, :2]), basis, [1.0],
+                   np.zeros((2, 1)), 1e-8)
+    with pytest.raises(NormalNeighborhoodError, match=r"station 3 \(eta=0.75\)"):
+        consistent_deform(model, pga, np.array([0.1]))
+    # the stations inside the neighborhood deform
+    inside = BladeModel("gl2-schedule", etas[:3], reps[:3],
+                        np.broadcast_to(np.eye(2), (3, 2, 2)), np.zeros((3, 2)))
+    assert consistent_deform(inside, pga, np.array([0.1])).n_stations == 3
+
+
 def test_mean_scale_replacement():
     from shapetensors.stats import mean_scale
 
@@ -424,6 +450,33 @@ def test_write_wireframe_artifacts(tmp_path):
     n_f = sum(1 for l in obj if l.startswith("f "))
     assert n_v == 6 * 41
     assert n_f == 5 * 40
+
+
+@pytest.mark.parametrize("shape", ["straight", "bent", "bent-down-z"])
+def test_write_wireframe_matches_per_section_writer(tmp_path, shape):
+    """One batched evaluation writes the bytes that evaluating every
+    section on its own (twice, as the earlier writer did) wrote."""
+    import oracles
+
+    stations = [(k / 5.0, family_station(k, n_c=61)) for k in range(6)]
+    bend = {
+        "straight": None,
+        "bent": np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.5, 1.0, 3.0],
+                          [0.6, 0.2, 2.0, 6.0], [1.0, -1.0, 4.0, 10.0]]),
+        # every tangent is exactly -z: the half-turn frame
+        "bent-down-z": np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, -4.0],
+                                 [1.0, 0.0, 0.0, -10.0]]),
+    }[shape]
+    model = build_blade(stations, span_length=10.0, bend=bend)
+    inner = np.sort(np.random.default_rng(1).uniform(size=9))
+    etas = np.concatenate([[0.0], inner, [1.0]])
+    write_wireframe(tmp_path / "new", model, etas=etas)
+    oracles.write_wireframe(tmp_path / "old", model, etas=etas)
+    names = sorted(os.listdir(tmp_path / "old"))
+    assert sorted(os.listdir(tmp_path / "new")) == names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "old" / name).read_bytes(), name
 
 
 def test_obj_writer_is_deterministic(tmp_path):

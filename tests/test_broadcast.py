@@ -1,0 +1,176 @@
+"""Stacked calls of the broadcasting kernels equal per-item oracle calls.
+
+The oracles (tests/oracles.py) are the scalar kernels the broadcasting
+ones replaced.  Each property draws a stack mixing generic inputs with the
+hard cases: tangents shrinking to zero, equal or nearly equal singular
+values, principal angles close to pi/2, and 2x2 matrices that are exactly
+diagonal with a double eigenvalue.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from shapetensors.errors import NormalNeighborhoodError
+from shapetensors.grassmann import _exp_raw, _log_raw, _transport_raw
+from shapetensors.linalg import eigh2, sym2_exp, sym2_inv_sqrt, sym2_log, sym2_sqrt
+from shapetensors.spd import _distance_raw, _transport_factor
+from shapetensors.spd import _exp_raw as spd_exp_raw
+from shapetensors.spd import _log_raw as spd_log_raw
+
+PROPERTY = settings(max_examples=40, deadline=None)
+TANGENT_CASES = ("generic", "zero", "tiny", "equal-sigma", "near-equal-sigma",
+                 "near-cut")
+SYM_CASES = ("generic", "double", "near-double", "tiny-offdiag")
+
+seeds = st.integers(0, 2**32 - 1)
+stack_sizes = st.integers(1, 5)
+
+
+def _base(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, 2)))[0]
+
+
+def _tangent(rng, x, case):
+    """A horizontal tangent at x of the given kind."""
+    n = x.shape[0]
+    # orthonormal horizontal frame u and a rotation v
+    u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
+    c, s = np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi))
+    v = np.array([[c, s], [-s, c]])
+    top = rng.uniform(0.1, 1.4)
+    sigma = {
+        "generic": [top, rng.uniform(0.0, top)],
+        "zero": [0.0, 0.0],
+        "tiny": [1e-9 * top, 1e-12 * top],
+        "equal-sigma": [top, top],
+        "near-equal-sigma": [top, top * (1.0 - 1e-13)],
+        "near-cut": [np.pi / 2 - 10.0 ** rng.uniform(-7, -2), rng.uniform(0.0, 1.0)],
+    }[case]
+    return (u * sigma) @ v
+
+
+def _tangents(rng, x, cases):
+    return np.stack([_tangent(rng, x, c) for c in cases])
+
+
+def _sym(rng, case, scale=1.0):
+    c = rng.uniform(-2.0, 2.0) * scale
+    if case == "double":
+        return c * np.eye(2)
+    if case == "near-double":
+        return np.diag([c, c + 1e-13])
+    if case == "tiny-offdiag":
+        return np.array([[c, 1e-17], [1e-17, c + 0.5]])
+    a = rng.standard_normal((2, 2)) * scale
+    return 0.5 * (a + a.T)
+
+
+def _spd(rng, case):
+    if case == "generic":
+        a = rng.standard_normal((2, 2))
+        return a @ a.T + 0.2 * np.eye(2)
+    return sym2_exp(_sym(rng, case))
+
+
+def _close(got, want, scale=1.0):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * scale)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 9),
+       cases=st.lists(st.sampled_from(TANGENT_CASES), min_size=1, max_size=5))
+def test_grassmann_exp_and_log(seed, n, cases):
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    d = _tangents(rng, x, cases)
+    ys = _exp_raw(x, d)  # one base against a stack
+    _close(ys, np.stack([oracles.gr_exp_raw(x, dk) for dk in d]))
+    xs = np.stack([_base(rng, n) for _ in cases])
+    d2 = np.stack([_tangent(rng, xk, c) for xk, c in zip(xs, cases)])
+    _close(_exp_raw(xs, d2),  # a stack against a stack
+           np.stack([oracles.gr_exp_raw(xk, dk) for xk, dk in zip(xs, d2)]))
+    want = [oracles.gr_log_raw(x, y) for y in ys]
+    if any(w is None for w in want):
+        with pytest.raises(NormalNeighborhoodError) as err:
+            _log_raw(x, ys)
+        assert err.value.index == (next(k for k, w in enumerate(want) if w is None),)
+        return
+    got = _log_raw(x, ys)
+    # Log is ill-conditioned near the cut locus; both sides run the same
+    # arithmetic, so the comparison stays tight relative to cond(X^T Y)
+    cond = max(np.linalg.cond(x.T @ y) for y in ys)
+    _close(got, np.stack(want), scale=cond)
+    _close(_log_raw(x, ys[0]), want[0], scale=cond)  # one pair
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 9), t=st.floats(-1.5, 1.5),
+       cases=st.lists(st.sampled_from(TANGENT_CASES), min_size=1, max_size=5))
+def test_grassmann_transport(seed, n, t, cases):
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    d = _tangents(rng, x, cases)
+    g = _tangents(rng, x, ["generic"] * len(cases))
+    want = np.stack([oracles.gr_transport_raw(x, dk, t, gk)
+                     for dk, gk in zip(d, g)])
+    _close(_transport_raw(x, d, t, g), want)
+    # one direction carrying a stack of payloads
+    _close(_transport_raw(x, d[0], t, g),
+           np.stack([oracles.gr_transport_raw(x, d[0], t, gk) for gk in g]))
+
+
+@PROPERTY
+@given(seed=seeds, cases=st.lists(st.sampled_from(SYM_CASES), min_size=1,
+                                  max_size=6))
+def test_eigh2_and_sym2_functions(seed, cases):
+    rng = np.random.default_rng(seed)
+    a = np.stack([_sym(rng, c) for c in cases])
+    w, q = eigh2(a)
+    for k, ak in enumerate(a):
+        wk, qk = oracles.eigh2(ak)
+        _close(w[k], wk)
+        _close(q[k], qk)
+    _close(sym2_exp(a), np.stack([oracles.sym2_exp(ak) for ak in a]))
+    p = np.stack([_spd(rng, c) for c in cases])
+    for mine, theirs in ((sym2_sqrt, oracles.sym2_sqrt),
+                         (sym2_inv_sqrt, oracles.sym2_inv_sqrt),
+                         (sym2_log, oracles.sym2_log)):
+        _close(mine(p), np.stack([theirs(pk) for pk in p]))
+
+
+@PROPERTY
+@given(seed=seeds, cases=st.lists(st.sampled_from(SYM_CASES), min_size=1,
+                                  max_size=6))
+def test_spd_exp_log_transport(seed, cases):
+    rng = np.random.default_rng(seed)
+    p = np.stack([_spd(rng, c) for c in cases])
+    d = np.stack([_spd(rng, c) for c in reversed(cases)])
+    s = np.stack([_sym(rng, c, scale=0.5) for c in cases])
+    pairs = list(zip(p, d))
+    _close(spd_log_raw(p, d),
+           np.stack([oracles.spd_log_raw(pk, dk) for pk, dk in pairs]))
+    _close(spd_log_raw(p[0], d),  # one base against a stack
+           np.stack([oracles.spd_log_raw(p[0], dk) for dk in d]))
+    _close(spd_exp_raw(p, s),
+           np.stack([oracles.spd_exp_raw(pk, sk) for pk, sk in zip(p, s)]))
+    _close(_transport_factor(p, d),
+           np.stack([oracles.spd_transport_factor(pk, dk) for pk, dk in pairs]))
+    _close(_distance_raw(p, d),
+           [oracles.spd_distance_raw(pk, dk) for pk, dk in pairs])
+
+
+@given(count=stack_sizes)
+@settings(max_examples=5, deadline=None)
+def test_first_point_outside_is_reported(count):
+    x = np.eye(4)[:, :2]
+    ys = np.stack([np.eye(4)[:, [0, 2]]] * (count + 1))  # pi/2 from x
+    ys[0] = x
+    with pytest.raises(NormalNeighborhoodError) as err:
+        _log_raw(x, ys)
+    assert err.value.index == (1,)
+    with pytest.raises(NormalNeighborhoodError) as err:
+        _log_raw(x, ys[1])
+    assert err.value.index == ()

@@ -98,6 +98,19 @@ def test_cst_gen_perturbation_stays_in_box(tmp_path):
     assert values.min() >= 0.0 and values.max() <= 0.45
 
 
+def test_cst_gen_negative_coeff_range_with_equals(tmp_path):
+    out = tmp_path / "negative"
+    assert run("cst-gen", "--count", 4, "--nc", 61, "--seed", 3,
+               "--coeff-range=-0.1:0.45", "--out", out) == 0
+    rows = [
+        l for l in (out / "coefficients.txt").read_text().splitlines()
+        if not l.startswith("#")
+    ]
+    values = np.array([[float(v) for v in r.split()] for r in rows])
+    assert values.shape == (4, 18)
+    assert values.min() >= -0.1 and values.max() <= 0.45
+
+
 def test_preprocess_refines_and_reports(dataset, tmp_path):
     out = tmp_path / "pre"
     assert run("preprocess", "--input", dataset / "data" / "manifest.txt",

@@ -49,9 +49,10 @@ def test_karcher_two_point_midpoint(rng):
 def test_karcher_fixed_point_certificate(rng):
     pts, _ = _cloud(rng)
     mean = karcher_mean(pts, epsilon=1e-10)
-    from shapetensors.stats import _GrassmannOps
+    from shapetensors.stats import _COMPONENTS
 
-    v = _GrassmannOps.mean(_GrassmannOps.log_many(mean, pts))
+    logs = _COMPONENTS["grassmann"].log(mean.rep, np.stack([p.rep for p in pts]))
+    v = logs.mean(axis=0)
     assert np.linalg.norm(v) < 1e-10
 
 
@@ -82,6 +83,11 @@ def test_karcher_nonconvergence_reports_gradient():
 def test_karcher_rejects_empty():
     with pytest.raises(ContractError):
         karcher_mean([])
+
+
+def test_karcher_rejects_mixed_manifolds(rng):
+    with pytest.raises(ContractError):
+        karcher_mean([random_grassmann_point(rng), random_spd(rng)])
 
 
 # ------------------------------------------------------------------- pga
@@ -127,9 +133,9 @@ def test_pga_eigenvalue_sum_matches_log_energy(rng):
     pts, _ = _cloud(rng, count=10)
     full = min(len(pts) - 1, 2 * (pts[0].n - 2))
     model = pga_fit(pts, r=full, epsilon=1e-10)
-    from shapetensors.stats import _GrassmannOps
+    from shapetensors.stats import _COMPONENTS
 
-    raws = _GrassmannOps.log_many(model.mean, pts)
+    raws = _COMPONENTS["grassmann"].log(model.mean.rep, np.stack([p.rep for p in pts]))
     energy = sum(np.linalg.norm(raws[k]) ** 2 for k in range(len(pts)))
     want = energy / (len(pts) - 1)
     assert np.sum(model.eigenvalues) == pytest.approx(want, rel=1e-9)
