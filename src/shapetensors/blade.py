@@ -16,6 +16,7 @@ two:  X(eta) = rep(phi(eta)) @ m(eta) + b(eta).
 """
 
 import warnings
+from itertools import accumulate
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -27,11 +28,12 @@ from .errors import (
     NormalNeighborhoodError,
 )
 from .grassmann import GrassmannPoint, _exp_raw, _log_raw, _transport_raw
-from .linalg import mT, rotation2, sym2_inv_sqrt, sym2_sqrt, thin_svd
-from .shapes import LandmarkShape, la_standardize
+from .linalg import mT, rotation2, thin_svd
+from .shapes import LandmarkShape, _standardize_raw
 from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
+from .spd import _roots as _spd_roots
 from .stats import MeanScale
 
 VARIANTS = ("gl2-schedule", "product-spd")
@@ -58,29 +60,22 @@ def procrustes_rotation(a, b, allow_reflection=True):
 def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
     """Sequentially align a chain of representatives by Procrustes.
 
-    Returns (aligned, rotations).  tip-to-root sweeps k = N..2 aligning
-    station k-1 to the already-aligned station k; root-to-tip is the
-    mirror image.  rotations[k] is the total rotation applied to station
-    k (identity at the anchor).
+    Returns (aligned, rotations) stacks, (N, n, 2) and (N, 2, 2).
+    tip-to-root aligns station k-1 to the already-aligned station k for
+    k = N..2; root-to-tip is the mirror image.  rotations[k] is the total
+    rotation applied to station k (identity at the anchor).
     """
-    mats = [r.rep if isinstance(r, GrassmannPoint) else np.asarray(r, float)
-            for r in reps]
-    n = len(mats)
-    rotations = [np.eye(2) for _ in range(n)]
-    if direction == "tip-to-root":
-        order = range(n - 1, 0, -1)
-        pair = lambda k: (k, k - 1)
-    elif direction == "root-to-tip":
-        order = range(0, n - 1)
-        pair = lambda k: (k, k + 1)
-    else:
+    mats = np.asarray([getattr(r, "rep", r) for r in reps], dtype=float)
+    step = {"tip-to-root": -1, "root-to-tip": 1}.get(direction)
+    if step is None:
         raise ContractError(f"unknown clustering direction {direction!r}")
-    for k in order:
-        anchor, movable = pair(k)
-        r = procrustes_rotation(mats[anchor], mats[movable], allow_reflection)
-        mats[movable] = mats[movable] @ r
-        rotations[movable] = rotations[movable] @ r
-    return [GrassmannPoint(m) for m in mats], rotations
+    chain = mats[::step]
+    # aligning to X Q gives R Q (Procrustes is equivariant), so the pairwise
+    # rotations take one batched call and only their product is sequential
+    pairs = procrustes_rotation(chain[:-1], chain[1:], allow_reflection)
+    totals = accumulate(pairs, lambda q, r: r @ q, initial=np.eye(2))
+    totals = np.stack(list(totals))[::step]
+    return mats @ totals, totals
 
 
 def _spanwise_spline(etas, values):
@@ -221,8 +216,6 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
     if len(stations) < 2:
         raise ContractError("a blade needs at least two stations")
     etas = np.array([float(e) for e, _ in stations])
-    if np.any(np.diff(etas) <= 0.0):
-        raise ContractError("station etas must be strictly increasing")
     shapes = [s for _, s in stations]
     ns = {s.n for s in shapes}
     if len(ns) != 1:
@@ -232,16 +225,16 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
         )
     closed = shapes[0].closed
     std_variant = "gl2" if variant == "gl2-schedule" else "polar"
-    seps = [la_standardize(s, variant=std_variant) for s in shapes]
-    reps = [sep.grass for sep in seps]
+    try:
+        reps, ms, bs = _standardize_raw(np.stack([s.x for s in shapes]),
+                                        std_variant)
+    except DegenerateGeometryError as err:
+        k = err.index[0]
+        raise DegenerateGeometryError(f"station {k} (eta={etas[k]:g}): {err}") from err
     if affine_overrides is not None:
         if len(affine_overrides) != len(stations):
             raise ContractError("need one affine override per station")
-        ms = [np.asarray(m, dtype=float) for m, _ in affine_overrides]
-        bs = [np.asarray(b, dtype=float) for _, b in affine_overrides]
-    else:
-        ms = [sep.affine.m for sep in seps]
-        bs = [sep.affine.b for sep in seps]
+        ms, bs = zip(*affine_overrides)
     return _assemble(variant, etas, reps, ms, bs, closed, direction,
                      span_length, bend)
 
@@ -252,15 +245,13 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
     aligned, rotations = cluster_representatives(
         reps, direction=direction, allow_reflection=allow_reflection
     )
-    rotations = np.stack(rotations)
     has_reflection = bool(np.any(np.linalg.det(rotations) < 0.0))
     # the rotation moved into the representative comes out of the scale:
     # (X R)(R^T m) reproduces X m
     ms = mT(rotations) @ np.asarray(ms, dtype=float)
-    rep_stack = np.stack([p.rep for p in aligned])
     if variant == "gl2-schedule":
         return BladeModel(
-            variant, etas, rep_stack, ms, np.stack(bs),
+            variant, etas, aligned, ms, bs,
             closed=closed, has_reflection=has_reflection,
             span_length=span_length, bend=bend,
         )
@@ -269,7 +260,8 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
     mmt = ms @ mT(ms)
     sym = 0.5 * (mmt + mT(mmt))
     # m = P R with P SPD, R in SO(2): P = (m m^T)^(1/2), R = P^-1 m
-    r = sym2_inv_sqrt(sym) @ ms
+    p, p_inv = _spd_roots(sym)
+    r = p_inv @ ms
     reflected = np.linalg.det(r) < 0.0
     if np.any(reflected):
         raise DegenerateGeometryError(
@@ -277,8 +269,8 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
             "reflection; the product-spd schedule needs proper rotations"
         )
     return BladeModel(
-        variant, etas, rep_stack, ms, np.stack(bs),
-        spd_p=sym2_sqrt(sym),
+        variant, etas, aligned, ms, bs,
+        spd_p=p,
         # rotation2 convention: R = [[c, s], [-s, c]]
         angles=np.arctan2(r[:, 0, 1], r[:, 0, 0]),
         closed=closed, has_reflection=has_reflection,

@@ -50,6 +50,7 @@ from .shapes import (
     SPLINE_KINDS,
     LandmarkShape,
     PreprocessConfig,
+    _standardize_raw,
     l4_matrix,
     la_standardize,
     landmark_gauge,
@@ -58,9 +59,9 @@ from .shapes import (
     write_landmarks,
 )
 from .spd import SpdMatrix, spd_distance
+from .stats import KINDS, _arrays, _point
 from .stats import generate, mean_scale, pga_fit, sample_domain
 from .grassmann import gr_distance
-from .product import ProductPoint
 from .textio import atomic_write_text, fmt, read_manifest, write_manifest
 
 INPUT_ERROR = 2
@@ -169,18 +170,16 @@ def cmd_preprocess(args):
 
 def _lift_points(shapes, manifold):
     variant = "gl2" if manifold == "grassmann" else "polar"
-    points = []
-    factors = []
-    for _, _, shape in shapes:
-        sep = la_standardize(shape, variant=variant)
-        factors.append(sep.affine.m)
-        if manifold == "grassmann":
-            points.append(sep.grass)
-        elif manifold == "spd":
-            points.append(SpdMatrix(sep.affine.m))
-        else:
-            points.append(ProductPoint(sep.grass, SpdMatrix(sep.affine.m)))
-    return points, factors
+    try:
+        rep, m, _ = _standardize_raw(
+            np.stack([shape.x for _, _, shape in shapes]), variant
+        )
+    except DegenerateGeometryError as err:
+        raise DegenerateGeometryError(f"{shapes[err.index[0]][0]}: {err}") from err
+    stacks = {"grassmann": rep, "spd": m}
+    points = [_point({c: stacks[c][k] for c in KINDS[manifold]})
+              for k in range(len(shapes))]
+    return points, m
 
 
 def cmd_fit(args):
@@ -229,17 +228,15 @@ def _scale_matrix(spec, model):
 
 
 def _sample_to_shape(model, coeffs, scale_spec):
-    point = generate(model, coeffs)
-    if model.kind == "grassmann":
-        pts = point.rep @ _scale_matrix(scale_spec, model)
-    elif model.kind == "product":
-        if scale_spec is not None:
-            raise ContractError(
-                "product models carry their own scale; --scale not allowed"
-            )
-        pts = point.grass.rep @ point.scale.mat
-    else:
+    parts = _arrays(generate(model, coeffs))
+    if "grassmann" not in parts:
         raise ContractError("sampling needs a grassmann or product model")
+    if "spd" in parts and scale_spec is not None:
+        raise ContractError(
+            "product models carry their own scale; --scale not allowed"
+        )
+    scale = parts["spd"] if "spd" in parts else _scale_matrix(scale_spec, model)
+    pts = parts["grassmann"] @ scale
     return LandmarkShape(pts, closed=bool(np.array_equal(pts[0], pts[-1])))
 
 
@@ -411,7 +408,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="Karcher mean + PGA over a dataset")
     p.add_argument("--input", required=True, help="dataset manifest")
-    p.add_argument("--manifold", choices=("grassmann", "spd", "product"),
+    p.add_argument("--manifold", choices=tuple(KINDS),
                    default="grassmann")
     p.add_argument("--rank", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=1e-8)

@@ -19,7 +19,11 @@ class ContractError(ShapeTensorError, ValueError):
 class DegenerateGeometryError(ShapeTensorError, ValueError):
     """The geometry itself is degenerate: rank-deficient landmarks,
     zero-length segments, singular scale matrices, zero-variance
-    ensembles."""
+    ensembles.  Carries ``index``, the position of the first degenerate
+    shape in a standardized stack (``()`` for a single shape).
+    """
+
+    index = ()
 
 
 class NormalNeighborhoodError(ShapeTensorError, ValueError):

@@ -9,10 +9,7 @@ byte for byte.
 import numpy as np
 
 from .errors import ContractError
-from .grassmann import GrassmannPoint
-from .product import ProductPoint
-from .spd import SpdMatrix
-from .stats import MeanScale, PgaModel, SampleDomain
+from .stats import KINDS, MeanScale, PgaModel, SampleDomain, _arrays, _point
 from .textio import (
     BlockReader,
     atomic_write_text,
@@ -27,12 +24,8 @@ _MAGIC = "shapetensors model 1"
 
 def save_model(path, model):
     lines = [_MAGIC, f"kind {model.kind}", f"epsilon {fmt(model.epsilon)}"]
-    if model.kind in ("grassmann", "product"):
-        rep = model.mean.rep if model.kind == "grassmann" else model.mean.grass.rep
-        lines.extend(matrix_block("mean-grassmann", rep))
-    if model.kind in ("spd", "product"):
-        mat = model.mean.mat if model.kind == "spd" else model.mean.scale.mat
-        lines.extend(matrix_block("mean-spd", mat))
+    for c, a in _arrays(model.mean).items():
+        lines.extend(matrix_block(f"mean-{c}", a))
     lines.extend(matrix_block("basis", model.basis))
     lines.extend(vector_block("eigenvalues", model.eigenvalues))
     lines.extend(matrix_block("coords", model.coords))
@@ -56,20 +49,10 @@ def load_model(path):
     if r.next() != _MAGIC:
         raise ContractError(f"{path}: not a shapetensors model file")
     kind = r.next().split()[1]
-    if kind not in ("grassmann", "spd", "product"):
+    if kind not in KINDS:
         raise ContractError(f"{path}: unknown manifold kind {kind!r}")
     epsilon = float(r.next().split()[1])
-    grass = spd = None
-    if kind in ("grassmann", "product"):
-        grass = GrassmannPoint(r.block("mean-grassmann"))
-    if kind in ("spd", "product"):
-        spd = SpdMatrix(r.block("mean-spd"))
-    if kind == "grassmann":
-        mean = grass
-    elif kind == "spd":
-        mean = spd
-    else:
-        mean = ProductPoint(grass, spd)
+    mean = _point({c: r.block(f"mean-{c}") for c in KINDS[kind]})
     basis = r.block("basis")
     eigenvalues = r.vector("eigenvalues")
     coords = r.block("coords")

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import ContractError, DegenerateGeometryError
 from .grassmann import GrassmannPoint, gr_distance
-from .linalg import rotation2, thin_svd
+from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_row
 
 # Smallest acceptable sigma_2 / sigma_1 of the centered landmark matrix.
@@ -127,7 +127,8 @@ def cumulative_lengths(shape):
     """Normalized cumulative chord lengths s_1 = 0 <= ... <= s_n = 1.
 
     Strictly increasing for a polyline without repeated consecutive
-    landmarks; a zero-length segment raises DegenerateGeometryError.
+    landmarks; a zero-length segment raises DegenerateGeometryError, and
+    a total length that overflows raises ContractError.
     """
     pts = _as_points(shape)
     if pts.shape[0] < 2:
@@ -141,6 +142,8 @@ def cumulative_lengths(shape):
     s = np.empty(pts.shape[0])
     s[0] = 0.0
     np.cumsum(seg, out=s[1:])
+    if not np.isfinite(s[-1]):
+        raise ContractError("chord lengths overflow: coordinates are too large")
     s /= s[-1]
     return s
 
@@ -191,6 +194,37 @@ def refine(shape, cfg=None):
     return LandmarkShape(path(xi), closed=shape.closed, name=shape.name)
 
 
+def _standardize_raw(pts, variant):
+    """la_standardize's (rep, m, b) for an (..., n, 2) stack of landmarks.
+
+    A member whose centered landmarks overflow or are collinear raises
+    DegenerateGeometryError; its ``index`` is the first such member.
+    """
+    if variant not in ("gl2", "polar"):
+        raise ContractError(f"unknown standardization variant {variant!r}")
+    b = pts.mean(axis=-2)
+    centered = pts - b[..., None, :]
+    finite = np.isfinite(centered).all(axis=(-2, -1))
+    if not finite.all():  # a zeroed member keeps the SVD defined, reads collinear
+        centered = np.where(finite[..., None, None], centered, 0.0)
+    w, s, zt = thin_svd(centered)
+    bad = s[..., 1] <= RANK_TOL * s[..., 0]
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        sk = s[index]
+        err = DegenerateGeometryError(
+            "landmarks are collinear after centering: sigma_2/sigma_1 = "
+            f"{sk[1] / sk[0] if sk[0] else 0.0:.3e}" if finite[index] else
+            "centered landmarks are not finite: the coordinates overflow"
+        )
+        err.index = index
+        raise err
+    if variant == "gl2":
+        return w, s[..., :, None] * zt, b
+    m = mT(zt) @ (s[..., :, None] * zt)
+    return w @ zt, 0.5 * (m + mT(m)), b
+
+
 def la_standardize(shape, variant="gl2"):
     """Factor a shape into its Grassmannian and affine components.
 
@@ -206,23 +240,7 @@ def la_standardize(shape, variant="gl2"):
     pts = _as_points(shape)
     if pts.shape[0] < 3:
         raise ContractError("standardization needs at least 3 landmarks")
-    b = pts.mean(axis=0)
-    centered = pts - b
-    w, s, zt = thin_svd(centered)
-    if s[1] <= RANK_TOL * s[0]:
-        raise DegenerateGeometryError(
-            "landmarks are collinear after centering: "
-            f"sigma_2/sigma_1 = {s[1] / s[0] if s[0] else 0.0:.3e}"
-        )
-    if variant == "gl2":
-        rep = w
-        m = s[:, None] * zt
-    elif variant == "polar":
-        rep = w @ zt
-        m = zt.T @ (s[:, None] * zt)
-        m = 0.5 * (m + m.T)
-    else:
-        raise ContractError(f"unknown standardization variant {variant!r}")
+    rep, m, b = _standardize_raw(pts, variant)
     closed = shape.closed if isinstance(shape, LandmarkShape) else False
     name = shape.name if isinstance(shape, LandmarkShape) else None
     return SeparableShape(

@@ -70,6 +70,11 @@ _COMPONENTS = {
     ),
 }
 
+# The components of each manifold kind, in vector and file order.
+KINDS = {"grassmann": ("grassmann",), "spd": ("spd",),
+         "product": ("grassmann", "spd")}
+
+
 def _arrays(point):
     """{component: raw array} of one manifold point; a product point is
     its Grassmann part plus its SPD part."""
@@ -89,7 +94,7 @@ def _point(arrays):
         return GrassmannPoint(grass)
     if grass is None:
         return SpdMatrix(spd)
-    return ProductPoint(GrassmannPoint(grass), SpdMatrix(spd))
+    return ProductPoint(grass, spd)
 
 
 def _stacks(points):
@@ -247,8 +252,7 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     basis = u[:, :r]
     eigenvalues = s[:r] ** 2
     coords = data @ basis
-    comps = _arrays(mean)
-    kind = "product" if len(comps) == 2 else next(iter(comps))
+    kind = next(k for k, c in KINDS.items() if c == tuple(_arrays(mean)))
     return PgaModel(kind, mean, basis, eigenvalues, coords, epsilon)
 
 
@@ -282,13 +286,14 @@ def generate(model, coeffs):
 
 
 def mean_scale(factors, kind="extrinsic"):
-    """Average the 2x2 scale factors of an ensemble.
+    """Average the 2x2 scale factors of an ensemble (AffineFactors, 2x2
+    matrices, or an (N, 2, 2) stack).
 
     kind="extrinsic" is the entrywise average of the gl2 factors (errors
     if the average degenerates); kind="intrinsic" is the Karcher mean of
     polar-variant SPD factors under the affine-invariant metric.
     """
-    if not factors:
+    if len(factors) == 0:
         raise ContractError("mean_scale needs at least one factor")
     mats = [f.m if isinstance(f, AffineFactor) else np.asarray(f, float) for f in factors]
     if kind == "extrinsic":

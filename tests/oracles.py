@@ -8,7 +8,8 @@ SVD identities under test appear there.
     transport:  V'   = -X (X'.T V)   along the geodesic X(t)
 
 Below them are earlier forms of the code, kept as references: the scalar
-kernels and the per-section wireframe writer.
+kernels, the per-shape standardization, the per-station clustering loop
+and the per-section wireframe writer.
 """
 
 import numpy as np
@@ -257,3 +258,49 @@ def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
     atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
     write_obj(os.path.join(out_dir, "blade.obj"), [p for _, p in placed])
     return manifest_path
+
+
+# ---------------------------------------------------------------------------
+# Standardization and chain alignment as they stood before they took
+# stacks: one thin SVD per shape, and one Procrustes per station.
+
+
+def la_standardize(pts, variant="gl2"):
+    from shapetensors.errors import DegenerateGeometryError
+    from shapetensors.grassmann import GrassmannPoint
+    from shapetensors.shapes import RANK_TOL, AffineFactor, SeparableShape
+
+    b = pts.mean(axis=0)
+    centered = pts - b
+    w, s, zt = thin_svd(centered)
+    if s[1] <= RANK_TOL * s[0]:
+        raise DegenerateGeometryError("landmarks are collinear after centering")
+    if variant == "gl2":
+        rep = w
+        m = s[:, None] * zt
+    else:
+        rep = w @ zt
+        m = zt.T @ (s[:, None] * zt)
+        m = 0.5 * (m + m.T)
+    return SeparableShape(GrassmannPoint(rep), AffineFactor(m, b), variant)
+
+
+def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
+    from shapetensors.blade import procrustes_rotation
+    from shapetensors.grassmann import GrassmannPoint
+
+    mats = [np.asarray(r, float) for r in reps]
+    n = len(mats)
+    rotations = [np.eye(2) for _ in range(n)]
+    if direction == "tip-to-root":
+        order = range(n - 1, 0, -1)
+        pair = lambda k: (k, k - 1)
+    else:
+        order = range(0, n - 1)
+        pair = lambda k: (k, k + 1)
+    for k in order:
+        anchor, movable = pair(k)
+        r = procrustes_rotation(mats[anchor], mats[movable], allow_reflection)
+        mats[movable] = mats[movable] @ r
+        rotations[movable] = rotations[movable] @ r
+    return [GrassmannPoint(m) for m in mats], rotations

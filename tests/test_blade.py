@@ -69,7 +69,7 @@ def test_clustering_makes_cross_grams_spd(rng):
     reps = [random_grassmann_point(rng, 20) for _ in range(5)]
     aligned, _ = cluster_representatives(reps)
     for k in range(4):
-        q = aligned[k].rep.T @ aligned[k + 1].rep
+        q = aligned[k].T @ aligned[k + 1]
         np.testing.assert_allclose(q, q.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(0.5 * (q + q.T)) > 0.0)
 
@@ -77,12 +77,12 @@ def test_clustering_makes_cross_grams_spd(rng):
 def test_clustering_preserves_subspaces_and_anchor(rng):
     reps = [random_grassmann_point(rng, 15) for _ in range(4)]
     aligned, rotations = cluster_representatives(reps, direction="tip-to-root")
-    np.testing.assert_array_equal(aligned[-1].rep, reps[-1].rep)
+    np.testing.assert_array_equal(aligned[-1], reps[-1].rep)
     np.testing.assert_array_equal(rotations[-1], np.eye(2))
     for a, r in zip(aligned, reps):
-        assert gr_distance(a, r) < 1e-13
+        assert gr_distance(GrassmannPoint(a), r) < 1e-13
     rooted, rot0 = cluster_representatives(reps, direction="root-to-tip")
-    np.testing.assert_array_equal(rooted[0].rep, reps[0].rep)
+    np.testing.assert_array_equal(rooted[0], reps[0].rep)
     np.testing.assert_array_equal(rot0[0], np.eye(2))
 
 

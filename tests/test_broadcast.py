@@ -1,10 +1,11 @@
 """Stacked calls of the broadcasting kernels equal per-item oracle calls.
 
 The oracles (tests/oracles.py) are the scalar kernels the broadcasting
-ones replaced.  Each property draws a stack mixing generic inputs with the
-hard cases: tangents shrinking to zero, equal or nearly equal singular
-values, principal angles close to pi/2, and 2x2 matrices that are exactly
-diagonal with a double eigenvalue.
+ones replaced, the per-shape standardization and the per-station
+clustering loop.  Each property draws a stack mixing generic inputs with
+the hard cases: tangents shrinking to zero, equal or nearly equal singular
+values, principal angles close to pi/2, 2x2 matrices that are exactly
+diagonal with a double eigenvalue, and collinear or overflowing landmarks.
 """
 
 import numpy as np
@@ -13,9 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shapetensors.errors import NormalNeighborhoodError
+from shapetensors.blade import cluster_representatives
+from shapetensors.errors import (
+    ContractError,
+    DegenerateGeometryError,
+    NormalNeighborhoodError,
+)
 from shapetensors.grassmann import _exp_raw, _log_raw, _transport_raw
-from shapetensors.linalg import eigh2, sym2_exp, sym2_inv_sqrt, sym2_log, sym2_sqrt
+from shapetensors.linalg import (
+    eigh2,
+    rotation2,
+    sym2_exp,
+    sym2_inv_sqrt,
+    sym2_log,
+    sym2_sqrt,
+)
+from shapetensors.shapes import _standardize_raw, la_standardize
 from shapetensors.spd import _distance_raw, _transport_factor
 from shapetensors.spd import _exp_raw as spd_exp_raw
 from shapetensors.spd import _log_raw as spd_log_raw
@@ -24,6 +38,8 @@ PROPERTY = settings(max_examples=40, deadline=None)
 TANGENT_CASES = ("generic", "zero", "tiny", "equal-sigma", "near-equal-sigma",
                  "near-cut")
 SYM_CASES = ("generic", "double", "near-double", "tiny-offdiag")
+SHAPE_CASES = ("generic", "offset", "tiny", "huge", "anisotropic")
+DEGENERATE_CASES = ("collinear", "overflow")
 
 seeds = st.integers(0, 2**32 - 1)
 stack_sizes = st.integers(1, 5)
@@ -33,13 +49,16 @@ def _base(rng, n):
     return np.linalg.qr(rng.standard_normal((n, 2)))[0]
 
 
-def _tangent(rng, x, case):
-    """A horizontal tangent at x of the given kind."""
+def _lift(rng, x, sigma):
+    """A horizontal tangent at x with singular values sigma."""
     n = x.shape[0]
     # orthonormal horizontal frame u and a rotation v
     u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
-    c, s = np.cos(rng.uniform(0, 2 * np.pi)), np.sin(rng.uniform(0, 2 * np.pi))
-    v = np.array([[c, s], [-s, c]])
+    return (u * sigma) @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+
+
+def _tangent(rng, x, case):
+    """A horizontal tangent at x of the given kind."""
     top = rng.uniform(0.1, 1.4)
     sigma = {
         "generic": [top, rng.uniform(0.0, top)],
@@ -49,7 +68,7 @@ def _tangent(rng, x, case):
         "near-equal-sigma": [top, top * (1.0 - 1e-13)],
         "near-cut": [np.pi / 2 - 10.0 ** rng.uniform(-7, -2), rng.uniform(0.0, 1.0)],
     }[case]
-    return (u * sigma) @ v
+    return _lift(rng, x, sigma)
 
 
 def _tangents(rng, x, cases):
@@ -73,6 +92,35 @@ def _spd(rng, case):
         a = rng.standard_normal((2, 2))
         return a @ a.T + 0.2 * np.eye(2)
     return sym2_exp(_sym(rng, case))
+
+
+def _landmarks(rng, n, case):
+    """An (n, 2) landmark matrix of the given kind."""
+    if case == "collinear":
+        t = rng.standard_normal(n)
+        return np.column_stack([t, rng.uniform(-2.0, 2.0) * t]) + rng.standard_normal(2)
+    if case == "overflow":  # finite, but the coordinate sums overflow
+        return 1.5e308 + 1e307 * rng.uniform(size=(n, 2))
+    x = rng.standard_normal((n, 2))
+    scale = {"generic": 1.0, "offset": 1.0, "tiny": 1e-100, "huge": 1e150,
+             "anisotropic": np.array([1.0, 1e-6])}[case]
+    return x * scale + (1e6 * rng.standard_normal(2) if case == "offset" else 0.0)
+
+
+def _chain(rng, n, count, reflect):
+    """Representatives of a chain of nearby 2-planes, each in a random
+    right frame (a reflection in half of them when ``reflect``)."""
+    x = _base(rng, n)
+    reps = []
+    for _ in range(count):
+        frame = rotation2(rng.uniform(0.0, 2.0 * np.pi))
+        if reflect and rng.random() < 0.5:
+            frame = frame @ np.diag([1.0, -1.0])
+        reps.append(x @ frame)
+        # principal angles kept apart, so the SO(2) solution is well posed
+        top = rng.uniform(0.2, 0.6)
+        x = _exp_raw(x, _lift(rng, x, [top, rng.uniform(0.0, 0.5) * top]))
+    return np.stack(reps)
 
 
 def _close(got, want, scale=1.0):
@@ -174,3 +222,71 @@ def test_first_point_outside_is_reported(count):
     with pytest.raises(NormalNeighborhoodError) as err:
         _log_raw(x, ys[1])
     assert err.value.index == ()
+
+
+def _same_bits(got, want):
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 40), variant=st.sampled_from(("gl2", "polar")),
+       cases=st.lists(st.sampled_from(SHAPE_CASES), min_size=1, max_size=5))
+def test_standardize_stack_equals_per_shape(seed, n, variant, cases):
+    rng = np.random.default_rng(seed)
+    pts = np.stack([_landmarks(rng, n, c) for c in cases])
+    rep, m, b = _standardize_raw(pts, variant)
+    for k, x in enumerate(pts):
+        want = oracles.la_standardize(x, variant)
+        one = la_standardize(x, variant)  # the batch-of-one wrapper
+        for got, ref in ((rep[k], want.grass.rep), (m[k], want.affine.m),
+                         (b[k], want.affine.b), (one.grass.rep, want.grass.rep),
+                         (one.affine.m, want.affine.m), (one.affine.b, want.affine.b)):
+            _same_bits(got, ref)
+    # more than one leading axis
+    for got, ref in zip(_standardize_raw(pts[:, None], variant), (rep, m, b)):
+        _same_bits(got[:, 0], ref)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 12), variant=st.sampled_from(("gl2", "polar")),
+       cases=st.lists(st.sampled_from(("generic", "offset") + DEGENERATE_CASES),
+                      min_size=1, max_size=6))
+def test_standardize_reports_first_degenerate_shape(seed, n, variant, cases):
+    rng = np.random.default_rng(seed)
+    pts = np.stack([_landmarks(rng, n, c) for c in cases])
+
+    def refused(x):
+        try:
+            oracles.la_standardize(x, variant)
+        except (ContractError, DegenerateGeometryError, np.linalg.LinAlgError):
+            return True
+        return False
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = [k for k, x in enumerate(pts) if refused(x)]
+        assert bad == [k for k, c in enumerate(cases) if c in DEGENERATE_CASES]
+        if not bad:
+            _standardize_raw(pts, variant)
+            return
+        with pytest.raises(DegenerateGeometryError) as err:
+            _standardize_raw(pts, variant)
+        assert err.value.index == (bad[0],)
+        with pytest.raises(DegenerateGeometryError) as err:
+            la_standardize(pts[bad[0]], variant)
+        assert err.value.index == ()
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 12), count=st.integers(2, 8),
+       direction=st.sampled_from(("tip-to-root", "root-to-tip")),
+       allow_reflection=st.booleans(), reflect=st.booleans())
+def test_cluster_chain_equals_per_station_loop(seed, n, count, direction,
+                                               allow_reflection, reflect):
+    rng = np.random.default_rng(seed)
+    reps = _chain(rng, n, count, reflect)
+    aligned, rotations = cluster_representatives(reps, direction, allow_reflection)
+    want, want_rot = oracles.cluster_representatives(reps, direction,
+                                                     allow_reflection)
+    np.testing.assert_allclose(aligned, np.stack([p.rep for p in want]),
+                               rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(rotations, np.stack(want_rot), rtol=0.0, atol=1e-13)

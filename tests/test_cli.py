@@ -11,7 +11,7 @@ import shapetensors
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
 from shapetensors.model_io import load_model
-from shapetensors.shapes import read_landmarks, write_landmarks
+from shapetensors.shapes import LandmarkShape, read_landmarks, write_landmarks
 from shapetensors.textio import fmt
 
 
@@ -27,6 +27,14 @@ def tree_bytes(root):
             p = os.path.join(base, f)
             out[os.path.relpath(p, root)] = open(p, "rb").read()
     return out
+
+
+def huge_shape():
+    """An airfoil whose finite coordinates are near 1e308: its sums and
+    chord lengths overflow."""
+    return LandmarkShape(
+        1.5e308 + 1e307 * cst_airfoil(np.full(9, 0.2), np.full(9, 0.1), n_c=101).x
+    )
 
 
 @pytest.fixture(scope="module")
@@ -137,14 +145,16 @@ def test_preprocess_is_nearly_idempotent(dataset, tmp_path):
 def test_preprocess_collects_per_file_errors(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.0 0.0\n1.0 0.0\n")
+    write_landmarks(tmp_path / "huge.txt", huge_shape())
     manifest = tmp_path / "manifest.txt"
     rel = os.path.relpath(dataset / "data" / "airfoil_0000.txt", tmp_path)
-    manifest.write_text(f"{rel},ok\nbad.txt,broken\n")
+    manifest.write_text(f"{rel},ok\nbad.txt,broken\nhuge.txt,overflow\n")
     out = tmp_path / "out"
     assert run("preprocess", "--input", manifest, "--n", 61,
                "--out", out) == 2
     err = capsys.readouterr().err
     assert "bad.txt" in err
+    assert "huge.txt: chord lengths overflow" in err
     # the valid shape was still processed
     assert (out / "airfoil_0000.txt").exists()
 
@@ -184,6 +194,21 @@ def test_fit_rejects_mixed_landmark_counts(dataset, tmp_path, capsys):
     assert "preprocess" in capsys.readouterr().err
 
 
+def test_fit_names_a_collinear_file(dataset, tmp_path, capsys):
+    t = np.linspace(0.0, 1.0, 101)
+    write_landmarks(tmp_path / "line.txt", LandmarkShape(np.column_stack([t, 0.5 * t])))
+    manifest = tmp_path / "manifest.txt"
+    rel = [os.path.relpath(dataset / "data" / f"airfoil_{k:04d}.txt", tmp_path)
+           for k in range(3)]
+    manifest.write_text("".join(f"{r},ok\n" for r in rel) + "line.txt,bad\n")
+    for manifold in ("grassmann", "product"):
+        assert run("fit", "--input", manifest, "--manifold", manifold,
+                   "--rank", 2, "--out", tmp_path / "m.txt") == 2
+        err = capsys.readouterr().err
+        assert "line.txt: landmarks are collinear" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_fit_zero_variance_exits_nonzero(tmp_path, capsys):
     shape = cst_airfoil(np.full(9, 0.2), np.full(9, 0.1), n_c=61)
     for i in range(3):
@@ -205,6 +230,21 @@ def test_sample_mean_coefficients_give_mean_shape(dataset, tmp_path):
     np.testing.assert_allclose(got.x, expect, atol=1e-12)
     guard = (out / "guard.csv").read_text().splitlines()
     assert guard == ["file,guard", "sample_0000.txt,pass"]
+
+
+def test_sample_product_model_carries_its_scale(dataset, tmp_path):
+    model_path = tmp_path / "product.txt"
+    assert run("fit", "--input", dataset / "data" / "manifest.txt",
+               "--manifold", "product", "--rank", 2, "--out", model_path) == 0
+    out = tmp_path / "mean"
+    assert run("sample", "--model", model_path, "--coeffs", "0,0",
+               "--out", out) == 0
+    model = load_model(model_path)
+    expect = model.mean.grass.rep @ model.mean.scale.mat
+    np.testing.assert_allclose(read_landmarks(out / "sample_0000.txt").x,
+                               expect, atol=1e-12)
+    assert run("sample", "--model", model_path, "--coeffs", "0,0",
+               "--scale", "mean", "--out", out) == 2
 
 
 def test_sample_l4_scale(dataset, tmp_path):
@@ -325,6 +365,23 @@ def test_blade_build_wrong_file_exit_code(tmp_path):
                "--out", tmp_path / "x.bld") == 2
     assert run("blade", "eval", "--blade", tmp_path / "missing.bld",
                "--eta", 0.5, "--out", tmp_path / "y.txt") == 2
+
+
+def test_blade_build_names_an_overflowing_station(tmp_path, capsys):
+    lines = []
+    for k in range(3):
+        upper = np.full(9, 0.25) + 0.01 * k
+        write_landmarks(tmp_path / f"st{k}.txt",
+                        cst_airfoil(upper, np.full(9, 0.1), n_c=101))
+        lines.append(f"station {fmt(k / 3.0)} st{k}.txt")
+    write_landmarks(tmp_path / "huge.txt", huge_shape())
+    lines.append("station 1.0 huge.txt")
+    (tmp_path / "blade.def").write_text("\n".join(lines) + "\n")
+    assert run("blade", "build", "--blade", tmp_path / "blade.def",
+               "--out", tmp_path / "x.bld") == 2
+    err = capsys.readouterr().err
+    assert "station 3 (eta=1): centered landmarks are not finite" in err
+    assert not (tmp_path / "x.bld").exists()
 
 
 def test_convergence_cli(tmp_path, capsys):

@@ -204,6 +204,15 @@ def test_mean_scale_extrinsic_average():
     np.testing.assert_allclose(ms.m, [[3.0, 0.0], [0.0, 2.0]])
 
 
+def test_mean_scale_accepts_a_stack():
+    mats = [np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([[4.0, 0.5], [0.5, 3.0]])]
+    for kind in ("extrinsic", "intrinsic"):
+        stacked = mean_scale(np.stack(mats), kind=kind)
+        assert np.array_equal(stacked.m, mean_scale(mats, kind=kind).m)
+    with pytest.raises(ContractError):
+        mean_scale(np.empty((0, 2, 2)))
+
+
 def test_mean_scale_extrinsic_degenerate():
     f1 = AffineFactor(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     f2 = AffineFactor(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
