@@ -39,13 +39,35 @@ def fix_svd_signs(u, vt):
     return u, vt
 
 
-def thin_svd(a):
+def thin_svd(a, r=None):
     """Thin SVD with the deterministic sign convention.
 
     Returns (u, s, vt) with s descending and each left singular vector's
     first non-negligible component positive.  Accepts stacked matrices.
+
+    With ``r`` (1 <= r <= min(m, N) for an (..., m, N) input) only the r
+    leading triplets are formed: u is (..., m, r), s (..., r) and vt
+    (..., r, N).  The top-r eigenvectors V of the smaller Gram matrix
+    (a a^T if m <= N, else a^T a) seed a range basis Q = qr(a M), with
+    M = a^T V on the m side and M = V on the N side, and the SVD of the
+    r x N matrix Q^T a finishes it (a Rayleigh-Ritz step): u = Q W.  The
+    pass through ``a`` keeps u inside the span of a's columns to rounding,
+    where the Gram's eigenvectors alone stray by about eps (s_1 / s_r)^2,
+    and s matches the full SVD's to rounding relative to s_1.  A leading
+    subspace whose gap s_r - s_r+1 is tiny next to s_1 is less sharp than
+    the full SVD's.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if r is None:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    else:
+        at = mT(a)
+        if a.shape[-2] <= a.shape[-1]:
+            probe = at @ np.linalg.eigh(a @ at)[1][..., -r:]
+        else:
+            probe = np.linalg.eigh(at @ a)[1][..., -r:]
+        q = np.linalg.qr(a @ probe)[0]
+        w, s, vt = np.linalg.svd(mT(q) @ a, full_matrices=False)
+        u = q @ w
     fix_svd_signs(u, vt)
     return u, s, vt
 

@@ -133,15 +133,16 @@ def cumulative_lengths(shape):
     pts = _as_points(shape)
     if pts.shape[0] < 2:
         raise ContractError("cumulative lengths need at least 2 landmarks")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.empty(pts.shape[0])
+    s[0] = 0.0
+    with np.errstate(over="ignore"):  # an overflowing length is refused below
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        np.cumsum(seg, out=s[1:])
     if np.any(seg == 0.0):
         k = int(np.flatnonzero(seg == 0.0)[0])
         raise DegenerateGeometryError(
             f"repeated consecutive landmarks at index {k}: zero-length segment"
         )
-    s = np.empty(pts.shape[0])
-    s[0] = 0.0
-    np.cumsum(seg, out=s[1:])
     if not np.isfinite(s[-1]):
         raise ContractError("chord lengths overflow: coordinates are too large")
     s /= s[-1]
@@ -202,7 +203,8 @@ def _standardize_raw(pts, variant):
     """
     if variant not in ("gl2", "polar"):
         raise ContractError(f"unknown standardization variant {variant!r}")
-    b = pts.mean(axis=-2)
+    with np.errstate(over="ignore"):  # an overflowing member is refused below
+        b = pts.mean(axis=-2)
     centered = pts - b[..., None, :]
     finite = np.isfinite(centered).all(axis=(-2, -1))
     if not finite.all():  # a zeroed member keeps the SVD defined, reads collinear

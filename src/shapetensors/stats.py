@@ -6,11 +6,15 @@ epsilon in Frobenius norm.  Principal geodesic analysis then works in
 the tangent space at the mean: the logs are vectorized isometrically
 (Grassmann lifts stack their columns; SPD tangents keep their three
 unique entries with the off-diagonal weighted by sqrt(2)), scaled by
-1/sqrt(N-1), and decomposed by a thin SVD.  Squared singular values are
-the per-direction variances; the stored per-sample coordinates are the
-unscaled projections t_k = U_r^T vec(Log_mean(p_k)), so embedding a
-training point returns its row of ``coords`` and generating from that
-row returns the point.
+1/sqrt(N-1), and only the r leading singular pairs are formed: the top-r
+eigenvectors of the smaller Gram matrix (width x width or N x N) seed a
+range basis through the data, and a Rayleigh-Ritz step (the SVD of the
+r x N projected data) finishes it, so the basis stays in the span of the
+logs (horizontal, for Grassmann) as a full thin SVD's does.  Squared
+singular values are the per-direction variances; the stored per-sample
+coordinates are the unscaled projections t_k = U_r^T vec(Log_mean(p_k)),
+so embedding a training point returns its row of ``coords`` and
+generating from that row returns the point.
 
 All decompositions use the deterministic SVD sign convention, making a
 fit a pure function of its input bytes.
@@ -244,13 +248,12 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     data = parts[0] if len(parts) == 1 else np.hstack(parts)
     del parts
     scaled = data.T / np.sqrt(n - 1.0)  # columns are samples
-    u, s, _ = thin_svd(scaled)
+    basis, s, _ = thin_svd(scaled, r)
     if s[0] <= ZERO_VARIANCE_TOL:
         raise DegenerateGeometryError(
             "ensemble has zero variance: all points coincide with the mean"
         )
-    basis = u[:, :r]
-    eigenvalues = s[:r] ** 2
+    eigenvalues = s**2
     coords = data @ basis
     kind = next(k for k, c in KINDS.items() if c == tuple(_arrays(mean)))
     return PgaModel(kind, mean, basis, eigenvalues, coords, epsilon)

@@ -8,8 +8,8 @@ SVD identities under test appear there.
     transport:  V'   = -X (X'.T V)   along the geodesic X(t)
 
 Below them are earlier forms of the code, kept as references: the scalar
-kernels, the per-shape standardization, the per-station clustering loop
-and the per-section wireframe writer.
+kernels, the per-shape standardization, the per-station clustering loop,
+the per-section wireframe writer and the full-SVD PGA decomposition.
 """
 
 import numpy as np
@@ -304,3 +304,13 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
         mats[movable] = mats[movable] @ r
         rotations[movable] = rotations[movable] @ r
     return [GrassmannPoint(m) for m in mats], rotations
+
+
+# ---------------------------------------------------------------------------
+# The PGA decomposition as it stood before thin_svd took a rank: the full
+# thin SVD of the scaled logs, truncated to the leading r triplets.
+
+
+def truncated_svd(a, r):
+    u, s, vt = thin_svd(a)
+    return u[..., :r], s[..., :r], vt[..., :r, :]

@@ -6,6 +6,9 @@ clustering loop.  Each property draws a stack mixing generic inputs with
 the hard cases: tangents shrinking to zero, equal or nearly equal singular
 values, principal angles close to pi/2, 2x2 matrices that are exactly
 diagonal with a double eigenvalue, and collinear or overflowing landmarks.
+The rank-r thin SVD is checked against the full one truncated, on
+matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
+rank-deficient or zero, and with repeated singular values.
 """
 
 import numpy as np
@@ -22,12 +25,15 @@ from shapetensors.errors import (
 )
 from shapetensors.grassmann import _exp_raw, _log_raw, _transport_raw
 from shapetensors.linalg import (
+    SIGN_TOL,
     eigh2,
+    mT,
     rotation2,
     sym2_exp,
     sym2_inv_sqrt,
     sym2_log,
     sym2_sqrt,
+    thin_svd,
 )
 from shapetensors.shapes import _standardize_raw, la_standardize
 from shapetensors.spd import _distance_raw, _transport_factor
@@ -40,6 +46,7 @@ TANGENT_CASES = ("generic", "zero", "tiny", "equal-sigma", "near-equal-sigma",
 SYM_CASES = ("generic", "double", "near-double", "tiny-offdiag")
 SHAPE_CASES = ("generic", "offset", "tiny", "huge", "anisotropic")
 DEGENERATE_CASES = ("collinear", "overflow")
+SPECTRUM_CASES = ("generic", "graded", "repeated", "rank-deficient", "zero")
 
 seeds = st.integers(0, 2**32 - 1)
 stack_sizes = st.integers(1, 5)
@@ -105,6 +112,31 @@ def _landmarks(rng, n, case):
     scale = {"generic": 1.0, "offset": 1.0, "tiny": 1e-100, "huge": 1e150,
              "anisotropic": np.array([1.0, 1e-6])}[case]
     return x * scale + (1e6 * rng.standard_normal(2) if case == "offset" else 0.0)
+
+
+def _spectrum(rng, k, r, case):
+    """k descending singular values of the given kind."""
+    top = 10.0 ** rng.uniform(-3.0, 3.0)
+    if case == "zero":
+        return np.zeros(k)
+    if case == "graded":  # s_r / s_1 = 10**-e, the tail below s_r
+        head = 10.0 ** -np.linspace(0.0, rng.uniform(0.0, 6.0), r)
+        tail = head[-1] * 10.0 ** -rng.uniform(0.1, 3.0, k - r)
+        return top * np.sort(np.concatenate([head, tail]))[::-1]
+    s = np.sort(rng.uniform(0.01, 1.0, k))[::-1]
+    if case == "repeated":  # runs of equal values, anywhere around r
+        s = np.sort(rng.choice(s[:3], size=k))[::-1]
+    if case == "rank-deficient":
+        s[rng.integers(0, k):] = 0.0
+    return top * s
+
+
+def _matrix(rng, m, n, r, case):
+    """An m x n matrix U diag(s) V^T with random orthonormal U and V."""
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * _spectrum(rng, k, r, case)) @ v.T
 
 
 def _chain(rng, n, count, reflect):
@@ -290,3 +322,39 @@ def test_cluster_chain_equals_per_station_loop(seed, n, count, direction,
     np.testing.assert_allclose(aligned, np.stack([p.rep for p in want]),
                                rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(rotations, np.stack(want_rot), rtol=0.0, atol=1e-13)
+
+
+@PROPERTY
+@given(seed=seeds, side=st.sampled_from(("wide", "square", "tall")),
+       small=st.integers(1, 8), extra=st.integers(1, 16), r=st.integers(1, 8),
+       cases=st.lists(st.sampled_from(SPECTRUM_CASES), min_size=1, max_size=3))
+def test_rank_r_svd_equals_truncated_full_svd(seed, side, small, extra, r, cases):
+    rng = np.random.default_rng(seed)
+    big = small if side == "square" else small + extra
+    m, n = (small, big) if side == "wide" else (big, small)
+    r = min(r, small)
+    a = np.stack([_matrix(rng, m, n, r, c) for c in cases])
+    u, s, vt = thin_svd(a, r)  # one stacked call
+    assert (u.shape, s.shape, vt.shape) == ((len(cases), m, r),
+                                            (len(cases), r), (len(cases), r, n))
+    for k, ak in enumerate(a):
+        uk, sk, vk = u[k], s[k], vt[k]
+        full = np.linalg.svd(ak, compute_uv=False)
+        uo, so, vo = oracles.truncated_svd(ak, r)
+        tol = 1e-12 * full[0]
+        np.testing.assert_allclose(sk, so, rtol=0.0, atol=tol)
+        assert np.all(np.diff(sk) <= 0.0) and np.all(sk >= 0.0)
+        np.testing.assert_allclose(mT(uk) @ uk, np.eye(r), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(vk @ mT(vk), np.eye(r), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mT(uk) @ ak, sk[:, None] * vk, rtol=0.0, atol=tol)
+        # the rank-r reconstruction is as close to a as the truncated one
+        assert (np.linalg.norm(ak - (uk * sk) @ vk)
+                <= np.linalg.norm(ak - (uo * so) @ vo) + tol)
+        # leading subspaces agree where the gap after them defines them
+        # (repeated values leave the vectors inside a run free)
+        gaps = full[:r] - np.append(full[1:], 0.0)[:r]
+        for j in np.flatnonzero(gaps > 1e-3 * full[0]) + 1:
+            assert oracles.subspace_gap(uk[:, :j], uo[:, :j]) <= tol / gaps[j - 1]
+        # the sign convention: first component above SIGN_TOL is positive
+        anchor = (np.abs(uk) > SIGN_TOL).argmax(axis=0)
+        assert np.all(uk[anchor, np.arange(r)] > 0.0)

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ from shapetensors.textio import fmt
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_without_warnings(*argv):
+    """run(), failing if the command raised a RuntimeWarning (numpy prints
+    those on stderr ahead of the error line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    return code
 
 
 def tree_bytes(root):
@@ -150,8 +162,8 @@ def test_preprocess_collects_per_file_errors(dataset, tmp_path, capsys):
     rel = os.path.relpath(dataset / "data" / "airfoil_0000.txt", tmp_path)
     manifest.write_text(f"{rel},ok\nbad.txt,broken\nhuge.txt,overflow\n")
     out = tmp_path / "out"
-    assert run("preprocess", "--input", manifest, "--n", 61,
-               "--out", out) == 2
+    assert run_without_warnings("preprocess", "--input", manifest, "--n", 61,
+                                "--out", out) == 2
     err = capsys.readouterr().err
     assert "bad.txt" in err
     assert "huge.txt: chord lengths overflow" in err
@@ -206,6 +218,19 @@ def test_fit_names_a_collinear_file(dataset, tmp_path, capsys):
                    "--rank", 2, "--out", tmp_path / "m.txt") == 2
         err = capsys.readouterr().err
         assert "line.txt: landmarks are collinear" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_fit_names_an_overflowing_file(dataset, tmp_path, capsys):
+    write_landmarks(tmp_path / "huge.txt", huge_shape())
+    manifest = tmp_path / "manifest.txt"
+    rel = [os.path.relpath(dataset / "data" / f"airfoil_{k:04d}.txt", tmp_path)
+           for k in range(3)]
+    manifest.write_text("".join(f"{r},ok\n" for r in rel) + "huge.txt,overflow\n")
+    assert run_without_warnings("fit", "--input", manifest, "--rank", 2,
+                                "--out", tmp_path / "m.txt") == 2
+    err = capsys.readouterr().err
+    assert "huge.txt: centered landmarks are not finite" in err
     assert not (tmp_path / "m.txt").exists()
 
 
@@ -377,8 +402,8 @@ def test_blade_build_names_an_overflowing_station(tmp_path, capsys):
     write_landmarks(tmp_path / "huge.txt", huge_shape())
     lines.append("station 1.0 huge.txt")
     (tmp_path / "blade.def").write_text("\n".join(lines) + "\n")
-    assert run("blade", "build", "--blade", tmp_path / "blade.def",
-               "--out", tmp_path / "x.bld") == 2
+    assert run_without_warnings("blade", "build", "--blade", tmp_path / "blade.def",
+                                "--out", tmp_path / "x.bld") == 2
     err = capsys.readouterr().err
     assert "station 3 (eta=1): centered landmarks are not finite" in err
     assert not (tmp_path / "x.bld").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shapetensors import stats
 from shapetensors.errors import ContractError, ConvergenceError, DegenerateGeometryError
 from shapetensors.grassmann import GrassmannPoint, GrassmannTangent, gr_distance, gr_exp
 from shapetensors.model_io import load_model, save_model
@@ -19,6 +20,7 @@ from shapetensors.stats import (
 )
 
 from conftest import random_grassmann_point, random_horizontal, random_spd
+from oracles import truncated_svd
 
 
 def _cloud(rng, n=12, count=15, spread=0.15):
@@ -149,6 +151,59 @@ def test_pga_basis_columns_orthonormal_and_horizontal(rng):
     for i in range(model.r):
         lift = model.basis[:, i].reshape(2, n).T
         assert np.linalg.norm(model.mean.rep.T @ lift) < 1e-10
+
+
+def test_pga_basis_stays_horizontal_on_a_graded_cloud(rng):
+    # N > 2n puts the Gram on the 2n side, whose eigenvectors alone leave
+    # the horizontal space by about eps * (s_1 / s_r)**2
+    n, count, r = 20, 100, 4
+    center = random_grassmann_point(rng, n=n)
+    dirs = np.stack([random_horizontal(rng, center).delta for _ in range(r)])
+    frame = np.linalg.qr(dirs.reshape(r, -1).T)[0].T.reshape(r, n, 2)
+    sigma = 0.1 * 1e-4 ** (np.arange(r) / (r - 1.0))
+    pts = [gr_exp(center, GrassmannTangent(
+               np.tensordot(sigma * rng.standard_normal(r), frame, 1), center))
+           for _ in range(count)]
+    model = pga_fit(pts, r=r, epsilon=1e-12)
+    ratio = np.sqrt(model.eigenvalues[-1] / model.eigenvalues[0])
+    assert 3e-5 < ratio < 3e-4
+    lifts = model.basis.T.reshape(r, 2, n).transpose(0, 2, 1)
+    assert np.abs(model.mean.rep.T @ lifts).max() < 1e-10
+
+
+def _ensemble(rng, kind, count):
+    if kind == "spd":
+        return [random_spd(rng) for _ in range(count)]
+    pts, _ = _cloud(rng, n=6, count=count)
+    if kind == "grassmann":
+        return pts
+    return [ProductPoint(p, random_spd(rng, spread=0.5)) for p in pts]
+
+
+@pytest.mark.parametrize("kind,count,r", [
+    ("grassmann", 8, 4), ("grassmann", 30, 4),  # width 2n = 12
+    ("spd", 2, 1), ("spd", 20, 2),              # width 3
+    ("product", 8, 5), ("product", 40, 5),      # width 2n + 3 = 15
+])
+def test_pga_fit_matches_full_svd_decomposition(rng, monkeypatch, kind, count, r):
+    pts = _ensemble(rng, kind, count)
+    model = pga_fit(pts, r=r, epsilon=1e-12)
+    spectrum = []
+
+    def full_svd_then_truncate(a, r):
+        spectrum[:] = np.linalg.svd(a, compute_uv=False)
+        return truncated_svd(a, r)
+
+    monkeypatch.setattr(stats, "thin_svd", full_svd_then_truncate)
+    want = pga_fit(pts, r=r, epsilon=1e-12)
+    np.testing.assert_allclose(model.eigenvalues, want.eigenvalues, rtol=1e-12)
+    # these ensembles keep s_1 > ... > s_r > s_r+1 apart, so the basis
+    # vectors themselves are defined
+    s = np.append(spectrum, 0.0)[: r + 1]
+    assert np.all(-np.diff(s) > 1e-2 * s[:-1])
+    np.testing.assert_allclose(model.basis, want.basis, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(model.coords, want.coords, rtol=0.0,
+                               atol=1e-10 * np.abs(want.coords).max())
 
 
 def test_pga_zero_variance_error(rng):
