@@ -1,18 +1,25 @@
 """Self-intersection guard for landmark polylines.
 
-Segment pairs are prefiltered by bounding box, their orientation signs
-evaluated in floating point with a forward error bound, and only the
-pairs the filter cannot certify fall back to exact rational arithmetic
-(doubles convert to Fraction losslessly).  Any contact between
-non-adjacent segments counts: proper crossings, endpoint touches and
-collinear overlaps alike.  Adjacent segments legitimately share one
-vertex and flag only a collinear fold-back.
+Candidate segment pairs come from a sort-and-sweep over the segments'
+x-intervals (the pruning step of Shamos-Hoey 1976): sorted by low x, each
+segment meets only the run of successors whose low x is at most its high
+x, and of those pairs only the ones whose y-intervals also overlap are
+kept.  That is exactly the set of pairs whose bounding boxes overlap, in
+about O(n log n + k) work for k such pairs instead of all n^2/2.  Their
+orientation signs are evaluated in floating point with Shewchuk's forward
+error bound, and only the signs the filter cannot certify (including
+products that overflow) fall back to exact rational arithmetic (doubles
+convert to Fraction losslessly).  Any contact between non-adjacent
+segments counts: proper crossings, endpoint touches and collinear overlaps
+alike.  Adjacent segments legitimately share one vertex and flag only a
+collinear fold-back.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import ContractError
 from .shapes import LandmarkShape, _as_points
 
 # Shewchuk's orient2d A-filter constant for doubles.
@@ -30,15 +37,17 @@ def orient_exact(ax, ay, bx, by, cx, cy):
 def _orient_signs(a, b, c):
     """Vectorized orientation signs with exact fallback.
 
-    a, b, c are (m, 2) arrays of points; returns an (m,) int array of
-    signs in {-1, 0, +1} that are exact for every entry.
+    a, b, c are (m, 2) arrays of finite points; returns an (m,) int array
+    of signs in {-1, 0, +1} that are exact for every entry.  A determinant
+    that overflows (inf, or NaN from inf - inf) is never certified.
     """
-    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    det = left - right
-    bound = _ERRBOUND * (np.abs(left) + np.abs(right))
-    signs = np.sign(det).astype(int)
-    unsure = np.abs(det) <= bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+        right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        det = left - right
+        bound = _ERRBOUND * (np.abs(left) + np.abs(right))
+        unsure = ~(np.abs(det) > bound)
+        signs = np.where(unsure, 0.0, np.sign(det)).astype(int)
     for k in np.flatnonzero(unsure):
         signs[k] = orient_exact(
             a[k, 0], a[k, 1], b[k, 0], b[k, 1], c[k, 0], c[k, 1]
@@ -47,74 +56,85 @@ def _orient_signs(a, b, c):
 
 
 def _on_segment(p, q, r):
-    """Is r inside the bounding box of collinear segment pq?"""
-    return (
-        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+    """Row-wise: is r inside the bounding box of collinear segment pq?"""
+    return np.all(
+        (np.minimum(p, q) <= r) & (r <= np.maximum(p, q)), axis=1
     )
+
+
+def _candidate_pairs(starts, ends):
+    """Index pairs (i, j), i != j, of the segments whose bounding boxes
+    overlap, each unordered pair once."""
+    lo = np.minimum(starts, ends)
+    hi = np.maximum(starts, ends)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo_x = lo[order, 0]
+    # sorted successors of position p with low x <= its high x: p+1 .. stop-1
+    stop = np.searchsorted(lo_x, hi[order, 0], side="right")
+    counts = stop - np.arange(1, order.size + 1)
+    first = np.repeat(np.arange(order.size), counts)
+    run_start = np.cumsum(counts) - counts
+    second = first + 1 + np.arange(first.size) - np.repeat(run_start, counts)
+    i, j = order[first], order[second]
+    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+    return i[keep], j[keep]
+
+
+def _folds_back(first, shared, other):
+    """Does a pair of adjacent segments meeting at ``shared`` fold back
+    onto itself (the three points collinear, ``first`` and ``other`` on the
+    same side of ``shared``)?"""
+    collinear = _orient_signs(first, shared, other) == 0
+    # signs of differences are exact even where a difference overflows
+    same_side = np.any(
+        np.sign(first - shared) * np.sign(other - shared) > 0, axis=1
+    )
+    return bool(np.any(collinear & (same_side | np.all(first == other, axis=1))))
 
 
 def self_intersects(shape):
     """True iff any two non-adjacent segments of the polyline intersect.
 
     Closed shapes are treated cyclically (a duplicated final landmark is
-    dropped first).  Conservative by design: touching counts.
+    dropped first).  Conservative by design: touching counts.  Non-finite
+    landmarks raise ContractError.
     """
     pts = _as_points(shape)
+    if not np.all(np.isfinite(pts)):
+        raise ContractError("self-intersection test needs finite landmarks")
     closed = isinstance(shape, LandmarkShape) and shape.closed
     if closed and np.all(pts[0] == pts[-1]):
         pts = pts[:-1]
-    m = pts.shape[0]
     if closed:
         starts = pts
         ends = np.roll(pts, -1, axis=0)
-        nseg = m
     else:
         starts = pts[:-1]
         ends = pts[1:]
-        nseg = m - 1
+    nseg = starts.shape[0]
     if nseg < 2:
         return False
 
-    i, j = np.triu_indices(nseg, k=1)
-    adjacent = j - i == 1
+    # adjacent pairs (i, i + 1) share ends[i] == starts[i + 1]; the closed
+    # wrap pair (0, nseg - 1) shares starts[0] == ends[-1]
+    first, shared, other = starts[:-1], ends[:-1], ends[1:]
+    if closed and nseg > 2:
+        first = np.vstack([first, ends[:1]])
+        shared = np.vstack([shared, starts[:1]])
+        other = np.vstack([other, starts[-1:]])
+    if _folds_back(first, shared, other):
+        return True
+
+    i, j = _candidate_pairs(starts, ends)
+    gap = np.abs(i - j)
+    adjacent = gap == 1
     if closed:
-        adjacent |= (i == 0) & (j == nseg - 1)
-
-    # adjacent pairs: only a collinear fold-back counts
-    ai, aj = i[adjacent], j[adjacent]
-    if ai.size:
-        # shared vertex is ends[ai] (== starts[aj]), except the wrap pair
-        shared = ends[ai].copy()
-        first = starts[ai].copy()
-        other = ends[aj].copy()
-        if closed:
-            wrap = (ai == 0) & (aj == nseg - 1)
-            # for the wrap pair the shared vertex is starts[0] == ends[-1]
-            shared[wrap] = starts[0]
-            first[wrap] = ends[0]
-            other[wrap] = starts[nseg - 1]
-        folded = _orient_signs(first, shared, other) == 0
-        for k in np.flatnonzero(folded):
-            d = (first[k] - shared[k]) @ (other[k] - shared[k])
-            if d > 0.0 or np.all(first[k] == other[k]):
-                return True
-
+        adjacent |= gap == nseg - 1
     i, j = i[~adjacent], j[~adjacent]
     if i.size == 0:
         return False
-
-    # bounding-box prefilter
     p1, p2 = starts[i], ends[i]
     p3, p4 = starts[j], ends[j]
-    lo_a = np.minimum(p1, p2)
-    hi_a = np.maximum(p1, p2)
-    lo_b = np.minimum(p3, p4)
-    hi_b = np.maximum(p3, p4)
-    overlap = np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=1)
-    if not np.any(overlap):
-        return False
-    p1, p2, p3, p4 = p1[overlap], p2[overlap], p3[overlap], p4[overlap]
 
     d1 = _orient_signs(p3, p4, p1)
     d2 = _orient_signs(p3, p4, p2)
@@ -125,14 +145,11 @@ def self_intersects(shape):
     if np.any(proper):
         return True
 
-    # touches and collinear overlaps: some orientation is zero
-    for k in np.flatnonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)):
-        if d1[k] == 0 and _on_segment(p3[k], p4[k], p1[k]):
-            return True
-        if d2[k] == 0 and _on_segment(p3[k], p4[k], p2[k]):
-            return True
-        if d3[k] == 0 and _on_segment(p1[k], p2[k], p3[k]):
-            return True
-        if d4[k] == 0 and _on_segment(p1[k], p2[k], p4[k]):
-            return True
-    return False
+    # touches and collinear overlaps: an endpoint on the other segment
+    touch = (
+        ((d1 == 0) & _on_segment(p3, p4, p1))
+        | ((d2 == 0) & _on_segment(p3, p4, p2))
+        | ((d3 == 0) & _on_segment(p1, p2, p3))
+        | ((d4 == 0) & _on_segment(p1, p2, p4))
+    )
+    return bool(np.any(touch))

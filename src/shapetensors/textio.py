@@ -27,7 +27,8 @@ def fmt(value):
 
 
 def fmt_row(values):
-    return " ".join(fmt(v) for v in values)
+    """One line of floats, each as ``fmt`` writes it."""
+    return " ".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def matrix_block(name, mat):

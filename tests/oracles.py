@@ -9,7 +9,8 @@ SVD identities under test appear there.
 
 Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
-the per-section wireframe writer and the full-SVD PGA decomposition.
+the per-section wireframe writer, the full-SVD PGA decomposition, the
+all-pairs self-intersection guard and the per-element row writer.
 """
 
 import numpy as np
@@ -314,3 +315,122 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
 def truncated_svd(a, r):
     u, s, vt = thin_svd(a)
     return u[..., :r], s[..., :r], vt[..., :r, :]
+
+
+# ---------------------------------------------------------------------------
+# The self-intersection guard as it stood before the sort-and-sweep: all
+# n^2/2 segment pairs from triu_indices, then the bounding-box prefilter,
+# then a per-pair touch loop.
+
+
+def _orient_signs(a, b, c):
+    from shapetensors.intersect import _ERRBOUND, orient_exact
+
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    bound = _ERRBOUND * (np.abs(left) + np.abs(right))
+    signs = np.sign(det).astype(int)
+    unsure = np.abs(det) <= bound
+    for k in np.flatnonzero(unsure):
+        signs[k] = orient_exact(
+            a[k, 0], a[k, 1], b[k, 0], b[k, 1], c[k, 0], c[k, 1]
+        )
+    return signs
+
+
+def _on_segment(p, q, r):
+    return (
+        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+    )
+
+
+def self_intersects(shape):
+    from shapetensors.shapes import LandmarkShape, _as_points
+
+    pts = _as_points(shape)
+    closed = isinstance(shape, LandmarkShape) and shape.closed
+    if closed and np.all(pts[0] == pts[-1]):
+        pts = pts[:-1]
+    m = pts.shape[0]
+    if closed:
+        starts = pts
+        ends = np.roll(pts, -1, axis=0)
+        nseg = m
+    else:
+        starts = pts[:-1]
+        ends = pts[1:]
+        nseg = m - 1
+    if nseg < 2:
+        return False
+
+    i, j = np.triu_indices(nseg, k=1)
+    adjacent = j - i == 1
+    if closed:
+        adjacent |= (i == 0) & (j == nseg - 1)
+
+    # adjacent pairs: only a collinear fold-back counts
+    ai, aj = i[adjacent], j[adjacent]
+    if ai.size:
+        # shared vertex is ends[ai] (== starts[aj]), except the wrap pair
+        shared = ends[ai].copy()
+        first = starts[ai].copy()
+        other = ends[aj].copy()
+        if closed:
+            wrap = (ai == 0) & (aj == nseg - 1)
+            # for the wrap pair the shared vertex is starts[0] == ends[-1]
+            shared[wrap] = starts[0]
+            first[wrap] = ends[0]
+            other[wrap] = starts[nseg - 1]
+        folded = _orient_signs(first, shared, other) == 0
+        for k in np.flatnonzero(folded):
+            d = (first[k] - shared[k]) @ (other[k] - shared[k])
+            if d > 0.0 or np.all(first[k] == other[k]):
+                return True
+
+    i, j = i[~adjacent], j[~adjacent]
+    if i.size == 0:
+        return False
+
+    # bounding-box prefilter
+    p1, p2 = starts[i], ends[i]
+    p3, p4 = starts[j], ends[j]
+    lo_a = np.minimum(p1, p2)
+    hi_a = np.maximum(p1, p2)
+    lo_b = np.minimum(p3, p4)
+    hi_b = np.maximum(p3, p4)
+    overlap = np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=1)
+    if not np.any(overlap):
+        return False
+    p1, p2, p3, p4 = p1[overlap], p2[overlap], p3[overlap], p4[overlap]
+
+    d1 = _orient_signs(p3, p4, p1)
+    d2 = _orient_signs(p3, p4, p2)
+    d3 = _orient_signs(p1, p2, p3)
+    d4 = _orient_signs(p1, p2, p4)
+
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    if np.any(proper):
+        return True
+
+    # touches and collinear overlaps: some orientation is zero
+    for k in np.flatnonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)):
+        if d1[k] == 0 and _on_segment(p3[k], p4[k], p1[k]):
+            return True
+        if d2[k] == 0 and _on_segment(p3[k], p4[k], p2[k]):
+            return True
+        if d3[k] == 0 and _on_segment(p1[k], p2[k], p3[k]):
+            return True
+        if d4[k] == 0 and _on_segment(p1[k], p2[k], p4[k]):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The row writer as it stood before it went through tolist(): one
+# repr(float(v)) per element.
+
+
+def fmt_row(values):
+    return " ".join(repr(float(v)) for v in values)
