@@ -38,15 +38,18 @@ class NormalNeighborhoodError(ShapeTensorError, ValueError):
 
 
 class ConvergenceError(ShapeTensorError, RuntimeError):
-    """An iterative routine exhausted its iteration budget.
+    """An iterative routine exhausted its iteration budget or stalled.
 
     Carries ``gradient_norm``, the norm of the final update direction,
-    so callers can judge how close the iteration got.
+    so callers can judge how close the iteration got, and
+    ``trajectory``, the list of every gradient norm it computed (the last
+    one is ``gradient_norm``).
     """
 
-    def __init__(self, message, gradient_norm=None):
+    def __init__(self, message, gradient_norm=None, trajectory=()):
         super().__init__(message)
         self.gradient_norm = gradient_norm
+        self.trajectory = list(trajectory)
 
 
 class ExtrapolationError(ShapeTensorError, ValueError):

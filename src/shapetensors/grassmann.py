@@ -9,11 +9,28 @@ The exponential, logarithm and parallel transport are the standard SVD
 identities for geodesics of the quotient metric:
 
     Exp_X(D)  = X V cos(S) V.T + U sin(S) V.T,          D = U S V.T
-    Log_X(Y)  = U arctan(S) V.T,  U S V.T = (I - X X.T) Y (X.T Y)^(-1)
+    Log_X(Y)  = U arctan(S) V.T,  U S V.T = W = Y (X.T Y)^(-1) - X
     tau(G)    = (-X V sin(tS) + U cos(tS)) U.T G + (I - U U.T) G
 
-with all trigonometric functions acting on the diagonal.  Distances come
-from the principal angles theta_i = arccos sigma_i(X.T Y).
+with all trigonometric functions acting on the diagonal.  W is the
+horizontal part of Y (X.T Y)^(-1), since X.T Y (X.T Y)^(-1) = I.  Distances
+come from the principal angles theta_i = arccos sigma_i(X.T Y).
+
+Exp and Log need no SVD of the (n, 2) matrices: only V and S^2 enter, and
+they are the eigenvectors and eigenvalues of the 2x2 Gram matrix, so
+
+    Exp_X(D)  = X cos(sqrt(G)) + D sinc(sqrt(G)),         G = D.T D
+    Log_X(Y)  = W f(W.T W),       f(lam) = arctan(sqrt(lam)) / sqrt(lam)
+
+with sin(s)/s and f taken from their Taylor series for tiny lam, and one
+polar step after Exp.  A function of a 2x2 Gram is formed from its two
+eigenvalues and its traceless part, with no eigenvector solve, so nearly
+round and tiny Grams keep their off-diagonal.  Near the cut locus
+(sigma_1(W) > GRAM_S1_MAX) the Gram's small eigenvalue drowns in the
+rounding of the large one; there Log takes the singular values from the
+column norms of W V, as accurate as an SVD's.  The normal-neighborhood
+test reads sigma_2 / sigma_1 of X.T Y as |det(X.T Y)| / sigma_1^2, with
+sigma_1 in closed form, which resolves ratios far below 1e-12.
 
 The raw-array kernels broadcast over leading axes: one pair, one base
 against an (N, n, 2) stack, and a stack against a stack all go through
@@ -23,7 +40,7 @@ the same code.
 import numpy as np
 
 from .errors import ContractError, NormalNeighborhoodError
-from .linalg import inv2, mT, polar_orthonormalize
+from .linalg import inv2, mT, polar_orthonormalize, rotation2
 
 # Orthonormality drift allowed in a representative.
 ORTHO_TOL = 1e-12
@@ -31,6 +48,12 @@ ORTHO_TOL = 1e-12
 HORIZONTAL_TOL = 1e-10
 # Condition-number ceiling on X.T Y beyond which Log is refused.
 NEIGHBORHOOD_COND_MAX = 1e12
+# Largest singular value of the lift W beyond which Log takes the singular
+# values from column norms instead of the Gram matrix's eigenvalues.
+GRAM_S1_MAX = 1e2
+# Gram eigenvalue below which sin(s)/s and arctan(s)/s, s = sqrt(lam), are
+# taken from their Taylor series in lam (truncation error below lam^2/5).
+SERIES_MAX = 1e-8
 
 
 class GrassmannPoint:
@@ -95,10 +118,36 @@ class GrassmannTangent:
         return f"GrassmannTangent(n={self.base.n}, norm={self.norm():.3e})"
 
 
+def _gram(a):
+    """The Gram matrix a.T a of (..., n, 2) stacks as its eigenvalues lam
+    (..., 2), descending and clipped at 0, and its unit traceless part e:
+    a.T a = mid I + h e with lam = mid +- h and e = v diag(1, -1) v.T for
+    the eigenvectors v.  Both come from the Gram's entries, with no
+    eigenvector solve, so a nearly round Gram loses nothing."""
+    g = mT(a) @ a
+    p, b, c = g[..., 0, 0], 0.5 * (g[..., 0, 1] + g[..., 1, 0]), g[..., 1, 1]
+    mid, half = 0.5 * (p + c), 0.5 * (p - c)
+    h = np.hypot(half, b)
+    e = np.stack([half, b, b, -half], axis=-1).reshape(g.shape)
+    e /= np.where(h > 0.0, h, 1.0)[..., None, None]
+    return np.stack([mid + h, np.maximum(mid - h, 0.0)], axis=-1), e
+
+
+def _gram_fn(e, fw):
+    """f(a.T a) from fw = f(lam): the mean of the two values times I plus
+    half their difference times e."""
+    mean = 0.5 * (fw[..., 0] + fw[..., 1])
+    return (mean[..., None, None] * np.eye(2)
+            + 0.5 * (fw[..., 0] - fw[..., 1])[..., None, None] * e)
+
+
 def _exp_raw(x, d):
     """Exp on raw (..., n, 2) arrays; returns representatives."""
-    u, s, vt = np.linalg.svd(d, full_matrices=False)
-    y = (x @ mT(vt)) @ (np.cos(s)[..., None] * vt) + u @ (np.sin(s)[..., None] * vt)
+    lam, e = _gram(d)
+    s = np.sqrt(lam)
+    small = lam < SERIES_MAX
+    sinc = np.where(small, 1.0 - lam / 6.0, np.sin(s) / np.where(small, 1.0, s))
+    y = x @ _gram_fn(e, np.cos(s)) + d @ _gram_fn(e, sinc)
     # one polar step scrubs the O(eps) loss of orthonormality
     return polar_orthonormalize(y)
 
@@ -119,8 +168,10 @@ def _log_raw(x, y):
     first such target in the stack (``()`` for a single pair).
     """
     q = mT(x) @ y
-    sv = np.linalg.svd(q, compute_uv=False)
-    outside = sv[..., 1] <= sv[..., 0] / NEIGHBORHOOD_COND_MAX
+    a, b, c, d = q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1]
+    # sigma_1 of the 2x2 q in closed form; sigma_2 / sigma_1 = |det q| / sigma_1^2
+    s1 = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    outside = np.abs(a * d - b * c) <= s1 * s1 / NEIGHBORHOOD_COND_MAX
     if np.any(outside):
         index = tuple(int(i) for i in np.argwhere(outside)[0])
         where = f"point {', '.join(map(str, index))}" if index else "target subspace"
@@ -131,9 +182,26 @@ def _log_raw(x, y):
         err.index = index
         raise err
     w = y @ inv2(q)
-    w -= x @ (mT(x) @ w)
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return u @ (np.arctan(s)[..., None] * vt)
+    w -= x  # the horizontal part: X.T Y q^-1 = I
+    lam, e = _gram(w)
+    out = w @ _gram_fn(e, _arctan_ratio(lam))
+    far = lam[..., 0] > GRAM_S1_MAX**2
+    if np.any(far):
+        # near the cut locus lam_2 is lost next to lam_1; the column norms
+        # of W V are the singular values to the accuracy of an SVD
+        ef = e[far]
+        v = rotation2(-0.5 * np.arctan2(ef[..., 0, 1], ef[..., 0, 0]))
+        wv = w[far] @ v
+        s = np.linalg.norm(wv, axis=-2)
+        out[far] = (wv * _arctan_ratio(s * s)[..., None, :]) @ mT(v)
+    return out
+
+
+def _arctan_ratio(lam):
+    """arctan(sqrt(lam)) / sqrt(lam), elementwise."""
+    s = np.sqrt(lam)
+    small = lam < SERIES_MAX
+    return np.where(small, 1.0 - lam / 3.0, np.arctan(s) / np.where(small, 1.0, s))
 
 
 def gr_log(base, target):

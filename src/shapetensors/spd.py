@@ -23,6 +23,11 @@ from .errors import ContractError
 from .linalg import eigh2, mT, sym2_exp, sym2_log, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
+# Largest entry of P^(-1/2) S P^(-1/2) below which Exp takes its matrix
+# exponential from the cubic Taylor polynomial (relative truncation error
+# below 5e-18).  eigh2 reads so small a matrix as a double eigenvalue and
+# would drop its off-diagonal, which stalls a Karcher step below 1e-12.
+EXP_SERIES_MAX = 1e-4
 
 
 class SpdMatrix:
@@ -88,7 +93,11 @@ def _roots(p):
 
 def _exp_raw(p, s):
     rp, rpi = _roots(p)
-    return _sym(rp @ sym2_exp(rpi @ s @ rpi) @ rp)
+    t = rpi @ s @ rpi
+    small = np.abs(t).max(axis=(-2, -1)) < EXP_SERIES_MAX
+    t2 = t @ t
+    series = np.eye(2) + t + t2 / 2.0 + (t2 @ t) / 6.0
+    return _sym(rp @ np.where(small[..., None, None], series, sym2_exp(t)) @ rp)
 
 
 def _log_raw(p, d):

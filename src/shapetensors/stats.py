@@ -1,8 +1,13 @@
 """Riemannian statistics over the shape manifolds.
 
 The Karcher mean is the fixed point of p <- Exp_p(mean_k Log_p(p_k)),
-iterated from the first sample until the mean tangent drops below
-epsilon in Frobenius norm.  Principal geodesic analysis then works in
+iterated until the mean tangent drops below epsilon in Frobenius norm.
+The iteration starts near the mean without a log sweep: a Grassmann
+factor at one subspace-iteration step of sum_k X_k X_k^T from the first
+sample (towards the chordal mean, the dominant 2-plane of that sum), an
+SPD factor at the log-Euclidean mean.  A step that does not reduce the
+gradient norm is halved, and a bounded number of halvings ends the
+iteration with an error.  Principal geodesic analysis then works in
 the tangent space at the mean: the logs are vectorized isometrically
 (Grassmann lifts stack their columns; SPD tangents keep their three
 unique entries with the off-diagonal weighted by sqrt(2)), scaled by
@@ -29,7 +34,7 @@ from .errors import ContractError, ConvergenceError, DegenerateGeometryError
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
-from .linalg import mT, thin_svd
+from .linalg import mT, polar_orthonormalize, sym2_exp, sym2_log, thin_svd
 from .product import ProductPoint
 from .shapes import AffineFactor
 from .spd import SpdMatrix
@@ -38,6 +43,12 @@ from .spd import _log_raw as _spd_log_raw
 
 KARCHER_MAX_ITER = 200
 KARCHER_EPSILON = 1e-8
+# Consecutive halvings of one Karcher step before the iteration is
+# declared stalled.
+KARCHER_MAX_HALVINGS = 10
+# Points per block of the chordal start, which bounds its (block, n, 2)
+# temporary.
+START_BLOCK = 128
 # Largest singular value of the scaled data matrix below which the
 # ensemble is treated as having no variance at all.
 ZERO_VARIANCE_TOL = 1e-13
@@ -45,11 +56,25 @@ ZERO_VARIANCE_TOL = 1e-13
 _SQRT2 = np.sqrt(2.0)
 
 
+def _chordal_start(reps):
+    """One subspace-iteration step of sum_k X_k X_k^T from X_0: the span
+    of sum_k X_k (X_k^T X_0), near the chordal mean (the top-2 eigenspace
+    of that sum), taken block by block with matmul."""
+    x0 = reps[0]
+    m = np.zeros_like(x0)
+    for i in range(0, len(reps), START_BLOCK):
+        block = reps[i:i + START_BLOCK]
+        m += (block @ (mT(block) @ x0)).sum(axis=0)
+    # the k = 0 term alone makes X_0^T m >= I, so m has full rank
+    return polar_orthonormalize(m / len(reps))
+
+
 # Batched maps of one manifold factor on raw arrays.  log(base, stack)
 # and exp(base, tangent) broadcast over leading axes; vec flattens
 # (..., tangent) to (..., width) isometrically and unvec inverts it for one
-# vector; dim(base) is the intrinsic dimension.
-_Component = namedtuple("_Component", "log exp vec unvec dim")
+# vector; dim(base) is the intrinsic dimension; start(stack) is the point
+# the Karcher iteration starts from.
+_Component = namedtuple("_Component", "log exp vec unvec dim start")
 
 # The logs look their kernels up at call time, so a wrapper installed on
 # this module's ``_log_many`` or ``_spd_log_raw`` sees every sweep.
@@ -61,6 +86,7 @@ _COMPONENTS = {
         vec=lambda d: mT(d).reshape(d.shape[:-2] + (-1,)),
         unvec=lambda v: v.reshape(2, -1).T,
         dim=lambda x: 2 * (x.shape[-2] - 2),
+        start=_chordal_start,
     ),
     # SPD tangents keep their three unique entries, off-diagonal * sqrt(2)
     "spd": _Component(
@@ -71,6 +97,8 @@ _COMPONENTS = {
         ),
         unvec=lambda v: np.array([[v[0], v[1] / _SQRT2], [v[1] / _SQRT2, v[2]]]),
         dim=lambda p: 3,
+        # the log-Euclidean mean
+        start=lambda ps: sym2_exp(sym2_log(ps).mean(axis=0)),
     ),
 }
 
@@ -130,34 +158,57 @@ def _karcher(points, epsilon, max_iter):
     if epsilon <= 0.0:
         raise ContractError("epsilon must be positive")
     stacks = _stacks(points)
-    mean = points[0]
-    base = {c: a[0] for c, a in stacks.items()}
-    gnorm = None
+    if len(points) == 1:
+        mean, base = points[0], {c: a[0] for c, a in stacks.items()}
+    else:
+        base = {c: _COMPONENTS[c].start(a) for c, a in stacks.items()}
+        mean = _point(base)
+    trajectory, accepted, halvings = [], math.inf, 0
     for _ in range(max_iter):
         logs = {c: _COMPONENTS[c].log(base[c], stacks[c]) for c in stacks}
-        step = {c: l.mean(axis=0) for c, l in logs.items()}
-        gnorm = math.hypot(*(np.linalg.norm(v) for v in step.values()))
+        grad = {c: l.mean(axis=0) for c, l in logs.items()}
+        gnorm = math.hypot(*(np.linalg.norm(v) for v in grad.values()))
+        trajectory.append(gnorm)
         if gnorm < epsilon:
             return mean, logs
         del logs
-        base = {c: _COMPONENTS[c].exp(base[c], step[c]) for c in stacks}
+        if gnorm < accepted:
+            accepted, prev, step, halvings = gnorm, base, grad, 0
+        else:
+            # the step did not reduce the gradient: go back, take half of it
+            halvings += 1
+            if halvings > KARCHER_MAX_HALVINGS:
+                raise ConvergenceError(
+                    f"Karcher mean stalled: the step and {KARCHER_MAX_HALVINGS} "
+                    f"halvings of it did not reduce the gradient norm "
+                    f"{accepted:.3e}",
+                    gradient_norm=gnorm, trajectory=trajectory,
+                )
+            step = {c: 0.5 * v for c, v in step.items()}
+        base = {c: _COMPONENTS[c].exp(prev[c], step[c]) for c in stacks}
         mean = _point(base)
     raise ConvergenceError(
         f"Karcher mean did not converge in {max_iter} iterations "
         f"(last gradient norm {gnorm:.3e})",
-        gradient_norm=gnorm,
+        gradient_norm=gnorm, trajectory=trajectory,
     )
 
 
 def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
     """Iterative Karcher (Frechet) mean of a list of manifold points.
 
-    Initialized at points[0]; each sweep averages the logarithms at the
-    current iterate and follows the mean tangent.  Returns the first
-    iterate whose mean tangent has Frobenius norm below epsilon, so the
-    fixed-point residual of the result is certified < epsilon.  Raises
-    ConvergenceError (carrying the last gradient norm) if max_iter
-    sweeps do not get there.
+    Starts near the mean without a log sweep: a Grassmann factor at one
+    subspace-iteration step of sum_k X_k X_k^T from points[0] (towards
+    the chordal mean, the dominant 2-plane of that sum), an SPD factor at
+    the log-Euclidean mean.  Each sweep averages the logarithms at the
+    current iterate and follows the mean tangent; a step that does not
+    reduce the gradient norm is retried at half its length from the
+    previous iterate.  Returns the first iterate whose mean tangent has
+    Frobenius norm below epsilon, so the fixed-point residual of the
+    result is certified < epsilon; a single point is returned as it is.
+    Raises ConvergenceError, carrying the last gradient norm and the
+    trajectory of all of them, if max_iter sweeps do not get there or
+    KARCHER_MAX_HALVINGS halvings in a row do not reduce the norm.
     """
     return _karcher(points, epsilon, max_iter)[0]
 

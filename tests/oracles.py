@@ -10,12 +10,17 @@ SVD identities under test appear there.
 Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
-all-pairs self-intersection guard and the per-element row writer.
+all-pairs self-intersection guard, the per-element row writer and the
+broadcasting SVD forms of the Grassmann Exp and Log.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from shapetensors.errors import NormalNeighborhoodError
+from shapetensors.linalg import inv2 as inv2_stacked
+from shapetensors.linalg import mT
+from shapetensors.linalg import polar_orthonormalize as polar_stacked
 from shapetensors.linalg import thin_svd
 
 
@@ -434,3 +439,33 @@ def self_intersects(shape):
 
 def fmt_row(values):
     return " ".join(repr(float(v)) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# The broadcasting Grassmann Exp and Log as they stood before the 2x2 Gram
+# closed forms: a LAPACK SVD of every (n, 2) tangent or lift.
+
+
+def gr_exp_svd(x, d):
+    u, s, vt = np.linalg.svd(d, full_matrices=False)
+    y = (x @ mT(vt)) @ (np.cos(s)[..., None] * vt) + u @ (np.sin(s)[..., None] * vt)
+    return polar_stacked(y)
+
+
+def gr_log_svd(x, y):
+    q = mT(x) @ y
+    sv = np.linalg.svd(q, compute_uv=False)
+    outside = sv[..., 1] <= sv[..., 0] / NEIGHBORHOOD_COND_MAX
+    if np.any(outside):
+        index = tuple(int(i) for i in np.argwhere(outside)[0])
+        where = f"point {', '.join(map(str, index))}" if index else "target subspace"
+        err = NormalNeighborhoodError(
+            f"{where} lies outside the normal neighborhood of the base (a "
+            "principal angle is at or near pi/2); Log is undefined"
+        )
+        err.index = index
+        raise err
+    w = y @ inv2_stacked(q)
+    w -= x @ (mT(x) @ w)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return u @ (np.arctan(s)[..., None] * vt)

@@ -6,6 +6,9 @@ clustering loop.  Each property draws a stack mixing generic inputs with
 the hard cases: tangents shrinking to zero, equal or nearly equal singular
 values, principal angles close to pi/2, 2x2 matrices that are exactly
 diagonal with a double eigenvalue, and collinear or overflowing landmarks.
+The 2x2 Gram closed forms of the Grassmann Exp and Log are also checked
+against the SVD forms they replaced, near the cut locus (tan theta_1 up to
+1e6), on tangents down to 1e-9 and at the normal-neighborhood ceiling.
 The rank-r thin SVD is checked against the full one truncated, on
 matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
 rank-deficient or zero, and with repeated singular values.
@@ -184,6 +187,75 @@ def test_grassmann_exp_and_log(seed, n, cases):
     cond = max(np.linalg.cond(x.T @ y) for y in ys)
     _close(got, np.stack(want), scale=cond)
     _close(_log_raw(x, ys[0]), want[0], scale=cond)  # one pair
+
+
+def _close_rows(got, want, conds):
+    for g, w, c in zip(got, want, conds):
+        _close(g, w, scale=c)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 9),
+       second=st.lists(st.sampled_from(("generic", "tiny", "zero")),
+                       min_size=6, max_size=6))
+def test_grassmann_log_near_the_cut_locus_equals_svd(seed, n, second):
+    # tan(theta_1) = 1e1 ... 1e6: past the Gram's reach the singular values
+    # come from column norms
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    d = np.stack([
+        _lift(rng, x, [np.arctan(10.0**e),
+                       {"generic": rng.uniform(0.0, 1.2), "tiny": 1e-9,
+                        "zero": 0.0}[kind]])
+        for e, kind in zip(range(1, 7), second)
+    ])
+    ys = oracles.gr_exp_svd(x, d)
+    conds = [np.linalg.cond(x.T @ y) for y in ys]
+    _close_rows(_log_raw(x, ys), oracles.gr_log_svd(x, ys), conds)
+    _close(_log_raw(x, ys[-1]), oracles.gr_log_svd(x, ys[-1]), scale=conds[-1])
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 9), size=st.floats(-9.0, -6.0),
+       equal=st.booleans(), count=stack_sizes)
+def test_grassmann_tiny_tangents_equal_svd(seed, n, size, equal, count):
+    # ||D|| from 1e-6 down to 1e-9, where a Gram's entries are 1e-12 to
+    # 1e-18: an absolute double-eigenvalue test would drop its off-diagonal
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    top = 10.0**size
+    d = np.stack([_lift(rng, x, [top, top if equal else rng.uniform(0.0, top)])
+                  for _ in range(count)])
+    ys = _exp_raw(x, d)
+    _close(ys, oracles.gr_exp_svd(x, d))
+    _close(_log_raw(x, ys), oracles.gr_log_svd(x, ys))
+
+
+def _target_with_cond(rng, x, cond):
+    """A representative y whose 2x2 X^T Y has condition number ``cond``."""
+    n = x.shape[0]
+    u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
+    c = np.cos(rng.uniform(0.0, 1.0)) * np.array([1.0, 1.0 / cond])
+    y = x * c + u * np.sqrt(1.0 - c**2)
+    return y @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(3, 9),
+       conds=st.lists(st.sampled_from((1e2, 1e11, 1e13)), min_size=1, max_size=6))
+def test_neighborhood_refusal_equals_svd(seed, n, conds):
+    # cond(X^T Y) = 1e11 is inside the 1e12 ceiling and 1e13 outside
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    ys = np.stack([_target_with_cond(rng, x, c) for c in conds])
+    if 1e13 in conds:
+        with pytest.raises(NormalNeighborhoodError) as want:
+            oracles.gr_log_svd(x, ys)
+        with pytest.raises(NormalNeighborhoodError) as got:
+            _log_raw(x, ys)
+        assert got.value.index == want.value.index == (conds.index(1e13),)
+        return
+    _close_rows(_log_raw(x, ys), oracles.gr_log_svd(x, ys), conds)
 
 
 @PROPERTY

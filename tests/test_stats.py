@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from shapetensors import stats
+from shapetensors.cst import cst_airfoil
 from shapetensors.errors import ContractError, ConvergenceError, DegenerateGeometryError
 from shapetensors.grassmann import GrassmannPoint, GrassmannTangent, gr_distance, gr_exp
+from shapetensors.linalg import mT, rotation2, sym2_exp
 from shapetensors.model_io import load_model, save_model
 from shapetensors.product import ProductPoint
-from shapetensors.shapes import AffineFactor
+from shapetensors.shapes import AffineFactor, la_standardize
 from shapetensors.spd import SpdMatrix, spd_distance
+from shapetensors.spd import _exp_raw as spd_exp_raw
+from shapetensors.spd import _log_raw as spd_log_raw
 from shapetensors.stats import (
     MeanScale,
     SampleDomain,
@@ -82,6 +86,47 @@ def test_karcher_nonconvergence_reports_gradient():
     assert err.value.gradient_norm is not None
 
 
+def _overshooting_pair():
+    """exp(+-2 diag(1, -1)) in frames 1.5 rad apart: from their
+    log-Euclidean mean a unit Karcher step overshoots the midpoint."""
+    r = rotation2(np.array([0.0, 1.5]))
+    return [SpdMatrix(p) for p in sym2_exp(r @ np.diag([2.0, -2.0]) @ mT(r))]
+
+
+def test_karcher_halves_a_step_that_grows_the_gradient():
+    pts = _overshooting_pair()
+    mats = np.stack([p.mat for p in pts])
+    start = stats._COMPONENTS["spd"].start(mats)
+    g0 = spd_log_raw(start, mats).mean(axis=0)
+    g1 = spd_log_raw(spd_exp_raw(start, g0), mats).mean(axis=0)
+    assert np.linalg.norm(g1) > np.linalg.norm(g0)  # the unit step grows it
+    with pytest.raises(ConvergenceError) as err:
+        karcher_mean(pts, epsilon=1e-10, max_iter=3)
+    t = err.value.trajectory
+    assert t[:2] == pytest.approx([np.linalg.norm(g0), np.linalg.norm(g1)],
+                                  rel=1e-12)
+    assert t[2] < t[0]  # half the step, taken from the start
+    assert err.value.gradient_norm == t[-1]
+    mid = karcher_mean(pts, epsilon=1e-10)
+    a, b = pts
+    assert abs(spd_distance(a, mid) - spd_distance(mid, b)) < 1e-8
+    assert abs(spd_distance(a, mid) + spd_distance(mid, b) - spd_distance(a, b)) < 1e-8
+
+
+def test_karcher_stall_raises_with_the_trajectory(rng):
+    # at rounding level no step, however short, reduces the gradient norm
+    pts, _ = _cloud(rng)
+    with pytest.raises(ConvergenceError, match="stalled") as err:
+        karcher_mean(pts, epsilon=1e-30)
+    t = err.value.trajectory
+    halvings = stats.KARCHER_MAX_HALVINGS
+    assert err.value.gradient_norm == t[-1]
+    assert len(t) < stats.KARCHER_MAX_ITER
+    # the last accepted iterate, then one step and its halvings, none better
+    assert min(t[-halvings - 1:]) >= t[-halvings - 2]
+    assert t[-halvings - 2] < 1e-12
+
+
 def test_karcher_rejects_empty():
     with pytest.raises(ContractError):
         karcher_mean([])
@@ -93,6 +138,35 @@ def test_karcher_rejects_mixed_manifolds(rng):
 
 
 # ------------------------------------------------------------------- pga
+
+def _cst_ensemble(count, n_c, seed):
+    """Grassmann points of CST airfoils, every coefficient of a nominal
+    perturbed by up to +-20 %."""
+    nominal = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
+                        [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
+    rng = np.random.default_rng(seed)
+    coeffs = nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(count, 2, 9)))
+    return [la_standardize(cst_airfoil(c[0], c[1], n_c=n_c)).grass for c in coeffs]
+
+
+def test_pga_fit_takes_at_most_three_log_sweeps(monkeypatch):
+    # the benchmark wraps stats._log_many the same way
+    pts = _cst_ensemble(300, 201, seed=0)
+    bases = []
+    real = stats._log_many
+
+    def counted(x, ys):
+        bases.append(x)
+        return real(x, ys)
+
+    monkeypatch.setattr(stats, "_log_many", counted)
+    stats._COMPONENTS["grassmann"].start(np.stack([p.rep for p in pts]))
+    assert bases == []  # the chordal start takes no log sweep
+    model = pga_fit(pts, r=4, epsilon=1e-8)
+    assert 1 <= len(bases) <= 3
+    assert np.array_equal(bases[-1], model.mean.rep)
+
+
 
 def test_pga_single_geodesic_has_one_mode(rng):
     base = random_grassmann_point(rng, n=10)
@@ -280,6 +354,13 @@ def test_mean_scale_intrinsic_geodesic_midpoint(rng):
     q = np.diag([1.0, 4.0])
     ms = mean_scale([p, q], kind="intrinsic")
     np.testing.assert_allclose(ms.m, np.diag([2.0, 2.0]), atol=1e-7)
+
+
+def test_mean_scale_intrinsic_does_not_depend_on_order(rng):
+    mats = [random_spd(rng).mat for _ in range(25)]
+    a = mean_scale(mats, kind="intrinsic").m
+    b = mean_scale(mats[::-1], kind="intrinsic").m
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_mean_scale_intrinsic_rejects_asymmetric():
