@@ -39,6 +39,7 @@ from .textio import (
     atomic_write_text,
     data_lines,
     fmt,
+    fmt_rows,
     matrix_block,
     vector_block,
 )
@@ -157,10 +158,10 @@ def load_blade(path):
     r = BlockReader(path)
     if r.next() != _BLADE_MAGIC:
         raise ContractError(f"{path}: not a shapetensors blade file")
-    variant = r.next().split()[1]
-    closed = bool(int(r.next().split()[1]))
-    has_reflection = bool(int(r.next().split()[1]))
-    span_length = float(r.next().split()[1])
+    variant = r.value("variant")
+    closed = bool(r.value("closed", int))
+    has_reflection = bool(r.value("has-reflection", int))
+    span_length = r.value("span-length", float)
     etas = r.vector("etas")
     n_st = etas.size
     reps = r.block("reps").reshape(n_st, -1, 2)
@@ -272,17 +273,11 @@ def write_obj(path, sections3d):
         raise ContractError(
             "an OBJ loft needs at least two sections of equal size"
         )
-    n = counts.pop()
-    lines = []
-    for pts in sections3d:
-        for p in pts:
-            lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
-    for j in range(len(sections3d) - 1):
-        base = j * n
-        for i in range(n - 1):
-            a = base + i + 1  # OBJ indices are 1-based
-            b = base + i + 2
-            c = base + n + i + 2
-            d = base + n + i + 1
-            lines.append(f"f {a} {b} {c} {d}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    pts = np.asarray(sections3d, dtype=float)
+    m, n = pts.shape[:2]
+    a = (np.arange(m - 1)[:, None] * n + np.arange(1, n)).ravel()  # 1-based
+    faces = np.stack([a, a + 1, a + n + 1, a + n], axis=1)
+    text = fmt_rows(pts.reshape(-1, 3), "v %r %r %r") + "\n"
+    if len(faces):
+        text += fmt_rows(faces, "f %d %d %d %d") + "\n"
+    atomic_write_text(path, text)

@@ -62,7 +62,8 @@ from .spd import SpdMatrix, spd_distance
 from .stats import KINDS, _arrays, _point
 from .stats import generate, mean_scale, pga_fit, sample_domain
 from .grassmann import gr_distance
-from .textio import atomic_write_text, fmt, read_manifest, write_manifest
+from .textio import atomic_write_text, fmt, fmt_rows
+from .textio import read_manifest, write_manifest
 
 INPUT_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -126,7 +127,8 @@ def cmd_cst_gen(args):
     write_manifest(os.path.join(args.out, "manifest.txt"), entries,
                    header=f"cst dataset, seed {args.seed}")
     coeff_lines = ["# upper_0..upper_8 lower_0..lower_8"]
-    coeff_lines.extend(" ".join(fmt(v) for v in row) for row in rows)
+    if len(rows):
+        coeff_lines.append(fmt_rows(rows))
     atomic_write_text(os.path.join(args.out, "coefficients.txt"),
                       "\n".join(coeff_lines) + "\n")
     print(f"wrote {len(shapes)} shapes to {args.out} "

@@ -6,15 +6,13 @@ shortest-exact decimals, so save -> load -> save reproduces the file
 byte for byte.
 """
 
-import numpy as np
-
 from .errors import ContractError
 from .stats import KINDS, MeanScale, PgaModel, SampleDomain, _arrays, _point
 from .textio import (
     BlockReader,
     atomic_write_text,
     fmt,
-    fmt_row,
+    fmt_rows,
     matrix_block,
     vector_block,
 )
@@ -33,13 +31,12 @@ def save_model(path, model):
         lines.append("mean-scale none")
     else:
         lines.append(f"mean-scale {model.mean_scale.kind}")
-        lines.extend(fmt_row(row) for row in model.mean_scale.m)
+        lines.append(fmt_rows(model.mean_scale.m))
     if model.domain is None:
         lines.append("domain none")
     else:
         lines.append(f"domain {model.domain.lo.size}")
-        lines.append(fmt_row(model.domain.lo))
-        lines.append(fmt_row(model.domain.hi))
+        lines.append(fmt_rows([model.domain.lo, model.domain.hi]))
         lines.append(fmt(model.domain.radius))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -48,25 +45,23 @@ def load_model(path):
     r = BlockReader(path)
     if r.next() != _MAGIC:
         raise ContractError(f"{path}: not a shapetensors model file")
-    kind = r.next().split()[1]
+    kind = r.value("kind")
     if kind not in KINDS:
-        raise ContractError(f"{path}: unknown manifold kind {kind!r}")
-    epsilon = float(r.next().split()[1])
+        raise r.error(f"unknown manifold kind {kind!r}")
+    epsilon = r.value("epsilon", float)
     mean = _point({c: r.block(f"mean-{c}") for c in KINDS[kind]})
     basis = r.block("basis")
     eigenvalues = r.vector("eigenvalues")
     coords = r.block("coords")
     mean_scale = None
-    tag = r.head("mean-scale")
-    if tag[1] != "none":
-        m = np.array([[float(t) for t in r.next().split()] for _ in range(2)])
-        mean_scale = MeanScale(m, tag[1])
+    tag = r.value("mean-scale")
+    if tag != "none":
+        mean_scale = MeanScale(r.rows(2, 2, "mean-scale"), tag)
     domain = None
-    if r.head("domain")[1] != "none":
-        lo = np.array([float(t) for t in r.next().split()])
-        hi = np.array([float(t) for t in r.next().split()])
-        radius = float(r.next())
-        domain = SampleDomain(lo, hi, radius)
+    size = r.value("domain")
+    if size != "none":
+        lo, hi = r.rows(2, r.dim(size), "domain")
+        domain = SampleDomain(lo, hi, r.rows(1, 1, "domain")[0, 0])
     return PgaModel(
         kind, mean, basis, eigenvalues, coords, epsilon,
         mean_scale=mean_scale, domain=domain,

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .errors import ContractError, DegenerateGeometryError
 from .grassmann import GrassmannPoint, gr_distance
 from .linalg import mT, rotation2, thin_svd
-from .textio import atomic_write_text, data_lines, fmt_row
+from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
 
 # Smallest acceptable sigma_2 / sigma_1 of the centered landmark matrix.
 RANK_TOL = 1e-10
@@ -294,27 +294,29 @@ def read_landmarks(path):
     """Read a landmark file: 'x y' lines, '#' comments, optional leading
     name line.  A shape whose first and last landmarks coincide is
     flagged closed."""
+    with open(path) as fh:
+        text = fh.read()
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     name = None
-    rows = []
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if len(parts) == 2:
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-                continue
-            except ValueError:
-                pass
-        if name is None and not rows:
-            name = line
-            continue
-        raise ContractError(
-            f"{path}:{lineno}: expected 'x y', got {line!r}"
-        )
-    if len(rows) < 3:
-        raise ContractError(f"{path}: need at least 3 landmarks, found {len(rows)}")
-    pts = np.array(rows)
+    pts = parse_rows(lines, 2)
+    if pts is None:
+        # the first line may name the shape; any other bad line is an error
+        pts = parse_rows(lines[1:], 2)
+        if pts is None:
+            _raise_bad_line(path, text)
+        name = lines[0]
+    if len(pts) < 3:
+        raise ContractError(f"{path}: need at least 3 landmarks, found {len(pts)}")
     closed = bool(np.all(pts[0] == pts[-1]))
     return LandmarkShape(pts, closed=closed, name=name)
+
+
+def _raise_bad_line(path, text):
+    """Word the error of a landmark file that does not parse: the first
+    data line after the first that is not 'x y'."""
+    for k, (lineno, line) in enumerate(data_lines(text, from_text=True)):
+        if k and parse_rows([line], 2) is None:
+            raise ContractError(f"{path}:{lineno}: expected 'x y', got {line!r}")
 
 
 def write_landmarks(path, shape, header=None):
@@ -324,5 +326,5 @@ def write_landmarks(path, shape, header=None):
         lines.append(f"# {header}")
     if shape.name:
         lines.append(str(shape.name))
-    lines.extend(fmt_row(row) for row in shape.x)
+    lines.append(fmt_rows(shape.x))
     atomic_write_text(path, "\n".join(lines) + "\n")

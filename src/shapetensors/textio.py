@@ -6,11 +6,19 @@ bit-for-bit and reruns with the same inputs produce byte-identical output.
 Writes go through a temp file in the target directory followed by an
 atomic rename; readers never observe a half-written file.
 
-Model and blade files share one line-block format: a header line, then
-named blocks.  A matrix block is ``name rows cols`` followed by one row of
+Float tables have one writer and one reader.  ``fmt_rows`` formats a
+whole array with one %-format (``%r`` of a float is its repr): landmark
+rows, model and blade blocks, OBJ vertices and faces, CST coefficients.
+``parse_rows`` reads landmark, model and blade tables with one split and
+Python's ``float``; only when that fails does a caller walk the lines
+one by one, to word its error.
+
+Model and blade files share one line-block format: a header, then named
+blocks.  A matrix block is ``name rows cols`` followed by one row of
 floats per line (``name none`` where an optional matrix is absent); a
 vector block is ``name size`` followed by one row.  ``matrix_block`` and
-``vector_block`` write them, ``BlockReader`` reads them back.
+``vector_block`` write them, ``BlockReader`` reads them back and words
+every malformed line as ``path:lineno: ...``.
 """
 
 import os
@@ -26,22 +34,46 @@ def fmt(value):
     return repr(float(value))
 
 
-def fmt_row(values):
-    """One line of floats, each as ``fmt`` writes it."""
-    return " ".join(map(repr, np.asarray(values, dtype=float).tolist()))
+def fmt_rows(mat, row=None):
+    """The rows of a 2-D array as lines joined by newlines (no final
+    newline), from one %-format over all its values.  ``row`` is the
+    pattern of one line; by default the row's floats as ``fmt`` writes
+    them, separated by single spaces."""
+    if row is None:
+        mat = np.asarray(mat, dtype=float)
+        row = " ".join(["%r"] * mat.shape[1])
+    else:
+        mat = np.asarray(mat)
+    return "\n".join([row] * mat.shape[0]) % tuple(mat.ravel().tolist())
+
+
+def parse_rows(lines, cols):
+    """The (len(lines), cols) array of lines that each hold ``cols``
+    whitespace-separated floats, parsed as Python's float parses them;
+    None when a line holds another number of tokens or a token is not a
+    float."""
+    if not all(map(cols.__eq__, map(len, map(str.split, lines)))):
+        return None
+    tokens = " ".join(lines).split()
+    try:
+        data = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return data.reshape(len(lines), cols)
 
 
 def matrix_block(name, mat):
     """Lines of a named block: ``name rows cols`` and one line per row."""
     mat = np.atleast_2d(mat)
     lines = [f"{name} {mat.shape[0]} {mat.shape[1]}"]
-    lines.extend(fmt_row(row) for row in mat)
+    if len(mat):
+        lines.append(fmt_rows(mat))
     return lines
 
 
 def vector_block(name, values):
     """Lines of a named vector: ``name size`` and the values on one line."""
-    return [f"{name} {len(values)}", fmt_row(values)]
+    return [f"{name} {len(values)}", fmt_rows(np.reshape(values, (1, -1)))]
 
 
 class BlockReader:
@@ -53,6 +85,11 @@ class BlockReader:
         self.pos = 0
         self.path = path
 
+    def error(self, message, lineno=None):
+        """A ContractError about line ``lineno`` (default: the last line
+        read)."""
+        return ContractError(f"{self.path}:{lineno or self.pos}: {message}")
+
     def next(self):
         if self.pos >= len(self.lines):
             raise ContractError(f"{self.path}: truncated file")
@@ -60,37 +97,63 @@ class BlockReader:
         self.pos += 1
         return line
 
-    def head(self, name):
-        """The tokens of the next line, which must start with ``name``."""
+    def head(self, name, form=None):
+        """The tokens of the next line, which must start with ``name``
+        and, given ``form`` (the fields after the name, such as
+        ``"rows cols"``), hold one token per field."""
         line = self.next()
         head = line.split()
         if not head or head[0] != name:
-            raise ContractError(
-                f"{self.path}: expected block {name!r}, found {line!r}"
-            )
+            raise self.error(f"expected {name!r}, found {line!r}")
+        if form is not None and len(head) != 1 + len(form.split()):
+            raise self.error(f"expected '{name} {form}', got {line!r}")
         return head
+
+    def value(self, name, convert=str):
+        """The value of the ``name value`` line that comes next."""
+        token = self.head(name, "value")[1]
+        try:
+            return convert(token)
+        except ValueError:
+            raise self.error(f"bad {name} value {token!r}") from None
+
+    def dim(self, token):
+        """A block dimension on the last line read: an integer >= 0."""
+        if not token.isdecimal():
+            raise self.error(f"bad block size {token!r}")
+        return int(token)
+
+    def rows(self, count, cols, name):
+        """The (count, cols) floats on the next ``count`` lines."""
+        if self.pos + count > len(self.lines):
+            raise ContractError(f"{self.path}: truncated file")
+        lines = self.lines[self.pos:self.pos + count]
+        data = parse_rows(lines, cols)
+        if data is None:
+            for offset, line in enumerate(lines):
+                if parse_rows([line], cols) is None:
+                    raise self.error(
+                        f"block {name!r} needs {cols} numbers per line, "
+                        f"got {line!r}", self.pos + offset + 1,
+                    )
+        self.pos += count
+        return data
 
     def vector(self, name):
         """The values of the named vector block that comes next."""
-        size = int(self.head(name)[1])
-        data = np.array([float(t) for t in self.next().split()])
-        if data.size != size:
-            raise ContractError(f"{self.path}: block {name!r} has wrong size")
-        return data
+        return self.rows(1, self.dim(self.head(name, "size")[1]), name)[0]
 
     def block(self, name, optional=False):
         """The matrix of the named block that comes next; None for
         ``name none`` when the block is optional."""
         head = self.head(name)
-        if optional and head[1] == "none":
+        if optional and head[1:] == ["none"]:
             return None
-        rows, cols = int(head[1]), int(head[2])
-        data = np.array(
-            [[float(t) for t in self.next().split()] for _ in range(rows)]
-        )
-        if data.shape != (rows, cols):
-            raise ContractError(f"{self.path}: block {name!r} has wrong shape")
-        return data
+        if len(head) != 3:
+            raise self.error(
+                f"expected '{name} rows cols', got {self.lines[self.pos - 1]!r}"
+            )
+        return self.rows(self.dim(head[1]), self.dim(head[2]), name)
 
 
 def atomic_write_text(path, text):
@@ -134,7 +197,7 @@ def read_manifest(path):
     for lineno, line in data_lines(path):
         fields = [f.strip() for f in line.split(",")]
         if not fields[0]:
-            raise ValueError(f"{path}:{lineno}: empty path field")
+            raise ContractError(f"{path}:{lineno}: empty path field")
         label = fields[1] if len(fields) > 1 else ""
         entry = fields[0]
         if not os.path.isabs(entry):

@@ -10,18 +10,21 @@ SVD identities under test appear there.
 Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
-all-pairs self-intersection guard, the per-element row writer and the
-broadcasting SVD forms of the Grassmann Exp and Log.
+all-pairs self-intersection guard, the per-element row writer, the
+broadcasting SVD forms of the Grassmann Exp and Log, and the per-line
+text readers and per-row writers of landmark, block and OBJ files.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from shapetensors.errors import NormalNeighborhoodError
+from shapetensors.errors import ContractError, NormalNeighborhoodError
 from shapetensors.linalg import inv2 as inv2_stacked
 from shapetensors.linalg import mT
 from shapetensors.linalg import polar_orthonormalize as polar_stacked
 from shapetensors.linalg import thin_svd
+from shapetensors.shapes import LandmarkShape
+from shapetensors.textio import atomic_write_text, data_lines, fmt
 
 
 def integrate_geodesic(x0, d0, t=1.0):
@@ -245,9 +248,6 @@ def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
     import os
 
     from shapetensors.blade import evaluate_blade
-    from shapetensors.bladeio import write_obj
-    from shapetensors.shapes import write_landmarks
-    from shapetensors.textio import atomic_write_text, fmt
 
     os.makedirs(out_dir, exist_ok=True)
     placed = wireframe_sections(model, etas=etas, count=count)
@@ -469,3 +469,119 @@ def gr_log_svd(x, y):
     w -= x @ (mT(x) @ w)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     return u @ (np.arctan(s)[..., None] * vt)
+
+
+# ---------------------------------------------------------------------------
+# The text readers and writers as they stood before one format call and
+# one parse per file: a line-by-line landmark reader, per-row block
+# parsing, and per-row landmark and per-vertex OBJ writers.
+
+
+def read_landmarks(path):
+    name = None
+    rows = []
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) == 2:
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+                continue
+            except ValueError:
+                pass
+        if name is None and not rows:
+            name = line
+            continue
+        raise ContractError(
+            f"{path}:{lineno}: expected 'x y', got {line!r}"
+        )
+    if len(rows) < 3:
+        raise ContractError(f"{path}: need at least 3 landmarks, found {len(rows)}")
+    pts = np.array(rows)
+    closed = bool(np.all(pts[0] == pts[-1]))
+    return LandmarkShape(pts, closed=closed, name=name)
+
+
+def write_landmarks(path, shape, header=None):
+    lines = []
+    if header:
+        lines.append(f"# {header}")
+    if shape.name:
+        lines.append(str(shape.name))
+    lines.extend(fmt_row(row) for row in shape.x)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def matrix_block(name, mat):
+    mat = np.atleast_2d(mat)
+    lines = [f"{name} {mat.shape[0]} {mat.shape[1]}"]
+    lines.extend(fmt_row(row) for row in mat)
+    return lines
+
+
+def vector_block(name, values):
+    return [f"{name} {len(values)}", fmt_row(values)]
+
+
+class BlockReader:
+    def __init__(self, path):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.pos = 0
+        self.path = path
+
+    def next(self):
+        if self.pos >= len(self.lines):
+            raise ContractError(f"{self.path}: truncated file")
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def head(self, name):
+        line = self.next()
+        head = line.split()
+        if not head or head[0] != name:
+            raise ContractError(
+                f"{self.path}: expected block {name!r}, found {line!r}"
+            )
+        return head
+
+    def vector(self, name):
+        size = int(self.head(name)[1])
+        data = np.array([float(t) for t in self.next().split()])
+        if data.size != size:
+            raise ContractError(f"{self.path}: block {name!r} has wrong size")
+        return data
+
+    def block(self, name, optional=False):
+        head = self.head(name)
+        if optional and head[1] == "none":
+            return None
+        rows, cols = int(head[1]), int(head[2])
+        data = np.array(
+            [[float(t) for t in self.next().split()] for _ in range(rows)]
+        )
+        if data.shape != (rows, cols):
+            raise ContractError(f"{self.path}: block {name!r} has wrong shape")
+        return data
+
+
+def write_obj(path, sections3d):
+    counts = {s.shape[0] for s in sections3d}
+    if len(sections3d) < 2 or len(counts) != 1:
+        raise ContractError(
+            "an OBJ loft needs at least two sections of equal size"
+        )
+    n = counts.pop()
+    lines = []
+    for pts in sections3d:
+        for p in pts:
+            lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    for j in range(len(sections3d) - 1):
+        base = j * n
+        for i in range(n - 1):
+            a = base + i + 1  # OBJ indices are 1-based
+            b = base + i + 2
+            c = base + n + i + 2
+            d = base + n + i + 1
+            lines.append(f"f {a} {b} {c} {d}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

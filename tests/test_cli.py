@@ -300,6 +300,46 @@ def test_sample_usage_errors(dataset, tmp_path):
                "--scale", "cubist", "--out", tmp_path / "x") == 2
 
 
+def corrupt(src, dst, head, edit):
+    """Copy a line-block file, replacing the line that starts with
+    ``head`` (``+1``: the line after it) by ``edit``; returns dst."""
+    lines = src.read_text().splitlines()
+    key, _, offset = head.partition("+")
+    at = next(i for i, line in enumerate(lines) if line.split()[:1] == [key])
+    lines[at + int(offset or 0)] = edit
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("head, edit, words", [
+    ("basis+1", "x 0 0", "block 'basis' needs 3 numbers per line"),
+    ("eigenvalues+1", "1.0 two 3.0", "block 'eigenvalues' needs 3 numbers"),
+    ("basis", "basis 802", "expected 'basis rows cols', got 'basis 802'"),
+    ("basis", "basis x 4", "bad block size 'x'"),
+    ("epsilon", "epsilon", "expected 'epsilon value', got 'epsilon'"),
+    ("kind", "kind", "expected 'kind value', got 'kind'"),
+    ("domain", "domain", "expected 'domain value', got 'domain'"),
+    ("mean-scale+1", "1.0", "block 'mean-scale' needs 2 numbers per line"),
+])
+def test_sample_names_a_corrupt_model_line(dataset, tmp_path, capsys, head,
+                                           edit, words):
+    model = corrupt(dataset / "model.txt", tmp_path / "bad.txt", head, edit)
+    assert run("sample", "--model", model, "--coeffs", "0,0,0",
+               "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}:" in err and words in err
+
+
+def test_fit_and_preprocess_refuse_an_empty_path_field(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(",label\n")
+    for argv in (["fit", "--input", manifest, "--rank", 1,
+                  "--out", tmp_path / "m.txt"],
+                 ["preprocess", "--input", manifest, "--out", tmp_path / "p"]):
+        assert run(*argv) == 2
+        assert f"error: {manifest}:1: empty path field" in capsys.readouterr().err
+
+
 def test_dist_spaces(dataset, tmp_path, capsys):
     a_path = dataset / "data" / "airfoil_0000.txt"
     assert run("dist", "--a", a_path, "--b", a_path) == 0
@@ -351,6 +391,26 @@ def test_blade_eval_reproduces_station(blade_setup):
     station = read_landmarks(blade_setup / "st2.txt")
     section = read_landmarks(out)
     assert np.abs(section.x - station.x).max() < 1e-8
+
+
+@pytest.mark.parametrize("head, edit, words", [
+    ("variant", "variant", "expected 'variant value', got 'variant'"),
+    ("closed", "closed yes", "bad closed value 'yes'"),
+    ("has-reflection", "has-reflection", "expected 'has-reflection value'"),
+    ("span-length", "span-length 25 m", "expected 'span-length value'"),
+    ("span-length", "span-length long", "bad span-length value 'long'"),
+    ("etas", "etas x", "bad block size 'x'"),
+    ("etas+1", "0.0 0.2 x 0.6 0.8 1.0", "block 'etas' needs 6 numbers"),
+    ("reps", "reps 606", "expected 'reps rows cols', got 'reps 606'"),
+    ("reps+1", "0.1", "block 'reps' needs 2 numbers per line"),
+])
+def test_blade_eval_names_a_corrupt_blade_line(blade_setup, tmp_path, capsys,
+                                               head, edit, words):
+    blade = corrupt(blade_setup / "blade.bld", tmp_path / "bad.bld", head, edit)
+    assert run("blade", "eval", "--blade", blade, "--eta", 0.4,
+               "--out", tmp_path / "x.txt") == 2
+    err = capsys.readouterr().err
+    assert f"error: {blade}:" in err and words in err
 
 
 def test_blade_eval_extrapolation_exit_code(blade_setup, tmp_path):
