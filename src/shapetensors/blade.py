@@ -28,12 +28,11 @@ from .errors import (
     NormalNeighborhoodError,
 )
 from .grassmann import GrassmannPoint, _exp_raw, _log_raw, _transport_raw
-from .linalg import mT, rotation2, thin_svd
+from .linalg import mT, rotation2, sym2_roots, thin_svd
 from .shapes import LandmarkShape, _standardize_raw
 from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
-from .spd import _roots as _spd_roots
 from .stats import MeanScale
 
 VARIANTS = ("gl2-schedule", "product-spd")
@@ -257,10 +256,8 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
         )
     # product-spd: split each rotated factor into SPD part and rotation
     # angle; clustering was restricted to SO(2) so angles are well defined
-    mmt = ms @ mT(ms)
-    sym = 0.5 * (mmt + mT(mmt))
     # m = P R with P SPD, R in SO(2): P = (m m^T)^(1/2), R = P^-1 m
-    p, p_inv = _spd_roots(sym)
+    p, p_inv = sym2_roots(ms @ mT(ms))
     r = p_inv @ ms
     reflected = np.linalg.det(r) < 0.0
     if np.any(reflected):

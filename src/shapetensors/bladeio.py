@@ -164,14 +164,19 @@ def load_blade(path):
     span_length = r.value("span-length", float)
     etas = r.vector("etas")
     n_st = etas.size
-    reps = r.block("reps").reshape(n_st, -1, 2)
-    affine_m = r.block("affine-m").reshape(n_st, 2, 2)
-    affine_b = r.block("affine-b")
+    reps = r.block("reps", cols=2)
+    n = len(reps) // max(n_st, 1)
+    if n < 3 or n * n_st != len(reps):
+        raise r.error(f"block 'reps' has {len(reps)} rows, expected n >= 3 "
+                      f"for each of the {n_st} stations")
+    reps = reps.reshape(n_st, n, 2)
+    affine_m = r.block("affine-m", rows=n_st, cols=4).reshape(n_st, 2, 2)
+    affine_b = r.block("affine-b", rows=n_st, cols=2)
     spd_p = angles = None
     if variant == "product-spd":
-        spd_p = r.block("spd-p").reshape(n_st, 2, 2)
-        angles = r.vector("angles")
-    bend = r.block("bend", optional=True)
+        spd_p = r.block("spd-p", rows=n_st, cols=4).reshape(n_st, 2, 2)
+        angles = r.vector("angles", size=n_st)
+    bend = r.block("bend", optional=True, cols=4)
     if r.next() != "end":
         raise ContractError(f"{path}: missing end marker")
     return BladeModel(

@@ -16,21 +16,24 @@ with all trigonometric functions acting on the diagonal.  W is the
 horizontal part of Y (X.T Y)^(-1), since X.T Y (X.T Y)^(-1) = I.  Distances
 come from the principal angles theta_i = arccos sigma_i(X.T Y).
 
-Exp and Log need no SVD of the (n, 2) matrices: only V and S^2 enter, and
+No map needs an SVD of the (n, 2) matrices: only V and S^2 enter, and
 they are the eigenvectors and eigenvalues of the 2x2 Gram matrix, so
 
     Exp_X(D)  = X cos(sqrt(G)) + D sinc(sqrt(G)),         G = D.T D
     Log_X(Y)  = W f(W.T W),       f(lam) = arctan(sqrt(lam)) / sqrt(lam)
+    tau(G')   = G' + (D c(G) - X s(G)) D.T G',   c(lam) = (cos(t sqrt(lam))
+                - 1) / lam,   s(lam) = sin(t sqrt(lam)) / sqrt(lam)
 
-with sin(s)/s and f taken from their Taylor series for tiny lam, and one
-polar step after Exp.  A function of a 2x2 Gram is formed from its two
-eigenvalues and its traceless part, with no eigenvector solve, so nearly
+with sin(s)/s, f and c taken from their Taylor series for tiny lam, and
+one polar step after Exp.  A function of a 2x2 Gram is formed from its two
+eigenvalues and its traceless part (``linalg.sym2_split``), so nearly
 round and tiny Grams keep their off-diagonal.  Near the cut locus
 (sigma_1(W) > GRAM_S1_MAX) the Gram's small eigenvalue drowns in the
 rounding of the large one; there Log takes the singular values from the
-column norms of W V, as accurate as an SVD's.  The normal-neighborhood
-test reads sigma_2 / sigma_1 of X.T Y as |det(X.T Y)| / sigma_1^2, with
-sigma_1 in closed form, which resolves ratios far below 1e-12.
+column norms of W V, as principal angles take their sines from the
+projection residual.  Cosines and the normal-neighborhood test use the
+closed-form singular values of X.T Y (``linalg.sv2``), which resolve
+sigma_2 / sigma_1 far below 1e-12.
 
 The raw-array kernels broadcast over leading axes: one pair, one base
 against an (N, n, 2) stack, and a stack against a stack all go through
@@ -40,7 +43,8 @@ the same code.
 import numpy as np
 
 from .errors import ContractError, NormalNeighborhoodError
-from .linalg import inv2, mT, polar_orthonormalize, rotation2
+from .linalg import (inv2, mT, polar_orthonormalize, rotation2, sv2, sym2_join,
+                     sym2_split)
 
 # Orthonormality drift allowed in a representative.
 ORTHO_TOL = 1e-12
@@ -51,7 +55,7 @@ NEIGHBORHOOD_COND_MAX = 1e12
 # Largest singular value of the lift W beyond which Log takes the singular
 # values from column norms instead of the Gram matrix's eigenvalues.
 GRAM_S1_MAX = 1e2
-# Gram eigenvalue below which sin(s)/s and arctan(s)/s, s = sqrt(lam), are
+# Argument lam below which sin(s)/s and arctan(s)/s, s = sqrt(lam), are
 # taken from their Taylor series in lam (truncation error below lam^2/5).
 SERIES_MAX = 1e-8
 
@@ -120,34 +124,32 @@ class GrassmannTangent:
 
 def _gram(a):
     """The Gram matrix a.T a of (..., n, 2) stacks as its eigenvalues lam
-    (..., 2), descending and clipped at 0, and its unit traceless part e:
-    a.T a = mid I + h e with lam = mid +- h and e = v diag(1, -1) v.T for
-    the eigenvectors v.  Both come from the Gram's entries, with no
-    eigenvector solve, so a nearly round Gram loses nothing."""
-    g = mT(a) @ a
-    p, b, c = g[..., 0, 0], 0.5 * (g[..., 0, 1] + g[..., 1, 0]), g[..., 1, 1]
-    mid, half = 0.5 * (p + c), 0.5 * (p - c)
-    h = np.hypot(half, b)
-    e = np.stack([half, b, b, -half], axis=-1).reshape(g.shape)
-    e /= np.where(h > 0.0, h, 1.0)[..., None, None]
+    (..., 2), descending and clipped at 0, and its unit traceless part e
+    (``linalg.sym2_split``)."""
+    mid, h, e = sym2_split(mT(a) @ a)
     return np.stack([mid + h, np.maximum(mid - h, 0.0)], axis=-1), e
 
 
 def _gram_fn(e, fw):
     """f(a.T a) from fw = f(lam): the mean of the two values times I plus
     half their difference times e."""
-    mean = 0.5 * (fw[..., 0] + fw[..., 1])
-    return (mean[..., None, None] * np.eye(2)
-            + 0.5 * (fw[..., 0] - fw[..., 1])[..., None, None] * e)
+    return sym2_join(0.5 * (fw[..., 0] + fw[..., 1]),
+                     0.5 * (fw[..., 0] - fw[..., 1]), e)
+
+
+def _right_frame(a, e):
+    """(a V, V, column norms of a V), V the eigenvectors of a.T a from its
+    traceless part e: the norms are the singular values of a, descending,
+    to the accuracy of an SVD (an error in V moves them to second order)."""
+    v = rotation2(-0.5 * np.arctan2(e[..., 0, 1], e[..., 0, 0]))
+    av = a @ v
+    return av, v, np.linalg.norm(av, axis=-2)
 
 
 def _exp_raw(x, d):
     """Exp on raw (..., n, 2) arrays; returns representatives."""
     lam, e = _gram(d)
-    s = np.sqrt(lam)
-    small = lam < SERIES_MAX
-    sinc = np.where(small, 1.0 - lam / 6.0, np.sin(s) / np.where(small, 1.0, s))
-    y = x @ _gram_fn(e, np.cos(s)) + d @ _gram_fn(e, sinc)
+    y = x @ _gram_fn(e, np.cos(np.sqrt(lam))) + d @ _gram_fn(e, _sinc(lam))
     # one polar step scrubs the O(eps) loss of orthonormality
     return polar_orthonormalize(y)
 
@@ -168,10 +170,8 @@ def _log_raw(x, y):
     first such target in the stack (``()`` for a single pair).
     """
     q = mT(x) @ y
-    a, b, c, d = q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1]
-    # sigma_1 of the 2x2 q in closed form; sigma_2 / sigma_1 = |det q| / sigma_1^2
-    s1 = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-    outside = np.abs(a * d - b * c) <= s1 * s1 / NEIGHBORHOOD_COND_MAX
+    sq = sv2(q)
+    outside = sq[..., 1] <= sq[..., 0] / NEIGHBORHOOD_COND_MAX
     if np.any(outside):
         index = tuple(int(i) for i in np.argwhere(outside)[0])
         where = f"point {', '.join(map(str, index))}" if index else "target subspace"
@@ -187,12 +187,8 @@ def _log_raw(x, y):
     out = w @ _gram_fn(e, _arctan_ratio(lam))
     far = lam[..., 0] > GRAM_S1_MAX**2
     if np.any(far):
-        # near the cut locus lam_2 is lost next to lam_1; the column norms
-        # of W V are the singular values to the accuracy of an SVD
-        ef = e[far]
-        v = rotation2(-0.5 * np.arctan2(ef[..., 0, 1], ef[..., 0, 0]))
-        wv = w[far] @ v
-        s = np.linalg.norm(wv, axis=-2)
+        # near the cut locus lam_2 is lost next to lam_1
+        wv, v, s = _right_frame(w[far], e[far])
         out[far] = (wv * _arctan_ratio(s * s)[..., None, :]) @ mT(v)
     return out
 
@@ -202,6 +198,13 @@ def _arctan_ratio(lam):
     s = np.sqrt(lam)
     small = lam < SERIES_MAX
     return np.where(small, 1.0 - lam / 3.0, np.arctan(s) / np.where(small, 1.0, s))
+
+
+def _sinc(lam):
+    """sin(sqrt(lam)) / sqrt(lam), elementwise."""
+    s = np.sqrt(lam)
+    small = lam < SERIES_MAX
+    return np.where(small, 1.0 - lam / 6.0, np.sin(s) / np.where(small, 1.0, s))
 
 
 def gr_log(base, target):
@@ -220,13 +223,16 @@ def principal_angles(x, y):
     """Principal angles between the spans of two orthonormal (n, 2) matrices.
 
     Ascending pair (theta_1, theta_2).  Cosines alone lose half the digits
-    near theta = 0, so the sines are taken from the projection residual and
-    the two are combined through arctan2 (accurate at both ends).
+    near theta = 0, so the sines are taken from the projection residual
+    R = Y - X X.T Y and the two are combined through arctan2 (accurate at
+    both ends).  The cosines are the closed-form singular values of X.T Y;
+    the sines are the column norms of R V, V the eigenvectors of R.T R.
     """
-    q = x.T @ y
-    cos = np.clip(np.linalg.svd(q, compute_uv=False), 0.0, 1.0)  # descending
-    sin = np.clip(np.linalg.svd(y - x @ q, compute_uv=False), 0.0, 1.0)
-    return np.arctan2(sin[::-1], cos)
+    q = mT(x) @ y
+    r = y - x @ q
+    cos = np.clip(sv2(q), 0.0, 1.0)  # descending
+    sin = np.clip(_right_frame(r, _gram(r)[1])[2], 0.0, 1.0)  # descending
+    return np.arctan2(sin[..., ::-1], cos)
 
 
 def gr_distance(a, b, metric="frobenius"):
@@ -248,13 +254,12 @@ def _transport_raw(x, d, t, g):
     """Parallel transport of payload g along the geodesic with velocity d,
     evaluated at the scalar time t.  Raw (..., n, 2) arrays in, raw array
     out."""
-    u, s, vt = np.linalg.svd(d, full_matrices=False)
-    ug = mT(u) @ g
-    ts = t * s
-    out = g - u @ ug
-    out += (x @ mT(vt)) @ (-np.sin(ts)[..., None] * ug)
-    out += u @ (np.cos(ts)[..., None] * ug)
-    return out
+    lam, e = _gram(d)
+    mu = (t * t) * lam
+    # (cos(t s) - 1) / s^2 = -(t^2 / 2) sinc(t s / 2)^2, free of cancellation
+    f = _gram_fn(e, -0.5 * (t * t) * _sinc(0.25 * mu) ** 2)
+    h = _gram_fn(e, t * _sinc(mu))
+    return g + (d @ f - x @ h) @ (mT(d) @ g)
 
 
 def gr_transport(gamma_base, gamma_dir, t, payload):

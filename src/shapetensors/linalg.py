@@ -9,11 +9,13 @@ globally so that downstream results are reproducible bit-for-bit:
   component of magnitude above ``SIGN_TOL`` is positive, with the matching
   right singular vector flipped in tandem.
 
-The 2x2 symmetric eigendecomposition and the matrix functions built on it
-(sqrt, inverse sqrt, exp, log) are closed form rather than iterative: at
-this fixed size the arithmetic is exact up to rounding and considerably
-faster than a general-purpose routine.  Like the SVD they broadcast over
-leading axes, so one call serves a single matrix or a whole stack.
+A function f of a symmetric 2x2 needs no eigendecomposition: with
+a = mid I + h e (eigenvalues mid +- h, e its unit traceless part), f(a) is
+the mean of f at the two eigenvalues times I plus their half-difference
+times e (Higham, Functions of Matrices, 2008), each half-difference taken
+free of cancellation, so tiny and nearly double matrices keep their
+off-diagonal.  2x2 singular values are closed form too; ``thin_svd`` is
+the one LAPACK SVD.  The 2x2 kernels broadcast over leading axes.
 """
 
 import numpy as np
@@ -77,56 +79,59 @@ def mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-def eigh2(a):
-    """Eigendecomposition of symmetric 2x2 matrices, closed form.
-
-    ``a`` is (..., 2, 2).  Returns (w, q) with eigenvalues w (..., 2)
-    descending and q (..., 2, 2) orthogonal, a = q @ diag(w) @ q.T.  The
-    decomposition is deterministic: the first eigenvector is chosen with
-    a fixed orientation and the second is its 90-degree rotation; at a
-    double eigenvalue q is the identity.
-    """
-    a = np.asarray(a, dtype=float)
-    p, b = a[..., 0, 0], 0.5 * (a[..., 0, 1] + a[..., 1, 0])
-    c = a[..., 1, 1]
-    mid = 0.5 * (p + c)
-    h = np.hypot(0.5 * (p - c), b)
-    w = np.stack([mid + h, mid - h], axis=-1)
-    double = h <= SIGN_TOL * np.maximum(1.0, np.abs(mid))
-    # (a - w1) v = 0; pick the residual column with the larger magnitude
-    right = p - c >= 0.0
-    v0 = np.where(right, w[..., 0] - c, b)
-    v1 = np.where(right, b, w[..., 0] - p)
-    norm = np.where(double, 1.0, np.hypot(v0, v1))
-    v0 = np.where(double, 1.0, v0 / norm)
-    v1 = np.where(double, 0.0, v1 / norm)
-    sign = np.where((v0 < 0.0) | ((v0 == 0.0) & (v1 < 0.0)), -1.0, 1.0)
-    v0, v1 = sign * v0, sign * v1
-    q = np.stack([np.stack([v0, -v1], axis=-1), np.stack([v1, v0], axis=-1)],
-                 axis=-2)
-    return w, q
+def sym2_split(a):
+    """(mid, h, e) with a = mid I + h e for symmetric (..., 2, 2) a, read
+    off the entries: h >= 0, e = v diag(1, -1) v.T for the eigenvectors v,
+    and e = 0 where h = 0."""
+    p, b, c = a[..., 0, 0], 0.5 * (a[..., 0, 1] + a[..., 1, 0]), a[..., 1, 1]
+    mid, half = 0.5 * (p + c), 0.5 * (p - c)
+    h = np.hypot(half, b)
+    e = np.stack([half, b, b, -half], axis=-1).reshape(p.shape + (2, 2))
+    e /= np.where(h > 0.0, h, 1.0)[..., None, None]
+    return mid, h, e
 
 
-def sym2_apply(fn, a):
-    """Apply a scalar function to symmetric 2x2 matrices via eigh2."""
-    w, q = eigh2(a)
-    return (q * fn(w)[..., None, :]) @ mT(q)
+def sym2_join(mean, half, e):
+    """mean I + half e: the function taking mean +- half at mid +- h."""
+    return mean[..., None, None] * np.eye(2) + half[..., None, None] * e
+
+
+def sym2_roots(a):
+    """a^(1/2) and a^(-1/2) of SPD (..., 2, 2) a from one split; with roots
+    r1, r2 the half-differences are h / (r1 + r2), -h / (r1 r2 (r1 + r2))."""
+    mid, h, e = sym2_split(a)
+    r1, r2 = np.sqrt(mid + h), np.sqrt(mid - h)
+    s, r = r1 + r2, r1 * r2
+    return sym2_join(0.5 * s, h / s, e), sym2_join(0.5 * s / r, -h / (r * s), e)
 
 
 def sym2_sqrt(a):
-    return sym2_apply(np.sqrt, a)
+    return sym2_roots(a)[0]
 
 
 def sym2_inv_sqrt(a):
-    return sym2_apply(lambda w: 1.0 / np.sqrt(w), a)
+    return sym2_roots(a)[1]
 
 
 def sym2_exp(a):
-    return sym2_apply(np.exp, a)
+    mid, h, e = sym2_split(a)
+    scale = np.exp(mid)
+    return sym2_join(scale * np.cosh(h), scale * np.sinh(h), e)
 
 
 def sym2_log(a):
-    return sym2_apply(np.log, a)
+    mid, h, e = sym2_split(a)
+    return sym2_join(0.5 * (np.log(mid + h) + np.log(mid - h)),
+                     np.arctanh(h / mid), e)
+
+
+def sv2(a):
+    """Singular values (..., 2), descending, of (..., 2, 2) a: s1 in closed
+    form, s2 = |det a| / s1 (0 where a = 0), both accurate to eps s1."""
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    s1 = 0.5 * (np.hypot(p + d, c - b) + np.hypot(p - d, b + c))
+    s2 = np.abs(p * d - b * c) / np.where(s1 > 0.0, s1, 1.0)
+    return np.stack([s1, s2], axis=-1)
 
 
 def inv2(a):
@@ -143,8 +148,7 @@ def polar_orthonormalize(y):
     For (..., n, 2) matrices y with nearly orthonormal columns this returns
     y @ (y.T y)^(-1/2), removing O(eps) drift without changing the span.
     """
-    g = mT(y) @ y
-    return y @ sym2_inv_sqrt(0.5 * (g + mT(g)))
+    return y @ sym2_inv_sqrt(mT(y) @ y)
 
 
 def rotation2(theta):

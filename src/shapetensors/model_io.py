@@ -7,7 +7,15 @@ byte for byte.
 """
 
 from .errors import ContractError
-from .stats import KINDS, MeanScale, PgaModel, SampleDomain, _arrays, _point
+from .stats import (
+    _COMPONENTS,
+    KINDS,
+    MeanScale,
+    PgaModel,
+    SampleDomain,
+    _arrays,
+    _point,
+)
 from .textio import (
     BlockReader,
     atomic_write_text,
@@ -50,9 +58,12 @@ def load_model(path):
         raise r.error(f"unknown manifold kind {kind!r}")
     epsilon = r.value("epsilon", float)
     mean = _point({c: r.block(f"mean-{c}") for c in KINDS[kind]})
-    basis = r.block("basis")
-    eigenvalues = r.vector("eigenvalues")
-    coords = r.block("coords")
+    # one basis row per entry of a vectorized tangent at the mean
+    width = sum(_COMPONENTS[c].vec(a).size for c, a in _arrays(mean).items())
+    basis = r.block("basis", rows=width)
+    rank = basis.shape[1]
+    eigenvalues = r.vector("eigenvalues", size=rank)
+    coords = r.block("coords", cols=rank)
     mean_scale = None
     tag = r.value("mean-scale")
     if tag != "none":
@@ -60,7 +71,7 @@ def load_model(path):
     domain = None
     size = r.value("domain")
     if size != "none":
-        lo, hi = r.rows(2, r.dim(size), "domain")
+        lo, hi = r.rows(2, r.dim(size, "domain", rank), "domain")
         domain = SampleDomain(lo, hi, r.rows(1, 1, "domain")[0, 0])
     return PgaModel(
         kind, mean, basis, eigenvalues, coords, epsilon,

@@ -14,20 +14,17 @@ symmetric form E = P^(1/2) (P^(-1/2) D P^(-1/2))^(1/2) P^(-1/2).
 Distances and transports are invariant under congruence by any invertible
 A (P -> A P A.T), which is the property the tests pin down.
 
-The raw-array kernels broadcast over leading (..., 2, 2) axes.
+The raw-array kernels broadcast over leading (..., 2, 2) axes.  The
+matrix roots, exp and log are the closed forms of ``linalg``, which keep
+the off-diagonal of a tiny P^(-1/2) S P^(-1/2).
 """
 
 import numpy as np
 
 from .errors import ContractError
-from .linalg import eigh2, mT, sym2_exp, sym2_log, sym2_sqrt
+from .linalg import mT, sym2_exp, sym2_log, sym2_roots, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
-# Largest entry of P^(-1/2) S P^(-1/2) below which Exp takes its matrix
-# exponential from the cubic Taylor polynomial (relative truncation error
-# below 5e-18).  eigh2 reads so small a matrix as a double eigenvalue and
-# would drop its off-diagonal, which stalls a Karcher step below 1e-12.
-EXP_SERIES_MAX = 1e-4
 
 
 class SpdMatrix:
@@ -84,31 +81,20 @@ def _sym(a):
     return 0.5 * (a + mT(a))
 
 
-def _roots(p):
-    """P^(1/2) and P^(-1/2) from one eigendecomposition of P."""
-    w, q = eigh2(p)
-    root = np.sqrt(w)[..., None, :]
-    return (q * root) @ mT(q), (q * (1.0 / root)) @ mT(q)
-
-
 def _exp_raw(p, s):
-    rp, rpi = _roots(p)
-    t = rpi @ s @ rpi
-    small = np.abs(t).max(axis=(-2, -1)) < EXP_SERIES_MAX
-    t2 = t @ t
-    series = np.eye(2) + t + t2 / 2.0 + (t2 @ t) / 6.0
-    return _sym(rp @ np.where(small[..., None, None], series, sym2_exp(t)) @ rp)
+    rp, rpi = sym2_roots(p)
+    return _sym(rp @ sym2_exp(rpi @ s @ rpi) @ rp)
 
 
 def _log_raw(p, d):
-    rp, rpi = _roots(p)
+    rp, rpi = sym2_roots(p)
     return _sym(rp @ sym2_log(rpi @ d @ rpi) @ rp)
 
 
 def _distance_raw(p, d):
     """Distances between (..., 2, 2) stacks of SPD matrices."""
-    _, rpi = _roots(p)
-    return np.linalg.norm(sym2_log(_sym(rpi @ d @ rpi)), axis=(-2, -1))
+    _, rpi = sym2_roots(p)
+    return np.linalg.norm(sym2_log(rpi @ d @ rpi), axis=(-2, -1))
 
 
 def spd_exp(p, s):
@@ -128,8 +114,8 @@ def spd_distance(p, d):
 
 
 def _transport_factor(p, d):
-    rp, rpi = _roots(p)
-    return rp @ sym2_sqrt(_sym(rpi @ d @ rpi)) @ rpi
+    rp, rpi = sym2_roots(p)
+    return rp @ sym2_sqrt(rpi @ d @ rpi) @ rpi
 
 
 def spd_transport(p, d, s):

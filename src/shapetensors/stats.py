@@ -34,7 +34,7 @@ from .errors import ContractError, ConvergenceError, DegenerateGeometryError
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
-from .linalg import mT, polar_orthonormalize, sym2_exp, sym2_log, thin_svd
+from .linalg import mT, polar_orthonormalize, sv2, sym2_exp, sym2_log, thin_svd
 from .product import ProductPoint
 from .shapes import AffineFactor
 from .spd import SpdMatrix
@@ -352,7 +352,7 @@ def mean_scale(factors, kind="extrinsic"):
     mats = [f.m if isinstance(f, AffineFactor) else np.asarray(f, float) for f in factors]
     if kind == "extrinsic":
         avg = np.mean(mats, axis=0)
-        s = np.linalg.svd(avg, compute_uv=False)
+        s = sv2(avg)  # s[1] = |det| / s[0], and 0 for a zero average
         if s[1] <= 1e-12 * s[0]:
             raise DegenerateGeometryError("the entrywise average scale is singular")
         return MeanScale(avg, kind)

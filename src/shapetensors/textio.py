@@ -21,8 +21,8 @@ vector block is ``name size`` followed by one row.  ``matrix_block`` and
 every malformed line as ``path:lineno: ...``.
 """
 
+import itertools
 import os
-import tempfile
 
 import numpy as np
 
@@ -117,10 +117,14 @@ class BlockReader:
         except ValueError:
             raise self.error(f"bad {name} value {token!r}") from None
 
-    def dim(self, token):
-        """A block dimension on the last line read: an integer >= 0."""
+    def dim(self, token, name=None, want=None, what="entries"):
+        """A block dimension on the last line read: an integer >= 0, and
+        equal to ``want`` when that is given (the count of ``what`` in
+        block ``name``)."""
         if not token.isdecimal():
             raise self.error(f"bad block size {token!r}")
+        if want is not None and int(token) != want:
+            raise self.error(f"block {name!r} has {token} {what}, expected {want}")
         return int(token)
 
     def rows(self, count, cols, name):
@@ -139,13 +143,16 @@ class BlockReader:
         self.pos += count
         return data
 
-    def vector(self, name):
-        """The values of the named vector block that comes next."""
-        return self.rows(1, self.dim(self.head(name, "size")[1]), name)[0]
+    def vector(self, name, size=None):
+        """The values of the named vector block that comes next; ``size``
+        pins their number."""
+        token = self.head(name, "size")[1]
+        return self.rows(1, self.dim(token, name, size), name)[0]
 
-    def block(self, name, optional=False):
+    def block(self, name, optional=False, rows=None, cols=None):
         """The matrix of the named block that comes next; None for
-        ``name none`` when the block is optional."""
+        ``name none`` when the block is optional.  ``rows`` and ``cols``
+        pin its shape."""
         head = self.head(name)
         if optional and head[1:] == ["none"]:
             return None
@@ -153,15 +160,26 @@ class BlockReader:
             raise self.error(
                 f"expected '{name} rows cols', got {self.lines[self.pos - 1]!r}"
             )
-        return self.rows(self.dim(head[1]), self.dim(head[2]), name)
+        return self.rows(self.dim(head[1], name, rows, "rows"),
+                         self.dim(head[2], name, cols, "columns"), name)
+
+
+# Serial numbers of this process's temp files.
+_TEMP_SERIAL = itertools.count()
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (temp file + rename)."""
+    """Write text to path atomically (temp file + rename).
+
+    The temp file is created with mode 0666 less the umask, as open()
+    would create the file itself, under a name unique to this process.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory,
+                       f".tmp-{os.getpid()}-{next(_TEMP_SERIAL)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -11,7 +11,8 @@ Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
 all-pairs self-intersection guard, the per-element row writer, the
-broadcasting SVD forms of the Grassmann Exp and Log, and the per-line
+broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
+principal angles, and the per-line
 text readers and per-row writers of landmark, block and OBJ files.
 """
 
@@ -88,7 +89,9 @@ def eigh2(a):
     h = np.hypot(0.5 * (p - c), b)
     w = np.array([mid + h, mid - h])
     if h <= SIGN_TOL * max(1.0, abs(mid)):
-        return w, np.eye(2)
+        # read as a double eigenvalue: the off-diagonal is dropped and each
+        # diagonal entry stays in its place
+        return np.array([p, c]), np.eye(2)
     if p - c >= 0.0:
         v1 = np.array([w[0] - c, b])
     else:
@@ -443,7 +446,8 @@ def fmt_row(values):
 
 # ---------------------------------------------------------------------------
 # The broadcasting Grassmann Exp and Log as they stood before the 2x2 Gram
-# closed forms: a LAPACK SVD of every (n, 2) tangent or lift.
+# closed forms: a LAPACK SVD of every (n, 2) tangent or lift; and the
+# principal angles before the closed-form 2x2 singular values.
 
 
 def gr_exp_svd(x, d):
@@ -469,6 +473,15 @@ def gr_log_svd(x, y):
     w -= x @ (mT(x) @ w)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     return u @ (np.arctan(s)[..., None] * vt)
+
+
+def principal_angles_svd(x, y):
+    """Principal angles from LAPACK singular values of X.T Y (cosines) and
+    of the projection residual Y - X X.T Y (sines)."""
+    q = x.T @ y
+    cos = np.clip(np.linalg.svd(q, compute_uv=False), 0.0, 1.0)
+    sin = np.clip(np.linalg.svd(y - x @ q, compute_uv=False), 0.0, 1.0)
+    return np.arctan2(sin[::-1], cos)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ values, principal angles close to pi/2, 2x2 matrices that are exactly
 diagonal with a double eigenvalue, and collinear or overflowing landmarks.
 The 2x2 Gram closed forms of the Grassmann Exp and Log are also checked
 against the SVD forms they replaced, near the cut locus (tan theta_1 up to
-1e6), on tangents down to 1e-9 and at the normal-neighborhood ceiling.
+1e6), on tangents down to 1e-9 and at the normal-neighborhood ceiling, and
+the principal angles against their SVD form.  The 2x2 matrix functions are
+checked against scipy's expm, sqrtm and logm, on matrices down to 1e-13.
 The rank-r thin SVD is checked against the full one truncated, on
 matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
 rank-deficient or zero, and with repeated singular values.
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, logm, sqrtm
 
 import oracles
 from shapetensors.blade import cluster_representatives
@@ -26,10 +29,14 @@ from shapetensors.errors import (
     DegenerateGeometryError,
     NormalNeighborhoodError,
 )
-from shapetensors.grassmann import _exp_raw, _log_raw, _transport_raw
+from shapetensors.grassmann import (
+    _exp_raw,
+    _log_raw,
+    _transport_raw,
+    principal_angles,
+)
 from shapetensors.linalg import (
     SIGN_TOL,
-    eigh2,
     mT,
     rotation2,
     sym2_exp,
@@ -86,6 +93,7 @@ def _tangents(rng, x, cases):
 
 
 def _sym(rng, case, scale=1.0):
+    """A symmetric 2x2 of the given kind; "tiny" has entries below 1e-12."""
     c = rng.uniform(-2.0, 2.0) * scale
     if case == "double":
         return c * np.eye(2)
@@ -93,14 +101,14 @@ def _sym(rng, case, scale=1.0):
         return np.diag([c, c + 1e-13])
     if case == "tiny-offdiag":
         return np.array([[c, 1e-17], [1e-17, c + 0.5]])
-    a = rng.standard_normal((2, 2)) * scale
+    a = rng.standard_normal((2, 2)) * scale * (1e-13 if case == "tiny" else 1.0)
     return 0.5 * (a + a.T)
 
 
 def _spd(rng, case):
-    if case == "generic":
+    if case in ("generic", "tiny"):
         a = rng.standard_normal((2, 2))
-        return a @ a.T + 0.2 * np.eye(2)
+        return (a @ a.T + 0.2 * np.eye(2)) * (1e-13 if case == "tiny" else 1.0)
     return sym2_exp(_sym(rng, case))
 
 
@@ -274,22 +282,41 @@ def test_grassmann_transport(seed, n, t, cases):
            np.stack([oracles.gr_transport_raw(x, d[0], t, gk) for gk in g]))
 
 
+ANGLE_CASES = ("generic", "tiny", "zero", "right")
+
+
 @PROPERTY
-@given(seed=seeds, cases=st.lists(st.sampled_from(SYM_CASES), min_size=1,
-                                  max_size=6))
-def test_eigh2_and_sym2_functions(seed, cases):
+@given(seed=seeds, n=st.integers(4, 9),
+       cases=st.lists(st.sampled_from(ANGLE_CASES), min_size=2, max_size=2))
+def test_principal_angles_equal_svd(seed, n, cases):
+    # tiny angles next to large ones, both zero, and pi/2; the angles are
+    # absolute, so the tolerance is too
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    theta = [{"generic": rng.uniform(0.0, np.pi / 2),
+              "tiny": 10.0 ** rng.uniform(-14.0, -8.0),
+              "zero": 0.0, "right": np.pi / 2}[c] for c in cases]
+    u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
+    y = x * np.cos(theta) + u * np.sin(theta)
+    y = y @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+    got = principal_angles(x, y)
+    np.testing.assert_allclose(got, oracles.principal_angles_svd(x, y),
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(got, np.sort(theta), rtol=0.0, atol=1e-14)
+
+
+@PROPERTY
+@given(seed=seeds, cases=st.lists(st.sampled_from(SYM_CASES + ("tiny",)),
+                                  min_size=1, max_size=6))
+@pytest.mark.filterwarnings("ignore:logm result may be inaccurate")
+def test_sym2_functions_match_scipy(seed, cases):
     rng = np.random.default_rng(seed)
     a = np.stack([_sym(rng, c) for c in cases])
-    w, q = eigh2(a)
-    for k, ak in enumerate(a):
-        wk, qk = oracles.eigh2(ak)
-        _close(w[k], wk)
-        _close(q[k], qk)
-    _close(sym2_exp(a), np.stack([oracles.sym2_exp(ak) for ak in a]))
+    _close(sym2_exp(a), np.stack([expm(ak) for ak in a]))
     p = np.stack([_spd(rng, c) for c in cases])
-    for mine, theirs in ((sym2_sqrt, oracles.sym2_sqrt),
-                         (sym2_inv_sqrt, oracles.sym2_inv_sqrt),
-                         (sym2_log, oracles.sym2_log)):
+    for mine, theirs in ((sym2_sqrt, sqrtm),
+                         (sym2_inv_sqrt, lambda pk: np.linalg.inv(sqrtm(pk))),
+                         (sym2_log, logm)):
         _close(mine(p), np.stack([theirs(pk) for pk in p]))
 
 

@@ -368,6 +368,36 @@ def test_dist_spaces(dataset, tmp_path, capsys):
     assert run("dist", "--a", a_path, "--b", small) == 2
 
 
+def shorten(src, dst, name):
+    """Copy a line-block file with block ``name`` one entry short and its
+    header to match: a matrix loses its last row, a vector its last
+    value; returns dst."""
+    lines = src.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[:1] == [name])
+    head = lines[at].split()
+    size = int(head[1])
+    lines[at] = " ".join([name, str(size - 1)] + head[2:])
+    if len(head) == 2:
+        lines[at + 1] = " ".join(lines[at + 1].split()[:-1])
+    else:
+        del lines[at + size]
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("name, words", [
+    ("basis", "block 'basis' has 201 rows, expected 202"),
+    ("eigenvalues", "block 'eigenvalues' has 2 entries, expected 3"),
+])
+def test_sample_refuses_model_blocks_that_disagree(dataset, tmp_path, capsys,
+                                                   name, words):
+    model = shorten(dataset / "model.txt", tmp_path / "bad.txt", name)
+    assert run("sample", "--model", model, "--coeffs", "0,0,0",
+               "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}:" in err and words in err
+
+
 @pytest.fixture(scope="module")
 def blade_setup(dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("blade")
@@ -407,6 +437,23 @@ def test_blade_eval_reproduces_station(blade_setup):
 def test_blade_eval_names_a_corrupt_blade_line(blade_setup, tmp_path, capsys,
                                                head, edit, words):
     blade = corrupt(blade_setup / "blade.bld", tmp_path / "bad.bld", head, edit)
+    assert run("blade", "eval", "--blade", blade, "--eta", 0.4,
+               "--out", tmp_path / "x.txt") == 2
+    err = capsys.readouterr().err
+    assert f"error: {blade}:" in err and words in err
+
+
+@pytest.mark.parametrize("name, words", [
+    ("etas", "block 'reps' has 606 rows, expected n >= 3 for each of the 5 "
+             "stations"),
+    ("reps", "block 'reps' has 605 rows, expected n >= 3 for each of the 6 "
+             "stations"),
+    ("affine-m", "block 'affine-m' has 5 rows, expected 6"),
+    ("affine-b", "block 'affine-b' has 5 rows, expected 6"),
+])
+def test_blade_eval_refuses_blocks_that_disagree(blade_setup, tmp_path, capsys,
+                                                 name, words):
+    blade = shorten(blade_setup / "blade.bld", tmp_path / "bad.bld", name)
     assert run("blade", "eval", "--blade", blade, "--eta", 0.4,
                "--out", tmp_path / "x.txt") == 2
     err = capsys.readouterr().err

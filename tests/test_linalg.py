@@ -1,7 +1,6 @@
 import numpy as np
 
 from shapetensors.linalg import (
-    eigh2,
     fix_svd_signs,
     inv2,
     polar_orthonormalize,
@@ -11,23 +10,6 @@ from shapetensors.linalg import (
     sym2_sqrt,
     thin_svd,
 )
-
-
-def test_eigh2_matches_numpy(rng):
-    for _ in range(50):
-        a = rng.standard_normal((2, 2))
-        a = a + a.T
-        w, q = eigh2(a)
-        assert w[0] >= w[1]
-        np.testing.assert_allclose((q * w) @ q.T, a, atol=1e-12)
-        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-13)
-        np.testing.assert_allclose(np.sort(w), np.sort(np.linalg.eigvalsh(a)), atol=1e-12)
-
-
-def test_eigh2_near_diagonal():
-    w, q = eigh2(np.array([[2.0, 1e-18], [1e-18, 1.0]]))
-    np.testing.assert_allclose(w, [2.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(q, np.eye(2), atol=1e-15)
 
 
 def test_sym2_functions_invert(rng):
@@ -72,6 +54,16 @@ def test_polar_orthonormalize(rng):
     z = polar_orthonormalize(y)
     np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-14)
     assert np.linalg.norm(z - y) < 1e-7
+
+
+def test_polar_orthonormalize_scrubs_a_tiny_drift(rng):
+    # a Gram of I plus a 3e-13 off-diagonal: nearly a double eigenvalue,
+    # whose off-diagonal must still be removed
+    q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
+    y = q @ np.array([[1.0, 1.5e-13], [1.5e-13, 1.0]])
+    assert abs((y.T @ y)[0, 1]) > 2e-13
+    z = polar_orthonormalize(y)
+    assert np.abs(z.T @ z - np.eye(2)).max() < 1e-15
 
 
 def test_rotation2_quarter_turn():

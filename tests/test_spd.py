@@ -147,8 +147,9 @@ def test_transport_of_velocity_reverses(rng):
 
 
 def test_exp_of_a_tiny_tangent_keeps_its_off_diagonal(rng):
-    # P^-1/2 S P^-1/2 below 1e-12 reads to eigh2 as a double eigenvalue;
-    # Exp_P(S) = P + S + O(|S|^2) must still move P along all of S
+    # P^-1/2 S P^-1/2 below 1e-12 has nearly equal eigenvalues; its
+    # off-diagonal must survive, Exp_P(S) = P + S + O(|S|^2) moving P
+    # along all of S
     for scale in (1e-9, 1e-12, 1e-13, 1e-15):
         p, s = random_spd(rng), random_sym(rng, scale)
         moved = spd_exp(p, s).mat - p.mat

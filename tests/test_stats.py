@@ -345,8 +345,10 @@ def test_mean_scale_accepts_a_stack():
 def test_mean_scale_extrinsic_degenerate():
     f1 = AffineFactor(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     f2 = AffineFactor(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
-    with pytest.raises(DegenerateGeometryError):
-        mean_scale([f1, f2], kind="extrinsic")
+    f3 = AffineFactor(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+    for pair in ([f1, f2], [f1, f3]):  # averages 0 and diag(1, 0)
+        with pytest.raises(DegenerateGeometryError):
+            mean_scale(pair, kind="extrinsic")
 
 
 def test_mean_scale_intrinsic_geodesic_midpoint(rng):

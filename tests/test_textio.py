@@ -1,6 +1,9 @@
 """One format call and one parse per file, against the per-row writers
 and line-by-line readers they replaced (kept in oracles.py)."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from shapetensors.errors import ContractError
 from shapetensors.shapes import LandmarkShape, read_landmarks, write_landmarks
 from shapetensors.textio import (
     BlockReader,
+    atomic_write_text,
     fmt_rows,
     matrix_block,
     parse_rows,
@@ -237,3 +241,17 @@ def test_parse_rows():
     np.testing.assert_array_equal(parse_rows(["1 2", " 3\t4 "], 2), [[1, 2], [3, 4]])
     for bad in (["1 2", "3"], ["1 2 3", "4"], ["1 2", "3 y"]):
         assert parse_rows(bad, 2) is None
+
+
+def test_atomic_write_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(mask)
+            path = tmp_path / f"out-{mask:o}.txt"
+            atomic_write_text(path, "x\n")
+            assert stat.S_IMODE(os.stat(path).st_mode) == mode
+            assert path.read_text() == "x\n"
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-22.txt", "out-77.txt"]
