@@ -10,9 +10,15 @@ next representative at t = 1 instead of on a rotated copy of it.
 
 Undulation travel along the span is parametrized by the cumulative
 Grassmann distance t_k; a monotone PCHIP phi maps eta to t, and the six
-affine entries (or the SPD factor, rotation angle and offset in the
-product variant) follow their own splines.  Evaluation composes the
-two:  X(eta) = rep(phi(eta)) @ m(eta) + b(eta).
+affine entries follow their own splines.  The product variant instead
+splits each scale m = P R (P SPD, R in SO(2), both closed form in m's
+entries), follows P along SPD geodesics and the unwrapped angle of R by
+a spline.  Evaluation composes the two:
+X(eta) = rep(phi(eta)) @ m(eta) + b(eta).
+
+A BladeModel holds only what defines it: the etas, the aligned
+representatives, each station's m and b, and the placement.  It checks
+them on construction and derives every schedule, the split included.
 """
 
 import warnings
@@ -27,9 +33,10 @@ from .errors import (
     ExtrapolationError,
     NormalNeighborhoodError,
 )
-from .grassmann import GrassmannPoint, _exp_raw, _log_raw, _transport_raw
-from .linalg import mT, rotation2, sym2_roots, thin_svd
-from .shapes import LandmarkShape, _standardize_raw
+from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
+                        _transport_raw)
+from .linalg import mT, orthogonal_factor, rotation2, sym2_split
+from .shapes import RANK_TOL, LandmarkShape, _standardize_raw
 from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
@@ -41,19 +48,13 @@ FLAT_INTERVAL = 1e-15
 
 
 def procrustes_rotation(a, b, allow_reflection=True):
-    """The orthogonal R minimizing ||a - b R||_F, from the SVD of b^T a.
-
-    With allow_reflection=False the solution is constrained to SO(2) by
-    flipping the smallest singular direction when det would be -1.
+    """The orthogonal R minimizing ||a - b R||_F: the orthogonal polar
+    factor of b^T a, restricted to SO(2) with allow_reflection=False.
     Broadcasts over leading axes of (..., n, 2) inputs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    u, _, vt = thin_svd(mT(b) @ a)
-    if not allow_reflection:
-        flip = np.linalg.det(u @ vt) < 0.0
-        u[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
-    return u @ vt
+    return orthogonal_factor(mT(b) @ a, proper=not allow_reflection)
 
 
 def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
@@ -84,19 +85,27 @@ def _spanwise_spline(etas, values):
     return CubicSpline(etas, values, axis=0, bc_type=bc)
 
 
+def _polar_split(m):
+    """(P, angle) with m = P rotation2(angle): P = sym(m R^T) for R the
+    rotation part of m, with eigenvalues |rot| +- |ref|."""
+    r = orthogonal_factor(m, proper=True)
+    p = m @ mT(r)
+    return 0.5 * (p + mT(p)), np.arctan2(r[..., 0, 1], r[..., 0, 0])
+
+
 class BladeModel:
-    """A built blade: aligned representatives plus spanwise schedules."""
+    """A built blade: aligned representatives, per-station scale and offset,
+    and placement; the schedules (and polar splits) are derived from them."""
 
     __slots__ = (
-        "variant", "etas", "reps", "ts", "affine_m", "affine_b",
-        "spd_p", "angles", "closed", "has_reflection", "span_length",
-        "bend", "_phi", "_psi", "_gr_logs", "_spd_logs", "_m_spline",
-        "_b_spline", "_angle_spline", "ell",
+        "variant", "etas", "reps", "ts", "affine_m", "affine_b", "closed",
+        "has_reflection", "span_length", "bend", "_phi", "_psi", "_gr_logs",
+        "_spd_p", "_spd_logs", "_m_spline", "_b_spline", "_angle_spline",
+        "_bend_curve", "ell",
     )
 
-    def __init__(self, variant, etas, reps, affine_m, affine_b, spd_p=None,
-                 angles=None, closed=False, has_reflection=False,
-                 span_length=1.0, bend=None):
+    def __init__(self, variant, etas, reps, affine_m, affine_b, closed=False,
+                 has_reflection=False, span_length=1.0, bend=None):
         if variant not in VARIANTS:
             raise ContractError(f"variant must be one of {VARIANTS}")
         etas = np.asarray(etas, dtype=float)
@@ -109,12 +118,14 @@ class BladeModel:
         self.reps = np.asarray(reps, dtype=float)  # (N, n, 2), aligned
         self.affine_m = np.asarray(affine_m, dtype=float)  # (N, 2, 2)
         self.affine_b = np.asarray(affine_b, dtype=float)  # (N, 2)
-        self.spd_p = None if spd_p is None else np.asarray(spd_p, dtype=float)
-        self.angles = None if angles is None else np.asarray(angles, dtype=float)
         self.closed = bool(closed)
         self.has_reflection = bool(has_reflection)
         self.span_length = float(span_length)
         self.bend = None if bend is None else np.asarray(bend, dtype=float)
+        if bend is not None and not (
+                len(bend) >= 2 and np.all(np.diff(self.bend[:, 0]) > 0.0)):
+            raise ContractError("a bend curve needs two or more knots at "
+                                "strictly increasing etas")
         self._rebuild()
 
     @property
@@ -125,30 +136,46 @@ class BladeModel:
     def n(self):
         return self.reps.shape[1]
 
+    def _check(self, ok, cls, message):
+        """Raise cls naming the first station where ``ok`` is False (as it
+        is for NaN); ``message(k)`` says what is wrong there."""
+        if not np.all(ok):
+            k = int(np.argmin(ok))
+            raise cls(f"station {k} (eta={self.etas[k]:g}): {message(k)}")
+
     def _rebuild(self):
-        """Derive schedules and per-interval geodesic caches."""
+        """Check the stations; derive schedules and per-interval caches."""
         reps = self.reps
+        drift = np.linalg.norm(mT(reps) @ reps - np.eye(2), axis=(-2, -1))
+        self._check(drift <= ORTHO_TOL, ContractError, lambda k: (
+            "representative columns are not orthonormal: ||X.T X - I||_F = "
+            f"{drift[k]:.3e} exceeds {ORTHO_TOL:.0e}"))
         self._gr_logs = _log_raw(reps[:-1], reps[1:])
         gaps = np.linalg.norm(self._gr_logs, axis=(-2, -1))
         self.ts = np.concatenate([[0.0], np.cumsum(gaps)])
         self._phi = PchipInterpolator(self.etas, self.ts)
+        self._m_spline = self._spd_p = self._spd_logs = None
+        self._psi = self._angle_spline = self.ell = None
         if self.variant == "gl2-schedule":
             self._m_spline = _spanwise_spline(self.etas, self.affine_m)
-            self._spd_logs = None
-            self._psi = None
-            self._angle_spline = None
-            self.ell = None
         else:
-            p = self.spd_p
+            # clustering was restricted to SO(2), so a reflected m is one
+            # the input asked for
+            p, angles = _polar_split(self.affine_m)
+            mid, h, _ = sym2_split(p)
+            self._check(mid - h > RANK_TOL * (mid + h),
+                        DegenerateGeometryError, lambda k: (
+                "scale factor is singular or contains a reflection; the "
+                "product-spd schedule needs a positive determinant"))
+            self._spd_p = p
             self._spd_logs = _spd_log_raw(p[:-1], p[1:])
             spd_gaps = _spd_distance_raw(p[:-1], p[1:])
             self.ell = np.concatenate([[0.0], np.cumsum(spd_gaps)])
             self._psi = PchipInterpolator(self.etas, self.ell)
-            self._m_spline = None
-            self._angle_spline = _spanwise_spline(
-                self.etas, np.unwrap(self.angles)
-            )
+            self._angle_spline = _spanwise_spline(self.etas, np.unwrap(angles))
         self._b_spline = _spanwise_spline(self.etas, self.affine_b)
+        self._bend_curve = None if self.bend is None else _spanwise_spline(
+            self.bend[:, 0], self.bend[:, 1:4])
 
     def _interval(self, eta):
         """Interval index of each eta (an array); refuses any eta outside
@@ -171,7 +198,7 @@ class BladeModel:
         if self.variant == "gl2-schedule":
             return self._m_spline(eta)
         ss = _fraction(self._psi(eta), self.ell, k)
-        p = _spd_exp_raw(self.spd_p[k], ss[..., None, None] * self._spd_logs[k])
+        p = _spd_exp_raw(self._spd_p[k], ss[..., None, None] * self._spd_logs[k])
         return p @ rotation2(self._angle_spline(eta))
 
 
@@ -240,37 +267,14 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
 
 def _assemble(variant, etas, reps, ms, bs, closed, direction,
               span_length=1.0, bend=None):
-    allow_reflection = variant == "gl2-schedule"
     aligned, rotations = cluster_representatives(
-        reps, direction=direction, allow_reflection=allow_reflection
-    )
-    has_reflection = bool(np.any(np.linalg.det(rotations) < 0.0))
+        reps, direction, allow_reflection=variant == "gl2-schedule")
     # the rotation moved into the representative comes out of the scale:
     # (X R)(R^T m) reproduces X m
     ms = mT(rotations) @ np.asarray(ms, dtype=float)
-    if variant == "gl2-schedule":
-        return BladeModel(
-            variant, etas, aligned, ms, bs,
-            closed=closed, has_reflection=has_reflection,
-            span_length=span_length, bend=bend,
-        )
-    # product-spd: split each rotated factor into SPD part and rotation
-    # angle; clustering was restricted to SO(2) so angles are well defined
-    # m = P R with P SPD, R in SO(2): P = (m m^T)^(1/2), R = P^-1 m
-    p, p_inv = sym2_roots(ms @ mT(ms))
-    r = p_inv @ ms
-    reflected = np.linalg.det(r) < 0.0
-    if np.any(reflected):
-        raise DegenerateGeometryError(
-            f"station {int(np.argmax(reflected))}: scale factor contains a "
-            "reflection; the product-spd schedule needs proper rotations"
-        )
     return BladeModel(
-        variant, etas, aligned, ms, bs,
-        spd_p=p,
-        # rotation2 convention: R = [[c, s], [-s, c]]
-        angles=np.arctan2(r[:, 0, 1], r[:, 0, 0]),
-        closed=closed, has_reflection=has_reflection,
+        variant, etas, aligned, ms, bs, closed=closed,
+        has_reflection=bool(np.any(np.linalg.det(rotations) < 0.0)),
         span_length=span_length, bend=bend,
     )
 
@@ -296,6 +300,8 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError(
             f"coefficient vector must have length r={pga.r}, got {coeffs.shape}"
         )
+    if not np.all(np.isfinite(coeffs)):
+        raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
     if pga.domain is not None:
         radius = float(np.linalg.norm(coeffs))
         if radius > pga.domain.radius:

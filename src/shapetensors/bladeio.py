@@ -21,11 +21,10 @@ sections stack along the z axis at z = eta * span.
 import os
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .blade import BladeModel, _sections, build_blade
 from .blade import evaluate_blade  # noqa: F401  (bench/spans.py traces this name)
-from .errors import ContractError
+from .errors import ContractError, DegenerateGeometryError
 from .linalg import mT
 from .shapes import (
     LandmarkShape,
@@ -96,13 +95,7 @@ def read_blade_definition(path):
                 raise ContractError(f"unknown directive {word!r}")
         except (IndexError, ValueError) as err:
             raise ContractError(f"{path}:{lineno}: {err}") from err
-    bend = None
-    if bend_rows:
-        bend = np.array(bend_rows)
-        if bend.shape[0] < 2:
-            raise ContractError(f"{path}: a bend curve needs at least two knots")
-        if np.any(np.diff(bend[:, 0]) <= 0.0):
-            raise ContractError(f"{path}: bend etas must be strictly increasing")
+    bend = np.array(bend_rows) if bend_rows else None
     return BladeDefinition(stations, span_length, bend, base_dir)
 
 
@@ -143,9 +136,6 @@ def save_blade(path, model):
     lines.extend(matrix_block("reps", model.reps.reshape(-1, 2)))
     lines.extend(matrix_block("affine-m", model.affine_m.reshape(-1, 4)))
     lines.extend(matrix_block("affine-b", model.affine_b))
-    if model.variant == "product-spd":
-        lines.extend(matrix_block("spd-p", model.spd_p.reshape(-1, 4)))
-        lines.extend(vector_block("angles", model.angles))
     if model.bend is None:
         lines.append("bend none")
     else:
@@ -172,18 +162,16 @@ def load_blade(path):
     reps = reps.reshape(n_st, n, 2)
     affine_m = r.block("affine-m", rows=n_st, cols=4).reshape(n_st, 2, 2)
     affine_b = r.block("affine-b", rows=n_st, cols=2)
-    spd_p = angles = None
-    if variant == "product-spd":
-        spd_p = r.block("spd-p", rows=n_st, cols=4).reshape(n_st, 2, 2)
-        angles = r.vector("angles", size=n_st)
     bend = r.block("bend", optional=True, cols=4)
     if r.next() != "end":
         raise ContractError(f"{path}: missing end marker")
-    return BladeModel(
-        variant, etas, reps, affine_m, affine_b, spd_p=spd_p, angles=angles,
-        closed=closed, has_reflection=has_reflection,
-        span_length=span_length, bend=bend,
-    )
+    try:
+        return BladeModel(
+            variant, etas, reps, affine_m, affine_b, closed=closed,
+            has_reflection=has_reflection, span_length=span_length, bend=bend,
+        )
+    except (ContractError, DegenerateGeometryError) as err:
+        raise type(err)(f"{path}: {err}") from err
 
 
 def _axis_frames(tangents):
@@ -217,8 +205,7 @@ def _placed_sections(model, etas):
         offset = np.zeros((etas.size, 3))
         offset[:, 2] = etas * model.span_length
         return flat, pts + offset[:, None, :]
-    bc = "natural" if model.bend.shape[0] >= 4 else "not-a-knot"
-    curve = CubicSpline(model.bend[:, 0], model.bend[:, 1:4], bc_type=bc)
+    curve = model._bend_curve
     tan = curve.derivative()(etas)
     norm = np.linalg.norm(tan, axis=-1)
     vanishing = norm < 1e-12

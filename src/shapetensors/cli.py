@@ -84,6 +84,8 @@ def _parse_floats(text, expect=None, what="value list"):
         values = np.array([float(t) for t in text.split(",") if t.strip()])
     except ValueError as err:
         raise ContractError(f"bad {what}: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise ContractError(f"bad {what}: non-finite value in {text!r}")
     if expect is not None and values.size != expect:
         raise ContractError(f"{what} needs {expect} values, got {values.size}")
     return values

@@ -14,8 +14,9 @@ a = mid I + h e (eigenvalues mid +- h, e its unit traceless part), f(a) is
 the mean of f at the two eigenvalues times I plus their half-difference
 times e (Higham, Functions of Matrices, 2008), each half-difference taken
 free of cancellation, so tiny and nearly double matrices keep their
-off-diagonal.  2x2 singular values are closed form too; ``thin_svd`` is
-the one LAPACK SVD.  The 2x2 kernels broadcast over leading axes.
+off-diagonal.  2x2 singular values and orthogonal polar factors are closed
+form too; ``thin_svd`` is the one LAPACK SVD.  The 2x2 kernels broadcast
+over leading axes.
 """
 
 import numpy as np
@@ -155,5 +156,23 @@ def rotation2(theta):
     """Clockwise-convention rotations [[cos, sin], [-sin, cos]], one per
     entry of ``theta``: shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)],
-                    axis=-2)
+    out = np.empty(np.shape(theta) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = -s
+    out[..., 1, 1] = c
+    return out
+
+
+def orthogonal_factor(a, proper=False):
+    """The orthogonal q maximizing tr(q.T a) for (..., 2, 2) a, read off
+    the entries: a = rot [[c, s], [-s, c]] + ref [[g, d], [d, -g]] has
+    singular values |rot| +- |ref|, and q is the larger part at unit size
+    (rot on a tie or when ``proper``; the identity where it is zero)."""
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    flip = (not proper) & (np.hypot(p - d, b + c) > np.hypot(p + d, b - c))
+    # the unit reflection part is rotation2(-phi) diag(1, -1), phi its angle
+    q = rotation2(np.where(flip, -np.arctan2(b + c, p - d),
+                           np.arctan2(b - c, p + d)))
+    q[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    return q

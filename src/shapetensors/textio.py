@@ -110,12 +110,16 @@ class BlockReader:
         return head
 
     def value(self, name, convert=str):
-        """The value of the ``name value`` line that comes next."""
+        """The value of the ``name value`` line that comes next; a float
+        must be finite."""
         token = self.head(name, "value")[1]
         try:
-            return convert(token)
+            value = convert(token)
         except ValueError:
             raise self.error(f"bad {name} value {token!r}") from None
+        if convert is float and not np.isfinite(value):
+            raise self.error(f"bad {name} value {token!r}: not finite")
+        return value
 
     def dim(self, token, name=None, want=None, what="entries"):
         """A block dimension on the last line read: an integer >= 0, and
@@ -128,7 +132,7 @@ class BlockReader:
         return int(token)
 
     def rows(self, count, cols, name):
-        """The (count, cols) floats on the next ``count`` lines."""
+        """The (count, cols) finite floats on the next ``count`` lines."""
         if self.pos + count > len(self.lines):
             raise ContractError(f"{self.path}: truncated file")
         lines = self.lines[self.pos:self.pos + count]
@@ -140,6 +144,11 @@ class BlockReader:
                         f"block {name!r} needs {cols} numbers per line, "
                         f"got {line!r}", self.pos + offset + 1,
                     )
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            offset = int(np.argmin(finite))
+            raise self.error(f"block {name!r} holds a non-finite value: "
+                             f"{lines[offset]!r}", self.pos + offset + 1)
         self.pos += count
         return data
 

@@ -9,6 +9,7 @@ SVD identities under test appear there.
 
 Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
+the SVD form of Procrustes and the square-root form of the polar split,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
 all-pairs self-intersection guard, the per-element row writer, the
 broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
@@ -295,7 +296,6 @@ def la_standardize(pts, variant="gl2"):
 
 
 def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
-    from shapetensors.blade import procrustes_rotation
     from shapetensors.grassmann import GrassmannPoint
 
     mats = [np.asarray(r, float) for r in reps]
@@ -313,6 +313,30 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
         mats[movable] = mats[movable] @ r
         rotations[movable] = rotations[movable] @ r
     return [GrassmannPoint(m) for m in mats], rotations
+
+
+# ---------------------------------------------------------------------------
+# Procrustes and the product-spd polar split as they stood before the
+# closed-form 2x2 orthogonal factor: the SVD of b^T a, with the smallest
+# singular direction flipped when SO(2) is required and det would be -1;
+# and m = P R with P = (m m^T)^(1/2), R = P^-1 m.
+
+
+def procrustes_rotation(a, b, allow_reflection=True):
+    u, _, vt = thin_svd(mT(b) @ a)
+    if not allow_reflection:
+        flip = np.linalg.det(u @ vt) < 0.0
+        u[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    return u @ vt
+
+
+def polar_split(m):
+    """(P, angle) with m = P rotation2(angle), for m of positive det."""
+    from shapetensors.linalg import sym2_roots
+
+    p, p_inv = sym2_roots(m @ mT(m))
+    r = p_inv @ m
+    return p, np.arctan2(r[..., 0, 1], r[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------

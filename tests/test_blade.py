@@ -177,6 +177,10 @@ def test_station_validation():
         build_blade([(0.0, s0), (1.0, small)])
     with pytest.raises(ContractError):
         build_blade([(0.0, s0), (1.0, s1)], variant="triangular")
+    for bend in ([[0.0, 0.0, 0.0, 0.0]],
+                 [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 5.0], [0.5, 0.0, 2.0, 9.0]]):
+        with pytest.raises(ContractError, match="a bend curve needs two or more"):
+            build_blade([(0.0, s0), (1.0, s1)], bend=np.array(bend))
 
 
 def test_translation_schedule_is_exact():

@@ -9,7 +9,11 @@ diagonal with a double eigenvalue, and collinear or overflowing landmarks.
 The 2x2 Gram closed forms of the Grassmann Exp and Log are also checked
 against the SVD forms they replaced, near the cut locus (tan theta_1 up to
 1e6), on tangents down to 1e-9 and at the normal-neighborhood ceiling, and
-the principal angles against their SVD form.  The 2x2 matrix functions are
+the principal angles against their SVD form.  The closed-form 2x2
+orthogonal polar factor is checked against the SVD form of Procrustes,
+and the product-spd split it gives against the square-root form, on
+ties between the rotation and reflection parts, rank-one, zero and
+strongly anisotropic matrices.  The 2x2 matrix functions are
 checked against scipy's expm, sqrtm and logm, on matrices down to 1e-13.
 The rank-r thin SVD is checked against the full one truncated, on
 matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
 import oracles
-from shapetensors.blade import cluster_representatives
+from shapetensors.blade import _polar_split, cluster_representatives
 from shapetensors.errors import (
     ContractError,
     DegenerateGeometryError,
@@ -38,7 +42,9 @@ from shapetensors.grassmann import (
 from shapetensors.linalg import (
     SIGN_TOL,
     mT,
+    orthogonal_factor,
     rotation2,
+    sv2,
     sym2_exp,
     sym2_inv_sqrt,
     sym2_log,
@@ -57,6 +63,9 @@ SYM_CASES = ("generic", "double", "near-double", "tiny-offdiag")
 SHAPE_CASES = ("generic", "offset", "tiny", "huge", "anisotropic")
 DEGENERATE_CASES = ("collinear", "overflow")
 SPECTRUM_CASES = ("generic", "graded", "repeated", "rank-deficient", "zero")
+POLAR_CASES = ("generic", "rotation", "reflection", "near-tie", "rank-one",
+               "zero", "near-reflection")
+SPLIT_CASES = ("generic", "double", "near-double", "anisotropic")
 
 seeds = st.integers(0, 2**32 - 1)
 stack_sizes = st.integers(1, 5)
@@ -457,3 +466,79 @@ def test_rank_r_svd_equals_truncated_full_svd(seed, side, small, extra, r, cases
         # the sign convention: first component above SIGN_TOL is positive
         anchor = (np.abs(uk) > SIGN_TOL).argmax(axis=0)
         assert np.all(uk[anchor, np.arange(r)] > 0.0)
+
+
+def _two_by_two(rng, case):
+    """A 2x2 matrix of the given kind, from 1e-8 to 1e8 in size: a rotation
+    part plus a reflection part in chosen proportions, or rank one."""
+    size = 10.0 ** rng.uniform(-8.0, 8.0)
+    if case == "generic":
+        return size * rng.standard_normal((2, 2))
+    if case == "rank-one":  # |rot| = |ref|
+        return size * np.outer(rng.standard_normal(2), rng.standard_normal(2))
+    small = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
+    rot, ref = {
+        "zero": (0.0, 0.0), "rotation": (1.0, 0.0), "reflection": (0.0, 1.0),
+        "near-tie": (1.0, 1.0 + small), "near-reflection": (abs(small), 1.0),
+    }[case]
+    turn = rotation2(rng.uniform(0.0, 2.0 * np.pi, size=2))
+    return size * (rot * turn[0] + ref * turn[1] @ np.diag([1.0, -1.0]))
+
+
+@PROPERTY
+@given(seed=seeds, proper=st.booleans(),
+       cases=st.lists(st.sampled_from(POLAR_CASES), min_size=1, max_size=6))
+def test_orthogonal_factor_equals_svd_procrustes(seed, proper, cases):
+    rng = np.random.default_rng(seed)
+    a = np.stack([_two_by_two(rng, c) for c in cases])
+    got = orthogonal_factor(a, proper)  # one stacked call
+    for ak, q in zip(a, got):
+        want = oracles.procrustes_rotation(ak, np.eye(2), not proper)
+        np.testing.assert_allclose(mT(q) @ q, np.eye(2), rtol=0.0, atol=1e-15)
+        assert not proper or np.linalg.det(q) > 0.0
+        p, b, c, d = ak.ravel()
+        rot, ref = 0.5 * np.hypot(p + d, b - c), 0.5 * np.hypot(p - d, b + c)
+        norm = np.linalg.norm(ak)
+        # the proper factor is the unit rotation part, as sensitive as
+        # ||a|| / |rot|; the free one picks the larger part, a choice that
+        # is only defined away from a tie
+        sep = rot if proper else abs(rot - ref)
+        if sep > 1e-8 * norm:
+            tol = max(1e-14, 1e-15 * norm / sep) if proper else 1e-14
+            np.testing.assert_allclose(q, want, rtol=0.0, atol=tol)
+        else:  # a tie: any maximizer of tr(q^T a) will do
+            np.testing.assert_allclose(np.trace(mT(q) @ ak), np.trace(mT(want) @ ak),
+                                       rtol=0.0, atol=1e-15 * norm)
+
+
+def _scale(rng, case):
+    """A scale factor P R of the given kind, from 1e-6 to 1e6 in size:
+    P's eigenvalues in the ratio 1 : lo."""
+    lo = {"generic": rng.uniform(0.05, 1.0), "double": 1.0,
+          "near-double": 1.0 - 10.0 ** rng.uniform(-12.0, -6.0),
+          "anisotropic": 10.0 ** rng.uniform(-8.0, -2.0)}[case]
+    v = rotation2(rng.uniform(0.0, 2.0 * np.pi))
+    p = 10.0 ** rng.uniform(-6.0, 6.0) * (v @ np.diag([1.0, lo]) @ v.T)
+    return p @ rotation2(rng.uniform(-10.0, 10.0))
+
+
+@PROPERTY
+@given(seed=seeds,
+       cases=st.lists(st.sampled_from(SPLIT_CASES), min_size=1, max_size=6))
+def test_polar_split_equals_square_root_form(seed, cases):
+    rng = np.random.default_rng(seed)
+    m = np.stack([_scale(rng, c) for c in cases])
+    p, angle = _polar_split(m)
+    want_p, want_angle = oracles.polar_split(m)
+    for k, s in enumerate(sv2(m)):
+        # the square-root form works on m m^T and loses cond(m)^2 in the
+        # angle; the closed form reproduces m and its singular values
+        cond = s[0] / s[1]
+        np.testing.assert_allclose(p[k] @ rotation2(angle[k]), m[k],
+                                   rtol=0.0, atol=1e-15 * s[0])
+        np.testing.assert_allclose(np.linalg.eigvalsh(p[k]), s[::-1],
+                                   rtol=0.0, atol=1e-15 * s[0])
+        np.testing.assert_allclose(p[k], want_p[k], rtol=0.0,
+                                   atol=1e-15 * cond * s[0])
+        turn = np.angle(np.exp(1j * (angle[k] - want_angle[k])))
+        assert abs(turn) <= 1e-15 * cond**2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import shapetensors
+from shapetensors.bladeio import load_blade, save_blade
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
 from shapetensors.model_io import load_model
@@ -320,6 +321,8 @@ def corrupt(src, dst, head, edit):
     ("kind", "kind", "expected 'kind value', got 'kind'"),
     ("domain", "domain", "expected 'domain value', got 'domain'"),
     ("mean-scale+1", "1.0", "block 'mean-scale' needs 2 numbers per line"),
+    ("basis+1", "nan 0 0", "block 'basis' holds a non-finite value: 'nan 0 0'"),
+    ("epsilon", "epsilon inf", "bad epsilon value 'inf': not finite"),
 ])
 def test_sample_names_a_corrupt_model_line(dataset, tmp_path, capsys, head,
                                            edit, words):
@@ -433,6 +436,9 @@ def test_blade_eval_reproduces_station(blade_setup):
     ("etas+1", "0.0 0.2 x 0.6 0.8 1.0", "block 'etas' needs 6 numbers"),
     ("reps", "reps 606", "expected 'reps rows cols', got 'reps 606'"),
     ("reps+1", "0.1", "block 'reps' needs 2 numbers per line"),
+    ("etas+1", "0.0 0.2 nan 0.6 0.8 1.0", "block 'etas' holds a non-finite value"),
+    ("affine-b+1", "nan 0.0", "block 'affine-b' holds a non-finite value"),
+    ("span-length", "span-length -inf", "bad span-length value '-inf': not finite"),
 ])
 def test_blade_eval_names_a_corrupt_blade_line(blade_setup, tmp_path, capsys,
                                                head, edit, words):
@@ -458,6 +464,43 @@ def test_blade_eval_refuses_blocks_that_disagree(blade_setup, tmp_path, capsys,
                "--out", tmp_path / "x.txt") == 2
     err = capsys.readouterr().err
     assert f"error: {blade}:" in err and words in err
+
+
+def test_non_finite_coefficients_exit_2(blade_setup, dataset, tmp_path, capsys):
+    assert run("sample", "--model", dataset / "model.txt", "--coeffs=nan,0,0",
+               "--out", tmp_path / "x") == 2
+    assert "bad coefficient list: non-finite value" in capsys.readouterr().err
+    assert run("blade", "deform", "--blade", blade_setup / "blade.bld",
+               "--model", dataset / "model.txt", "--coeffs=0,inf,0",
+               "--out", tmp_path / "d.bld") == 2
+    assert "bad coefficient list: non-finite value" in capsys.readouterr().err
+    model = corrupt(dataset / "model.txt", tmp_path / "nan.txt", "basis+1",
+                    "0 nan 0")
+    assert run("blade", "deform", "--blade", blade_setup / "blade.bld",
+               "--model", model, "--coeffs", "0,0,0",
+               "--out", tmp_path / "d.bld") == 2
+    assert f"error: {model}:" in capsys.readouterr().err
+    assert not (tmp_path / "d.bld").exists()
+
+
+def test_blade_refuses_representatives_that_are_not_orthonormal(
+        blade_setup, dataset, tmp_path, capsys):
+    lines = (blade_setup / "blade.bld").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("reps "))
+    rows = int(lines[at].split()[1])
+    for i in range(at + 1, at + 1 + rows):
+        lines[i] = " ".join(fmt(3.0 * float(t)) for t in lines[i].split())
+    blade = tmp_path / "tripled.bld"
+    blade.write_text("\n".join(lines) + "\n")
+    words = "station 0 (eta=0): representative columns are not orthonormal"
+    assert run("blade", "eval", "--blade", blade, "--eta", 0.4,
+               "--out", tmp_path / "x.txt") == 2
+    err = capsys.readouterr().err
+    assert f"error: {blade}: " in err and words in err
+    assert run("blade", "deform", "--blade", blade, "--model",
+               dataset / "model.txt", "--coeffs", "0,0,0",
+               "--out", tmp_path / "d.bld") == 2
+    assert words in capsys.readouterr().err
 
 
 def test_blade_eval_extrapolation_exit_code(blade_setup, tmp_path):
@@ -488,6 +531,74 @@ def test_blade_wireframe_artifacts(blade_setup, tmp_path):
     assert (out / "blade.obj").exists()
     assert (out / "manifest.txt").exists()
     assert sum(f.startswith("section_") for f in os.listdir(out)) == 10
+
+
+@pytest.fixture(scope="module")
+def spd_blade(blade_setup):
+    built = blade_setup / "spd.bld"
+    assert run("blade", "build", "--blade", blade_setup / "blade.def",
+               "--variant", "product-spd", "--out", built) == 0
+    return built
+
+
+def test_product_spd_blade_pipeline(blade_setup, spd_blade, dataset, tmp_path):
+    for k in range(6):
+        out = tmp_path / f"sec{k}.txt"
+        assert run("blade", "eval", "--blade", spd_blade, "--eta", k / 5.0,
+                   "--out", out) == 0
+        station = read_landmarks(blade_setup / f"st{k}.txt")
+        assert np.abs(read_landmarks(out).x - station.x).max() < 1e-8
+    deformed = tmp_path / "deformed.bld"
+    assert run("blade", "deform", "--blade", spd_blade,
+               "--model", dataset / "model.txt", "--coeffs", "0,0,0",
+               "--out", deformed) == 0
+    w0, w1 = tmp_path / "w0", tmp_path / "w1"
+    for blade, out in ((spd_blade, w0), (deformed, w1)):
+        assert run("blade", "wireframe", "--blade", blade,
+                   "--sections", 12, "--out", out) == 0
+        assert (out / "blade.obj").exists()
+    for i in range(12):
+        a = read_landmarks(w0 / f"section_{i:03d}.txt")
+        b = read_landmarks(w1 / f"section_{i:03d}.txt")
+        assert np.abs(a.x - b.x).max() < 1e-10
+    # the artifact holds the definition only, and round trips byte-exact
+    again = tmp_path / "again.bld"
+    save_blade(again, load_blade(spd_blade))
+    assert again.read_bytes() == spd_blade.read_bytes()
+    assert "spd-p" not in spd_blade.read_text()
+
+
+def test_blade_eval_refuses_an_old_product_spd_artifact(spd_blade, tmp_path,
+                                                        capsys):
+    # the earlier layout also stored the polar split, between affine-b and
+    # bend; here its SPD part is doubled, which the split of affine-m
+    # disagrees with
+    lines = spd_blade.read_text().splitlines()
+    at = lines.index("bend none")
+    old = ["spd-p 6 4"] + ["2.0 0.0 0.0 2.0"] * 6 + ["angles 6", "0.0 " * 5 + "0.0"]
+    blade = tmp_path / "old.bld"
+    blade.write_text("\n".join(lines[:at] + old + lines[at:]) + "\n")
+    assert run("blade", "eval", "--blade", blade, "--eta", 0.4,
+               "--out", tmp_path / "x.txt") == 2
+    err = capsys.readouterr().err
+    assert f"error: {blade}:{at + 1}: expected 'bend', found 'spd-p 6 4'" in err
+
+
+def test_product_spd_build_refuses_a_singular_scale(tmp_path, capsys):
+    lines = []
+    for k in range(3):
+        upper = np.full(9, 0.25) + 0.01 * k
+        write_landmarks(tmp_path / f"st{k}.txt",
+                        cst_airfoil(upper, np.full(9, 0.1), n_c=101))
+        m = "1 0 0 0" if k == 1 else "1 0 0 1"
+        lines.append(f"station {fmt(k / 2.0)} st{k}.txt m {m}")
+    (tmp_path / "blade.def").write_text("\n".join(lines) + "\n")
+    assert run_without_warnings(
+        "blade", "build", "--blade", tmp_path / "blade.def",
+        "--variant", "product-spd", "--out", tmp_path / "x.bld") == 2
+    err = capsys.readouterr().err
+    assert "station 1 (eta=0.5): scale factor is singular" in err
+    assert not (tmp_path / "x.bld").exists()
 
 
 def test_blade_build_wrong_file_exit_code(tmp_path):

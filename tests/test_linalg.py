@@ -70,3 +70,12 @@ def test_rotation2_quarter_turn():
     np.testing.assert_allclose(
         rotation2(np.pi / 2), np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15
     )
+
+
+def test_rotation2_is_the_explicit_matrix():
+    theta = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+    c, s = np.cos(theta), np.sin(theta)
+    want = np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
+    assert rotation2(theta).tobytes() == np.ascontiguousarray(want).tobytes()
+    c, s = np.cos(0.3), np.sin(0.3)
+    assert rotation2(0.3).tobytes() == np.array([[c, s], [-s, c]]).tobytes()
