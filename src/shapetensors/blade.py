@@ -178,12 +178,12 @@ class BladeModel:
             self.bend[:, 0], self.bend[:, 1:4])
 
     def _interval(self, eta):
-        """Interval index of each eta (an array); refuses any eta outside
-        the span."""
+        """Interval index of each eta (an array); refuses any eta not
+        inside the span, NaN included."""
         etas = self.etas
-        outside = (eta < etas[0]) | (eta > etas[-1])
-        if np.any(outside):
-            bad = float(np.asarray(eta)[outside].flat[0])
+        inside = (eta >= etas[0]) & (eta <= etas[-1])
+        if not np.all(inside):
+            bad = float(np.asarray(eta)[~inside].flat[0])
             raise ExtrapolationError(
                 f"eta={bad:g} outside the blade span [{etas[0]:g}, {etas[-1]:g}]"
             )

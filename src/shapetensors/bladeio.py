@@ -60,6 +60,14 @@ class BladeDefinition:
         self.base_dir = base_dir
 
 
+def _finite(token, what):
+    """float(token), refusing nan and inf."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ContractError(f"bad {what} value {token!r}: not finite")
+    return value
+
+
 def read_blade_definition(path):
     stations = []
     span_length = 1.0
@@ -70,23 +78,24 @@ def read_blade_definition(path):
         word = tokens[0]
         try:
             if word == "span":
-                span_length = float(tokens[1])
+                span_length = _finite(tokens[1], "span")
             elif word == "bend":
                 if len(tokens) != 5:
                     raise ContractError("bend rows are `bend eta x y z`")
-                bend_rows.append([float(t) for t in tokens[1:]])
+                bend_rows.append([_finite(t, "bend") for t in tokens[1:]])
             elif word == "station":
-                eta = float(tokens[1])
+                eta = _finite(tokens[1], "station eta")
                 rel = tokens[2]
                 m = b = None
                 rest = tokens[3:]
                 while rest:
                     key = rest[0]
                     if key == "m":
-                        m = np.array([float(t) for t in rest[1:5]]).reshape(2, 2)
+                        m = np.array([_finite(t, "m") for t in rest[1:5]])
+                        m = m.reshape(2, 2)
                         rest = rest[5:]
                     elif key == "b":
-                        b = np.array([float(t) for t in rest[1:3]])
+                        b = np.array([_finite(t, "b") for t in rest[1:3]])
                         rest = rest[3:]
                     else:
                         raise ContractError(f"unknown station field {key!r}")

@@ -44,6 +44,7 @@ from .errors import (
     NormalNeighborhoodError,
 )
 from .intersect import self_intersects
+from .linalg import mT, orthogonal_factor
 from .model_io import load_model, save_model
 from .shapes import (
     SAMPLING_KINDS,
@@ -202,6 +203,9 @@ def cmd_fit(args):
     points, factors = _lift_points(shapes, args.manifold)
     model = pga_fit(points, r=args.rank, epsilon=args.epsilon)
     if args.manifold == "grassmann":
+        if args.scale_kind == "intrinsic":  # the SPD polar factors Q^T m
+            p = mT(orthogonal_factor(factors)) @ factors
+            factors = 0.5 * (p + mT(p))
         model.mean_scale = mean_scale(factors, kind=args.scale_kind)
     model.domain = sample_domain(model)
     _timed(f"fit {args.manifold} model on {len(points)} shapes", t0)
@@ -360,8 +364,7 @@ def cmd_blade_wireframe(args):
 
 
 def cmd_convergence(args):
-    nc_list = ([int(v) for v in args.nc_list.split(",")]
-               if args.nc_list else DEFAULT_NC)
+    nc_list = args.nc_list.split(",") if args.nc_list else DEFAULT_NC
     t0 = time.perf_counter()
     report = run_convergence(n_trials=args.trials, n_ref=args.n_ref,
                              nc_list=nc_list, seed=args.seed)
@@ -387,7 +390,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cst-gen", help="synthesize a CST airfoil dataset")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count_arg(1), default=100)
     p.add_argument("--coeff-range", type=_range_arg, default=(COEFF_LO, COEFF_HI),
                    metavar="LO:HI",
                    help="coefficient box (default 0:0.45); write a negative "
@@ -431,7 +434,8 @@ def build_parser():
                                     "--coeffs=-0.01,0.002")
     p.add_argument("--sweep", choices=("corner-to-corner",),
                    help="sweep between two random domain corners")
-    p.add_argument("--count", type=int, default=20, help="sweep sample count")
+    p.add_argument("--count", type=_count_arg(1), default=20,
+                   help="sweep sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", help="mean | l4:l1,l2,l3,l4 (grassmann models)")
     p.add_argument("--strict", action="store_true",
@@ -483,7 +487,7 @@ def build_parser():
 
     p = bsub.add_parser("wireframe", help="sections, manifest, and OBJ loft")
     p.add_argument("--blade", required=True, help="blade artifact file")
-    p.add_argument("--sections", type=int, default=100)
+    p.add_argument("--sections", type=_count_arg(2), default=100)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_blade_wireframe)
 
@@ -506,9 +510,19 @@ def _range_arg(text):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected LO:HI")
     lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("need LO < HI")
+    if not -np.inf < lo < hi < np.inf:
+        raise argparse.ArgumentTypeError("need finite LO < HI")
     return lo, hi
+
+
+def _count_arg(least):
+    """An argparse type: an integer >= ``least``."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return value
+    return count
 
 
 def main(argv=None):

@@ -9,36 +9,40 @@ errors should shrink at roughly second order: the trailing-edge corner
 limits the interior O(h^4) spline rate.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .cst import cst_airfoil, random_coefficients
-from .errors import DegenerateGeometryError
-from .grassmann import gr_distance
-from .shapes import PreprocessConfig, landmark_gauge, la_standardize, refine
+from .errors import ContractError, DegenerateGeometryError
+from .grassmann import principal_angles
+from .shapes import PreprocessConfig, _standardize_raw, landmark_gauge, refine
 from .textio import atomic_write_text, fmt
 
 DEFAULT_NC = (20, 40, 80, 160, 320)
 
+CSV_COLUMNS = (
+    "n_c,gauge_mean,gauge_max,"
+    "euclidean_mean,euclidean_median,euclidean_max,"
+    "grassmann_mean,grassmann_median,grassmann_max"
+)
+# One coarse count's row: every column after n_c is the <statistic> over
+# the kept trials of a <measure>, the index into a trial's measurements.
+ConvergenceRow = namedtuple("ConvergenceRow", CSV_COLUMNS)
+MEASURES = {"gauge": 0, "euclidean": 1, "grassmann": 2}
+STATISTICS = {"mean": np.mean, "median": np.median, "max": np.max}
+# (gauge column, error column) of each slope, keyed by the error column;
+# the plot draws the first three against the mean gauge.
+SLOPES = (
+    ("gauge_mean", "grassmann_mean"),
+    ("gauge_max", "grassmann_max"),
+    ("gauge_mean", "euclidean_mean"),
+    ("gauge_max", "euclidean_max"),
+)
 
-class ConvergenceRow:
-    """Aggregates for one coarse landmark count."""
 
-    __slots__ = (
-        "n_c", "gauge_mean", "gauge_max",
-        "euclidean_mean", "euclidean_median", "euclidean_max",
-        "grassmann_mean", "grassmann_median", "grassmann_max",
-    )
-
-    def __init__(self, n_c, gauges, euclid, grass):
-        self.n_c = int(n_c)
-        self.gauge_mean = float(np.mean(gauges))
-        self.gauge_max = float(np.max(gauges))
-        self.euclidean_mean = float(np.mean(euclid))
-        self.euclidean_median = float(np.median(euclid))
-        self.euclidean_max = float(np.max(euclid))
-        self.grassmann_mean = float(np.mean(grass))
-        self.grassmann_median = float(np.median(grass))
-        self.grassmann_max = float(np.max(grass))
+def _column(rows, name):
+    return [getattr(r, name) for r in rows]
 
 
 class ConvergenceReport:
@@ -50,21 +54,11 @@ class ConvergenceReport:
         self.n_ref = int(n_ref)
         self.seed = int(seed)
         self.skipped = int(skipped)
-        gauge_mean = np.array([r.gauge_mean for r in rows])
-        gauge_max = np.array([r.gauge_max for r in rows])
         self.slopes = {
-            "grassmann-mean": fit_loglog_slope(
-                gauge_mean, [r.grassmann_mean for r in rows]
-            ),
-            "grassmann-max": fit_loglog_slope(
-                gauge_max, [r.grassmann_max for r in rows]
-            ),
-            "euclidean-mean": fit_loglog_slope(
-                gauge_mean, [r.euclidean_mean for r in rows]
-            ),
-            "euclidean-max": fit_loglog_slope(
-                gauge_max, [r.euclidean_max for r in rows]
-            ),
+            error.replace("_", "-"): fit_loglog_slope(
+                _column(rows, gauge), _column(rows, error)
+            )
+            for gauge, error in SLOPES
         }
 
 
@@ -82,65 +76,52 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0,
     sampling as truth, and for each coarse count refines the coarse
     polygon back to n_ref landmarks at uniform arclength.  Refining the
     truth through the same resampler keeps the landmark correspondence
-    honest: both sides are compared at matched arclength fractions.
+    honest: both sides are compared at matched arclength fractions.  A
+    trial whose truth or any coarse sampling is degenerate is dropped.
     """
-    nc_list = tuple(int(n) for n in nc_list)
-    if len(nc_list) < 2:
-        raise ValueError("need at least two coarse landmark counts")
+    try:  # through str, so that 40.5 is refused rather than truncated
+        nc_list = tuple(int(str(n)) for n in nc_list)
+    except (TypeError, ValueError) as err:
+        raise ContractError(f"coarse landmark counts must be integers: {err}") from err
+    if len(set(nc_list)) < 2:
+        raise ContractError("need at least two distinct coarse landmark counts")
     rng = np.random.default_rng(seed)
     cfg = PreprocessConfig(n=n_ref, sampling="uniform-arclength")
-    gauges = {n: [] for n in nc_list}
-    euclid = {n: [] for n in nc_list}
-    grass = {n: [] for n in nc_list}
-    skipped = 0
+    table = []
     for _ in range(n_trials):
         upper, lower = random_coefficients(rng)
-        try:
-            truth = refine(
-                cst_airfoil(upper, lower, n_c=n_ref, sampling=sampling), cfg
-            )
-            truth_grass = la_standardize(truth).grass
-            trial_rows = []
-            for n_c in nc_list:
-                coarse = cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
-                refined = refine(coarse, cfg)
-                trial_rows.append((
-                    landmark_gauge(coarse),
-                    float(np.linalg.norm(refined.x - truth.x, axis=1).max()),
-                    gr_distance(la_standardize(refined).grass, truth_grass,
-                                metric="angle-sum"),
-                ))
+        try:  # the truth, then the coarse samplings
+            shapes = [cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
+                      for n_c in (n_ref,) + nc_list]
+            dense = np.stack([refine(shape, cfg).x for shape in shapes])
+            rep = _standardize_raw(dense, "gl2")[0]
         except DegenerateGeometryError:
-            skipped += 1
             continue
-        for n_c, (g, e, d) in zip(nc_list, trial_rows):
-            gauges[n_c].append(g)
-            euclid[n_c].append(e)
-            grass[n_c].append(d)
-    if not gauges[nc_list[0]]:
+        table.append(np.stack([
+            [landmark_gauge(shape) for shape in shapes[1:]],
+            np.linalg.norm(dense[1:] - dense[0], axis=-1).max(axis=-1),
+            principal_angles(rep[1:], rep[0]).sum(axis=-1),
+        ], axis=-1))
+    if not table:
         raise DegenerateGeometryError("every convergence trial was degenerate")
-    rows = [ConvergenceRow(n, gauges[n], euclid[n], grass[n]) for n in nc_list]
-    return ConvergenceReport(rows, n_trials, n_ref, seed, skipped=skipped)
-
-
-CSV_COLUMNS = (
-    "n_c,gauge_mean,gauge_max,"
-    "euclidean_mean,euclidean_median,euclidean_max,"
-    "grassmann_mean,grassmann_median,grassmann_max"
-)
+    table = np.stack(table)  # (kept trials, levels, MEASURES)
+    rows = []
+    for j, n_c in enumerate(nc_list):
+        values = []
+        for column in ConvergenceRow._fields[1:]:
+            measure, statistic = column.split("_")
+            trials = table[:, j, MEASURES[measure]]
+            values.append(float(STATISTICS[statistic](trials)))
+        rows.append(ConvergenceRow(n_c, *values))
+    return ConvergenceReport(rows, n_trials, n_ref, seed,
+                             skipped=n_trials - len(table))
 
 
 def write_convergence_csv(path, report):
     """One row per coarse count; fitted slopes in '#' footer lines."""
     lines = [CSV_COLUMNS]
     for r in report.rows:
-        lines.append(",".join([str(r.n_c)] + [
-            fmt(v) for v in (
-                r.gauge_mean, r.gauge_max,
-                r.euclidean_mean, r.euclidean_median, r.euclidean_max,
-                r.grassmann_mean, r.grassmann_median, r.grassmann_max,
-            )
-        ]))
+        lines.append(",".join([str(r.n_c)] + [fmt(v) for v in r[1:]]))
     lines.append(f"# trials {report.n_trials} n_ref {report.n_ref} "
                  f"seed {report.seed} skipped {report.skipped}")
     for key in sorted(report.slopes):
@@ -161,12 +142,9 @@ def write_convergence_svg(path, report, width=640, height=480):
     (plotting libraries tend to embed run metadata).
     """
     rows = report.rows
-    xs = [r.gauge_mean for r in rows]
-    series = [
-        ("grassmann mean", "#1f77b4", [r.grassmann_mean for r in rows]),
-        ("grassmann max", "#17becf", [r.grassmann_max for r in rows]),
-        ("euclidean mean", "#d62728", [r.euclidean_mean for r in rows]),
-    ]
+    xs = _column(rows, "gauge_mean")
+    series = [(error, color, _column(rows, error)) for (_, error), color
+              in zip(SLOPES, ("#1f77b4", "#17becf", "#d62728"))]
     all_y = [v for _, _, ys in series for v in ys]
     x_ticks = _log_ticks(min(xs), max(xs))
     y_ticks = _log_ticks(min(all_y), max(all_y))
@@ -208,7 +186,7 @@ def write_convergence_svg(path, report, width=640, height=480):
             f'<text x="{left - 6}" y="{y}" font-size="12" '
             f'text-anchor="end">{t:g}</text>'
         )
-    for i, (label, color, ys) in enumerate(series):
+    for i, (error, color, ys) in enumerate(series):
         pts = " ".join(f"{fmt(px(x))},{fmt(py(y))}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -221,8 +199,8 @@ def write_convergence_svg(path, report, width=640, height=480):
             )
         parts.append(
             f'<text x="{left + 10}" y="{top + 16 + 14 * i}" font-size="12" '
-            f'fill="{color}">{label} (slope '
-            f'{report.slopes.get(label.replace(" ", "-"), 0.0):.2f})</text>'
+            f'fill="{color}">{error.replace("_", " ")} (slope '
+            f'{report.slopes[error.replace("_", "-")]:.2f})</text>'
         )
     # slope-2 guide anchored at the coarsest grassmann-mean point
     gx, gy = xs[0], series[0][2][0]

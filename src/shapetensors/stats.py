@@ -155,8 +155,8 @@ def _karcher(points, epsilon, max_iter):
     """
     if not points:
         raise ContractError("karcher_mean needs at least one point")
-    if epsilon <= 0.0:
-        raise ContractError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ContractError(f"epsilon must be finite and positive, got {epsilon}")
     stacks = _stacks(points)
     if len(points) == 1:
         mean, base = points[0], {c: a[0] for c, a in stacks.items()}

@@ -22,7 +22,7 @@ rank-deficient or zero, and with repeated singular values.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
@@ -522,22 +522,31 @@ def _scale(rng, case):
     return p @ rotation2(rng.uniform(-10.0, 10.0))
 
 
+# The square-root form is compared only up to this cond(m): it works on
+# m m^T, whose condition cond(m)^2 must stay well below 1 / eps.
+ORACLE_COND_MAX = 1e7
+
+
 @PROPERTY
 @given(seed=seeds,
        cases=st.lists(st.sampled_from(SPLIT_CASES), min_size=1, max_size=6))
+@example(seed=2703, cases=["anisotropic"])  # cond(m) = 9.8e7
 def test_polar_split_equals_square_root_form(seed, cases):
     rng = np.random.default_rng(seed)
     m = np.stack([_scale(rng, c) for c in cases])
     p, angle = _polar_split(m)
-    want_p, want_angle = oracles.polar_split(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_p, want_angle = oracles.polar_split(m)
     for k, s in enumerate(sv2(m)):
-        # the square-root form works on m m^T and loses cond(m)^2 in the
-        # angle; the closed form reproduces m and its singular values
+        # the closed form reproduces m and its singular values; the
+        # square-root form loses cond(m)^2 in the angle
         cond = s[0] / s[1]
         np.testing.assert_allclose(p[k] @ rotation2(angle[k]), m[k],
                                    rtol=0.0, atol=1e-15 * s[0])
         np.testing.assert_allclose(np.linalg.eigvalsh(p[k]), s[::-1],
                                    rtol=0.0, atol=1e-15 * s[0])
+        if cond > ORACLE_COND_MAX:
+            continue
         np.testing.assert_allclose(p[k], want_p[k], rtol=0.0,
                                    atol=1e-15 * cond * s[0])
         turn = np.angle(np.exp(1j * (angle[k] - want_angle[k])))

@@ -13,7 +13,13 @@ from shapetensors.bladeio import load_blade, save_blade
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
 from shapetensors.model_io import load_model
-from shapetensors.shapes import LandmarkShape, read_landmarks, write_landmarks
+from shapetensors.shapes import (
+    LandmarkShape,
+    la_standardize,
+    read_landmarks,
+    write_landmarks,
+)
+from shapetensors.stats import mean_scale
 from shapetensors.textio import fmt
 
 
@@ -232,6 +238,34 @@ def test_fit_names_an_overflowing_file(dataset, tmp_path, capsys):
                                 "--out", tmp_path / "m.txt") == 2
     err = capsys.readouterr().err
     assert "huge.txt: centered landmarks are not finite" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_fit_intrinsic_scale_averages_spd_polar_factors(dataset, tmp_path):
+    model_path = tmp_path / "intrinsic.txt"
+    assert run("fit", "--input", dataset / "data" / "manifest.txt",
+               "--rank", 3, "--scale-kind", "intrinsic",
+               "--out", model_path) == 0
+    got = load_model(model_path).mean_scale
+    assert got.kind == "intrinsic"
+    assert np.array_equal(got.m, got.m.T)
+    assert np.all(np.linalg.eigvalsh(got.m) > 0.0)
+    files = sorted((dataset / "data").glob("airfoil_*.txt"))
+    want = mean_scale([la_standardize(read_landmarks(f), variant="polar").affine
+                       for f in files], kind="intrinsic").m
+    np.testing.assert_allclose(got.m, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())
+    assert run("sample", "--model", model_path, "--coeffs", "0,0,0",
+               "--scale", "mean", "--out", tmp_path / "s") == 0
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
+def test_fit_refuses_an_epsilon_that_is_not_finite_and_positive(
+        dataset, tmp_path, capsys, epsilon):
+    assert run("fit", "--input", dataset / "data" / "manifest.txt",
+               "--rank", 3, "--epsilon", epsilon,
+               "--out", tmp_path / "m.txt") == 2
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
 
 
@@ -503,9 +537,29 @@ def test_blade_refuses_representatives_that_are_not_orthonormal(
     assert words in capsys.readouterr().err
 
 
-def test_blade_eval_extrapolation_exit_code(blade_setup, tmp_path):
-    assert run("blade", "eval", "--blade", blade_setup / "blade.bld",
-               "--eta", 2.0, "--out", tmp_path / "x.txt") == 2
+def test_blade_eval_extrapolation_exit_code(blade_setup, tmp_path, capsys):
+    for eta in ("2", "nan"):
+        assert run("blade", "eval", "--blade", blade_setup / "blade.bld",
+                   "--eta", eta, "--out", tmp_path / "x.txt") == 2
+        assert f"eta={eta} outside the blade span" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head, edit, words", [
+    ("span", "span inf", "bad span value 'inf': not finite"),
+    ("station", "station nan st0.txt", "bad station eta value 'nan': not finite"),
+    ("station", "station 0.0 st0.txt m nan 0 0 1", "bad m value 'nan': not finite"),
+    ("station", "station 0.0 st0.txt m 1 0 0 1 b 0 inf",
+     "bad b value 'inf': not finite"),
+    ("span", "bend 0.0 0.0 -inf 0.0", "bad bend value '-inf': not finite"),
+])
+def test_blade_build_names_a_corrupt_definition_line(blade_setup, tmp_path,
+                                                     capsys, head, edit, words):
+    defn = corrupt(blade_setup / "blade.def", tmp_path / "bad.def", head, edit)
+    assert run("blade", "build", "--blade", defn,
+               "--out", tmp_path / "x.bld") == 2
+    err = capsys.readouterr().err
+    assert f"error: {defn}:" in err and words in err
+    assert not (tmp_path / "x.bld").exists()
 
 
 def test_blade_deform_zero_matches_undeformed(blade_setup, dataset, tmp_path):
@@ -640,6 +694,29 @@ def test_convergence_cli(tmp_path, capsys):
     assert run("convergence", "--trials", 6, "--seed", 4,
                "--nc-list", "20,40,80", "--out-csv", csv2) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["blade", "wireframe", "--blade", "{blade}", "--sections", "-1", "--out"],
+    ["sample", "--model", "{model}", "--sweep", "corner-to-corner",
+     "--count", "-2", "--out"],
+    ["cst-gen", "--coeff-range=0:inf", "--out"],
+    ["cst-gen", "--count", "-1", "--out"],
+    ["convergence", "--nc-list", "20", "--out-csv"],
+    ["convergence", "--nc-list", "20,x", "--out-csv"],
+], ids=" ".join)
+def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
+                                      argv):
+    argv = [a.format(blade=blade_setup / "blade.bld",
+                     model=dataset / "model.txt") for a in argv]
+    try:
+        code = run(*argv, tmp_path / "out")
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_help(argv, env=None):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from shapetensors import convergence
 from shapetensors.convergence import (
+    CSV_COLUMNS,
     fit_loglog_slope,
     run_convergence,
     write_convergence_csv,
     write_convergence_svg,
 )
+from shapetensors.errors import ContractError
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +52,46 @@ def test_needs_two_levels():
         run_convergence(n_trials=2, nc_list=(40,))
 
 
+@pytest.mark.parametrize("nc_list", [(40, 40), ("20", "x"), ("20", "40.5"),
+                                     (20, 40.5)])
+def test_counts_must_be_two_distinct_integers(nc_list):
+    with pytest.raises(ContractError):
+        run_convergence(n_trials=2, nc_list=nc_list)
+
+
+def test_a_degenerate_draw_drops_its_trial_whole(monkeypatch):
+    """A flat draw is skipped: the report is that of the other draws."""
+    rng = np.random.default_rng(2)
+    draws = [convergence.random_coefficients(rng) for _ in range(3)]
+    flat = (np.zeros(9), np.zeros(9))
+
+    def report(sequence):
+        feed = iter(sequence)
+        monkeypatch.setattr(convergence, "random_coefficients",
+                            lambda rng: next(feed))
+        return run_convergence(n_trials=len(sequence), n_ref=300,
+                               nc_list=(20, 40))
+
+    skipping = report([draws[0], flat, draws[1], draws[2]])
+    reference = report(draws)
+    assert (skipping.skipped, reference.skipped) == (1, 0)
+    assert skipping.rows == reference.rows
+    assert skipping.slopes == reference.slopes
+
+
 def test_csv_round_trip(tmp_path, small_report):
     path = tmp_path / "report.csv"
     write_convergence_csv(path, small_report)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
-    assert header[0] == "n_c"
+    assert header == CSV_COLUMNS.split(",")
+    assert header == list(type(small_report.rows[0])._fields)
     body = [l for l in lines[1:] if not l.startswith("#")]
     assert len(body) == len(small_report.rows)
     first = body[0].split(",")
     assert int(first[0]) == small_report.rows[0].n_c
     # repr floats parse back exactly
-    assert float(first[1]) == small_report.rows[0].gauge_mean
+    assert tuple(map(float, first[1:])) == small_report.rows[0][1:]
     footers = [l for l in lines if l.startswith("# slope")]
     assert len(footers) == 4
 
