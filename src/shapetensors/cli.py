@@ -44,7 +44,6 @@ from .errors import (
     NormalNeighborhoodError,
 )
 from .intersect import self_intersects
-from .linalg import mT, orthogonal_factor
 from .model_io import load_model, save_model
 from .shapes import (
     SAMPLING_KINDS,
@@ -203,10 +202,7 @@ def cmd_fit(args):
     points, factors = _lift_points(shapes, args.manifold)
     model = pga_fit(points, r=args.rank, epsilon=args.epsilon)
     if args.manifold == "grassmann":
-        if args.scale_kind == "intrinsic":  # the SPD polar factors Q^T m
-            p = mT(orthogonal_factor(factors)) @ factors
-            factors = 0.5 * (p + mT(p))
-        model.mean_scale = mean_scale(factors, kind=args.scale_kind)
+        model.mean_scale = mean_scale(factors)
     model.domain = sample_domain(model)
     _timed(f"fit {args.manifold} model on {len(points)} shapes", t0)
     save_model(args.out, model)
@@ -419,9 +415,6 @@ def build_parser():
                    default="grassmann")
     p.add_argument("--rank", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--scale-kind", choices=("extrinsic", "intrinsic"),
-                   default="extrinsic",
-                   help="mean-scale average attached to grassmann models")
     p.add_argument("--coords", help="coordinate CSV path "
                                     "(default: <out>.coords.csv)")
     p.add_argument("--out", required=True, help="model file")

@@ -13,13 +13,7 @@ from shapetensors.bladeio import load_blade, save_blade
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
 from shapetensors.model_io import load_model
-from shapetensors.shapes import (
-    LandmarkShape,
-    la_standardize,
-    read_landmarks,
-    write_landmarks,
-)
-from shapetensors.stats import mean_scale
+from shapetensors.shapes import LandmarkShape, read_landmarks, write_landmarks
 from shapetensors.textio import fmt
 
 
@@ -239,24 +233,6 @@ def test_fit_names_an_overflowing_file(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "huge.txt: centered landmarks are not finite" in err
     assert not (tmp_path / "m.txt").exists()
-
-
-def test_fit_intrinsic_scale_averages_spd_polar_factors(dataset, tmp_path):
-    model_path = tmp_path / "intrinsic.txt"
-    assert run("fit", "--input", dataset / "data" / "manifest.txt",
-               "--rank", 3, "--scale-kind", "intrinsic",
-               "--out", model_path) == 0
-    got = load_model(model_path).mean_scale
-    assert got.kind == "intrinsic"
-    assert np.array_equal(got.m, got.m.T)
-    assert np.all(np.linalg.eigvalsh(got.m) > 0.0)
-    files = sorted((dataset / "data").glob("airfoil_*.txt"))
-    want = mean_scale([la_standardize(read_landmarks(f), variant="polar").affine
-                       for f in files], kind="intrinsic").m
-    np.testing.assert_allclose(got.m, want, rtol=0.0,
-                               atol=1e-12 * np.abs(want).max())
-    assert run("sample", "--model", model_path, "--coeffs", "0,0,0",
-               "--scale", "mean", "--out", tmp_path / "s") == 0
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])

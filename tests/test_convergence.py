@@ -9,7 +9,7 @@ from shapetensors.convergence import (
     write_convergence_csv,
     write_convergence_svg,
 )
-from shapetensors.errors import ContractError
+from shapetensors.errors import ContractError, DegenerateGeometryError
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,49 @@ def test_a_degenerate_draw_drops_its_trial_whole(monkeypatch):
 
     skipping = report([draws[0], flat, draws[1], draws[2]])
     reference = report(draws)
+    assert (skipping.skipped, reference.skipped) == (1, 0)
+    assert skipping.rows == reference.rows
+    assert skipping.slopes == reference.slopes
+
+
+# Which coarse level each step is working on when it is called.
+LEVEL_OF_CALL = {
+    "cst_airfoil": lambda args, kwargs: kwargs["n_c"],
+    "refine": lambda args, kwargs: args[0].n,
+    "_standardize_raw": lambda args, kwargs: 20,  # one call for every level
+}
+
+
+@pytest.mark.parametrize("step", sorted(LEVEL_OF_CALL))
+def test_a_degenerate_level_drops_its_trial_whole(monkeypatch, step):
+    """The truth is valid but coarse level 20 fails: the trial is skipped."""
+    rng = np.random.default_rng(2)
+    draws = [convergence.random_coefficients(rng) for _ in range(4)]
+    bad = draws[1]
+    current, raised = [], []
+    original = getattr(convergence, step)
+
+    def failing(*args, **kwargs):
+        if current[-1] is bad and LEVEL_OF_CALL[step](args, kwargs) == 20:
+            raised.append(step)
+            raise DegenerateGeometryError(f"{step} refused level 20")
+        return original(*args, **kwargs)
+
+    def report(sequence):
+        feed = iter(sequence)
+
+        def draw(rng):
+            current.append(next(feed))
+            return current[-1]
+
+        monkeypatch.setattr(convergence, "random_coefficients", draw)
+        return run_convergence(n_trials=len(sequence), n_ref=300,
+                               nc_list=(20, 40))
+
+    monkeypatch.setattr(convergence, step, failing)
+    skipping = report(draws)
+    reference = report([draws[0], draws[2], draws[3]])
+    assert raised == [step]
     assert (skipping.skipped, reference.skipped) == (1, 0)
     assert skipping.rows == reference.rows
     assert skipping.slopes == reference.slopes
