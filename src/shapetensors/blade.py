@@ -32,6 +32,7 @@ from .errors import (
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
+    ShapeTensorError,
 )
 from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
                         _transport_raw)
@@ -40,7 +41,7 @@ from .shapes import RANK_TOL, LandmarkShape, _standardize_raw
 from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
-from .stats import MeanScale
+from .stats import MeanScale, _tangent
 
 VARIANTS = ("gl2-schedule", "product-spd")
 # Adjacent undulation distances below this are treated as a flat interval.
@@ -126,7 +127,12 @@ class BladeModel:
                 len(bend) >= 2 and np.all(np.diff(self.bend[:, 0]) > 0.0)):
             raise ContractError("a bend curve needs two or more knots at "
                                 "strictly increasing etas")
-        self._rebuild()
+        try:
+            self._rebuild()
+        except ShapeTensorError:
+            raise
+        except ValueError as err:  # scipy refuses a spline whose slopes overflow
+            raise ContractError(f"spanwise schedule: {err}") from err
 
     @property
     def n_stations(self):
@@ -295,13 +301,7 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError(
             "consistent deformation needs a Grassmann PGA model"
         )
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (pga.r,):
-        raise ContractError(
-            f"coefficient vector must have length r={pga.r}, got {coeffs.shape}"
-        )
-    if not np.all(np.isfinite(coeffs)):
-        raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
+    delta = _tangent(pga, coeffs)["grassmann"]
     if pga.domain is not None:
         radius = float(np.linalg.norm(coeffs))
         if radius > pga.domain.radius:
@@ -315,7 +315,6 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError(
             "PGA model and blade stations live on different Grassmannians"
         )
-    delta = (pga.basis @ coeffs).reshape(2, -1).T  # unvec at the mean
     reps = model.reps
     try:
         d = _log_raw(mean_rep, reps)

@@ -49,15 +49,14 @@ _BLADE_MAGIC = "shapetensors blade 1"
 class BladeDefinition:
     """Parsed blade definition: stations plus placement metadata."""
 
-    __slots__ = ("stations", "span_length", "bend", "base_dir")
+    __slots__ = ("stations", "span_length", "bend")
 
-    def __init__(self, stations, span_length=1.0, bend=None, base_dir="."):
+    def __init__(self, stations, span_length=1.0, bend=None):
         if len(stations) < 2:
             raise ContractError("a blade definition needs at least two stations")
         self.stations = stations  # list of (eta, path, m-or-None, b-or-None)
         self.span_length = float(span_length)
         self.bend = bend
-        self.base_dir = base_dir
 
 
 def _finite(token, what):
@@ -89,23 +88,25 @@ def read_blade_definition(path):
                 m = b = None
                 rest = tokens[3:]
                 while rest:
-                    key = rest[0]
-                    if key == "m":
-                        m = np.array([_finite(t, "m") for t in rest[1:5]])
-                        m = m.reshape(2, 2)
-                        rest = rest[5:]
-                    elif key == "b":
-                        b = np.array([_finite(t, "b") for t in rest[1:3]])
-                        rest = rest[3:]
-                    else:
+                    key, size = rest[0], {"m": 4, "b": 2}.get(rest[0])
+                    if size is None:
                         raise ContractError(f"unknown station field {key!r}")
+                    if len(rest) <= size:
+                        raise ContractError(f"station field {key} needs {size} "
+                                            "numbers")
+                    value = np.array([_finite(t, key) for t in rest[1:size + 1]])
+                    if key == "m":
+                        m = value.reshape(2, 2)
+                    else:
+                        b = value
+                    rest = rest[size + 1:]
                 stations.append((eta, os.path.join(base_dir, rel), m, b))
             else:
                 raise ContractError(f"unknown directive {word!r}")
         except (IndexError, ValueError) as err:
             raise ContractError(f"{path}:{lineno}: {err}") from err
     bend = np.array(bend_rows) if bend_rows else None
-    return BladeDefinition(stations, span_length, bend, base_dir)
+    return BladeDefinition(stations, span_length, bend)
 
 
 def build_blade_from_definition(defn, variant="gl2-schedule", n=None,
@@ -247,7 +248,7 @@ def wireframe_sections(model, etas=None, count=25):
     return list(zip(etas.tolist(), placed))
 
 
-def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
+def write_wireframe(out_dir, model, etas=None, count=25):
     """Write per-section landmark files, an index manifest, and a lofted
     OBJ surface under ``out_dir``.  Returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
@@ -255,7 +256,7 @@ def write_wireframe(out_dir, model, etas=None, count=25, prefix="section"):
     flat, placed = _placed_sections(model, etas)
     manifest_lines = ["# file,eta"]
     for i, (eta, sec) in enumerate(zip(etas.tolist(), flat)):
-        fname = f"{prefix}_{i:03d}.txt"
+        fname = f"section_{i:03d}.txt"
         write_landmarks(
             os.path.join(out_dir, fname), LandmarkShape(sec, closed=model.closed),
             header=f"blade section at eta {fmt(eta)}",

@@ -111,14 +111,12 @@ def cmd_cst_gen(args):
     lo, hi = args.coeff_range
     nominal = None
     label = "random"
-    clip = None
     if args.nominal:
         nominal = read_coefficients(args.nominal)
         label = os.path.splitext(os.path.basename(args.nominal))[0]
-        clip = (lo, hi)
     shapes, rows, resampled = generate_airfoils(
         rng, args.count, n_c=args.nc, sampling=args.sampling,
-        nominal=nominal, percent=args.perturb, lo=lo, hi=hi, clip=clip,
+        nominal=nominal, percent=args.perturb, lo=lo, hi=hi,
     )
     os.makedirs(args.out, exist_ok=True)
     entries = []
@@ -485,7 +483,7 @@ def build_parser():
     p.set_defaults(func=cmd_blade_wireframe)
 
     p = sub.add_parser("convergence", help="refinement convergence experiment")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count_arg(1), default=100)
     p.add_argument("--n-ref", type=int, default=2000)
     p.add_argument("--nc-list", help="comma list (default 20,40,80,160,320)")
     p.add_argument("--seed", type=int, default=0)
@@ -503,8 +501,9 @@ def _range_arg(text):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected LO:HI")
     lo, hi = float(parts[0]), float(parts[1])
-    if not -np.inf < lo < hi < np.inf:
-        raise argparse.ArgumentTypeError("need finite LO < HI")
+    if not (-np.inf < lo < hi < np.inf and hi - lo < np.inf):
+        raise argparse.ArgumentTypeError("need finite LO < HI with a finite "
+                                         "width HI - LO")
     return lo, hi
 
 

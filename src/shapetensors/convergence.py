@@ -68,8 +68,7 @@ def fit_loglog_slope(x, y):
                             np.log(np.asarray(y, float)), 1)[0])
 
 
-def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0,
-                    sampling="cosine"):
+def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
     """Run the experiment and return a ConvergenceReport.
 
     Every trial draws one coefficient pair, takes the n_ref-point
@@ -79,6 +78,8 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0,
     honest: both sides are compared at matched arclength fractions.  A
     trial whose truth or any coarse sampling is degenerate is dropped.
     """
+    if n_trials < 1:
+        raise ContractError(f"need at least one trial, got {n_trials}")
     try:  # through str, so that 40.5 is refused rather than truncated
         nc_list = tuple(int(str(n)) for n in nc_list)
     except (TypeError, ValueError) as err:
@@ -91,7 +92,7 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0,
     for _ in range(n_trials):
         upper, lower = random_coefficients(rng)
         try:  # the truth, then the coarse samplings
-            shapes = [cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
+            shapes = [cst_airfoil(upper, lower, n_c=n_c)
                       for n_c in (n_ref,) + nc_list]
             dense = np.stack([refine(shape, cfg).x for shape in shapes])
             rep = _standardize_raw(dense, "gl2")[0]
@@ -135,12 +136,13 @@ def _log_ticks(lo, hi):
     return [10.0 ** e for e in range(start, stop + 1)]
 
 
-def write_convergence_svg(path, report, width=640, height=480):
+def write_convergence_svg(path, report):
     """Log-log error-vs-gauge plot as a small standalone SVG.
 
     Hand-assembled so the output is a pure function of the report
     (plotting libraries tend to embed run metadata).
     """
+    width, height = 640, 480
     rows = report.rows
     xs = _column(rows, "gauge_mean")
     series = [(error, color, _column(rows, error)) for (_, error), color

@@ -24,6 +24,8 @@ CLASS_N2 = 1.0
 COEFF_LO = 0.0
 COEFF_HI = 0.45
 N_COEFF = 9
+# Invalid draws tolerated by one generate_airfoils call.
+MAX_RESAMPLES = 1000
 
 
 def bernstein_shape(x, coeff):
@@ -86,9 +88,9 @@ def is_valid_airfoil(shape):
     return not self_intersects(shape)
 
 
-def random_coefficients(rng, count=N_COEFF, lo=COEFF_LO, hi=COEFF_HI):
+def random_coefficients(rng, lo=COEFF_LO, hi=COEFF_HI):
     """One (upper, lower) draw, each coefficient uniform over [lo, hi]."""
-    return rng.uniform(lo, hi, size=count), rng.uniform(lo, hi, size=count)
+    return rng.uniform(lo, hi, size=N_COEFF), rng.uniform(lo, hi, size=N_COEFF)
 
 
 def perturb_coefficients(rng, upper, lower, percent=20.0):
@@ -102,16 +104,14 @@ def perturb_coefficients(rng, upper, lower, percent=20.0):
 
 
 def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
-                      percent=20.0, max_resamples=1000, lo=COEFF_LO,
-                      hi=COEFF_HI, clip=None):
+                      percent=20.0, lo=COEFF_LO, hi=COEFF_HI):
     """Draw ``count`` valid airfoils, resampling invalid draws.
 
     With ``nominal`` (an (upper, lower) pair) the draws perturb the
-    nominal coefficients by up to +-percent; otherwise coefficients are
-    uniform over [lo, hi].  ``clip=(lo, hi)`` clamps perturbed
-    coefficients back into a box.  Returns (shapes, coefficient_rows,
-    resample_count); coefficient_rows holds the 18 accepted coefficients
-    per shape.
+    nominal coefficients by up to +-percent and, unlike earlier versions,
+    are always clamped into [lo, hi]; otherwise coefficients are uniform
+    over [lo, hi].  Returns (shapes, coefficient_rows, resample_count);
+    coefficient_rows holds the 18 accepted coefficients per shape.
     """
     shapes = []
     rows = []
@@ -121,18 +121,16 @@ def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
             upper, lower = random_coefficients(rng, lo=lo, hi=hi)
         else:
             upper, lower = perturb_coefficients(rng, nominal[0], nominal[1], percent)
-        if clip is not None:
-            upper = np.clip(upper, clip[0], clip[1])
-            lower = np.clip(lower, clip[0], clip[1])
+            upper, lower = np.clip(upper, lo, hi), np.clip(lower, lo, hi)
         shape = cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
         if is_valid_airfoil(shape):
             shapes.append(shape)
             rows.append(np.concatenate([upper, lower]))
         else:
             rejected += 1
-            if rejected > max_resamples:
+            if rejected > MAX_RESAMPLES:
                 raise DegenerateGeometryError(
-                    f"exceeded {max_resamples} resamples while drawing valid shapes"
+                    f"exceeded {MAX_RESAMPLES} resamples while drawing valid shapes"
                 )
     return shapes, np.array(rows), rejected
 

@@ -10,6 +10,7 @@ from .errors import ContractError
 from .stats import (
     _COMPONENTS,
     KINDS,
+    MEAN_SCALE_KINDS,
     MeanScale,
     PgaModel,
     SampleDomain,
@@ -67,13 +68,13 @@ def load_model(path):
     mean_scale = None
     tag = r.value("mean-scale")
     if tag != "none":
+        if tag not in MEAN_SCALE_KINDS:
+            raise r.error(f"unknown mean-scale kind {tag!r}")
         mean_scale = MeanScale(r.rows(2, 2, "mean-scale"), tag)
     domain = None
     size = r.value("domain")
     if size != "none":
         lo, hi = r.rows(2, r.dim(size, "domain", rank), "domain")
         domain = SampleDomain(lo, hi, r.rows(1, 1, "domain")[0, 0])
-    return PgaModel(
-        kind, mean, basis, eigenvalues, coords, epsilon,
-        mean_scale=mean_scale, domain=domain,
-    )
+    return PgaModel(mean, basis, eigenvalues, coords, epsilon,
+                    mean_scale=mean_scale, domain=domain)

@@ -75,11 +75,8 @@ def product_transport(base, target, tangent):
     )
 
 
-def product_distance(a, b, metric="frobenius"):
-    """sqrt(d_G^2 + d_SPD^2) with the chosen Grassmann metric."""
+def product_distance(a, b):
+    """sqrt(d_G^2 + d_SPD^2) with the Frobenius Grassmann metric."""
     return float(
-        np.hypot(
-            gr_distance(a.grass, b.grass, metric=metric),
-            spd_distance(a.scale, b.scale),
-        )
+        np.hypot(gr_distance(a.grass, b.grass), spd_distance(a.scale, b.scale))
     )

@@ -187,9 +187,8 @@ def sampling_positions(n, sampling="uniform-arclength"):
     raise ContractError(f"sampling must be one of {SAMPLING_KINDS}, got {sampling!r}")
 
 
-def refine(shape, cfg=None):
+def refine(shape, cfg):
     """Re-sample a shape at cfg.n landmarks along its fitted path."""
-    cfg = cfg or PreprocessConfig()
     path = fit_path(shape, spline=cfg.spline)
     xi = sampling_positions(cfg.n, cfg.sampling)
     return LandmarkShape(path(xi), closed=shape.closed, name=shape.name)
@@ -275,17 +274,17 @@ def l4_matrix(l):
     return l[0] * np.diag([l[1], l[2]]) @ rotation2(l[3])
 
 
-def idempotence_check(shape, variant="gl2", tol=1e-10):
+def idempotence_check(shape, variant="gl2"):
     """Does standardizing a standardized representative reproduce it?
 
-    True when the Grassmann distance between pi(X) and pi(pi(X)) is below
-    tol; rank-deficient input raises through la_standardize.
+    True when the Grassmann distance between pi(X) and pi(pi(X)) is at
+    most 1e-10; rank-deficient input raises through la_standardize.
     """
     first = la_standardize(shape, variant=variant)
     again = la_standardize(
         LandmarkShape(first.grass.rep, closed=shape.closed), variant=variant
     )
-    return gr_distance(first.grass, again.grass) <= tol
+    return gr_distance(first.grass, again.grass) <= 1e-10
 
 
 # ----------------------------------------------------------------- files

@@ -27,22 +27,26 @@ from .linalg import mT, sym2_exp, sym2_log, sym2_roots, sym2_sqrt
 SYMMETRY_TOL = 1e-14
 
 
+def _symmetric2(a, what):
+    """``a`` as a symmetrized float array; refuses anything but a finite,
+    symmetric 2x2 (``what`` names it in the message)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2, 2):
+        raise ContractError(f"SPD {what} must be 2x2, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ContractError(f"SPD {what} has non-finite entries")
+    if abs(a[0, 1] - a[1, 0]) > SYMMETRY_TOL * max(1.0, np.max(np.abs(a))):
+        raise ContractError(f"{what} is not symmetric")
+    return 0.5 * (a + a.T)
+
+
 class SpdMatrix:
     """A symmetric positive-definite 2x2 matrix."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (2, 2):
-            raise ContractError(f"SPD matrix must be 2x2, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ContractError("SPD matrix has non-finite entries")
-        if abs(mat[0, 1] - mat[1, 0]) > SYMMETRY_TOL * max(
-            1.0, np.max(np.abs(mat))
-        ):
-            raise ContractError("matrix is not symmetric")
-        mat = 0.5 * (mat + mat.T)
+        mat = _symmetric2(mat, "matrix")
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         if det <= 0.0 or mat[0, 0] + mat[1, 1] <= 0.0:
             raise ContractError("matrix is not positive definite")
@@ -59,16 +63,7 @@ class SpdTangent:
     __slots__ = ("sym",)
 
     def __init__(self, sym):
-        sym = np.asarray(sym, dtype=float)
-        if sym.shape != (2, 2):
-            raise ContractError(f"SPD tangent must be 2x2, got {sym.shape}")
-        if not np.all(np.isfinite(sym)):
-            raise ContractError("SPD tangent has non-finite entries")
-        if abs(sym[0, 1] - sym[1, 0]) > SYMMETRY_TOL * max(
-            1.0, np.max(np.abs(sym))
-        ):
-            raise ContractError("tangent is not symmetric")
-        self.sym = 0.5 * (sym + sym.T)
+        self.sym = _symmetric2(sym, "tangent")
 
     def norm(self):
         return float(np.linalg.norm(self.sym))

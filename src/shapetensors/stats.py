@@ -106,6 +106,9 @@ _COMPONENTS = {
 KINDS = {"grassmann": ("grassmann",), "spd": ("spd",),
          "product": ("grassmann", "spd")}
 
+# The averaging rules of a mean scale, as mean_scale and model files name them.
+MEAN_SCALE_KINDS = ("extrinsic", "intrinsic")
+
 
 def _arrays(point):
     """{component: raw array} of one manifold point; a product point is
@@ -217,7 +220,6 @@ class PgaModel:
     """Principal geodesic analysis of an ensemble around its Karcher mean."""
 
     __slots__ = (
-        "kind",
         "mean",
         "basis",
         "eigenvalues",
@@ -227,9 +229,8 @@ class PgaModel:
         "domain",
     )
 
-    def __init__(self, kind, mean, basis, eigenvalues, coords, epsilon,
+    def __init__(self, mean, basis, eigenvalues, coords, epsilon,
                  mean_scale=None, domain=None):
-        self.kind = kind
         self.mean = mean
         self.basis = np.asarray(basis, dtype=float)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
@@ -237,6 +238,10 @@ class PgaModel:
         self.epsilon = float(epsilon)
         self.mean_scale = mean_scale
         self.domain = domain
+
+    @property
+    def kind(self):
+        return next(k for k, c in KINDS.items() if c == tuple(_arrays(self.mean)))
 
     @property
     def r(self):
@@ -306,8 +311,7 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
         )
     eigenvalues = s**2
     coords = data @ basis
-    kind = next(k for k, c in KINDS.items() if c == tuple(_arrays(mean)))
-    return PgaModel(kind, mean, basis, eigenvalues, coords, epsilon)
+    return PgaModel(mean, basis, eigenvalues, coords, epsilon)
 
 
 def embed(model, point):
@@ -321,22 +325,27 @@ def embed(model, point):
     return model.basis.T @ v
 
 
-def generate(model, coeffs):
-    """Map normal coordinates back to a manifold point via Exp at the mean."""
+def _tangent(model, coeffs):
+    """{component: tangent at the mean} of a PGA coefficient vector, which
+    must hold r finite values."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (model.r,):
         raise ContractError(
             f"coefficient vector must have length r={model.r}, got {coeffs.shape}"
         )
+    if not np.all(np.isfinite(coeffs)):
+        raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
     base = _arrays(model.mean)
-    v = model.basis @ coeffs
-    out, start = {}, 0
-    for c, x in base.items():
-        comp = _COMPONENTS[c]
-        stop = start + comp.vec(x).size  # the vectorized length
-        out[c] = comp.exp(x, comp.unvec(v[start:stop]))
-        start = stop
-    return _point(out)
+    sizes = [_COMPONENTS[c].vec(x).size for c, x in base.items()]
+    parts = np.split(model.basis @ coeffs, np.cumsum(sizes)[:-1])
+    return {c: _COMPONENTS[c].unvec(v) for c, v in zip(base, parts)}
+
+
+def generate(model, coeffs):
+    """Map normal coordinates back to a manifold point via Exp at the mean."""
+    base = _arrays(model.mean)
+    return _point({c: _COMPONENTS[c].exp(base[c], t)
+                   for c, t in _tangent(model, coeffs).items()})
 
 
 def mean_scale(factors, kind="extrinsic"):
@@ -360,7 +369,8 @@ def mean_scale(factors, kind="extrinsic"):
         spd_points = [SpdMatrix(m) for m in mats]  # raises unless SPD
         mean = karcher_mean(spd_points)
         return MeanScale(mean.mat, kind)
-    raise ContractError(f"unknown mean-scale kind {kind!r}")
+    raise ContractError(
+        f"unknown mean-scale kind {kind!r}; expected one of {MEAN_SCALE_KINDS}")
 
 
 def sample_domain(model):

@@ -233,11 +233,10 @@ def read_manifest(path):
     return entries
 
 
-def write_manifest(path, entries, header=None):
+def write_manifest(path, entries, header):
     """Write "path,label" rows with paths relative to the manifest."""
     base = os.path.dirname(os.path.abspath(path))
-    lines = [f"# {header}"] if header else []
-    lines.append("# file,label")
+    lines = [f"# {header}", "# file,label"]
     for entry, label in entries:
         rel = os.path.relpath(entry, base) if os.path.isabs(entry) else entry
         lines.append(f"{rel},{label}")

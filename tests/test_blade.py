@@ -181,6 +181,10 @@ def test_station_validation():
                  [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 5.0], [0.5, 0.0, 2.0, 9.0]]):
         with pytest.raises(ContractError, match="a bend curve needs two or more"):
             build_blade([(0.0, s0), (1.0, s1)], bend=np.array(bend))
+    # finite stations whose spanwise slopes overflow
+    huge = [(np.diag([1.0, 1e308 * k]), np.zeros(2)) for k in (-1.0, 1.0)]
+    with pytest.raises(ContractError, match="spanwise schedule"):
+        build_blade([(0.0, s0), (0.5, s1)], affine_overrides=huge)
 
 
 def test_translation_schedule_is_exact():
@@ -305,8 +309,8 @@ def test_consistent_deform_names_first_station_outside_neighborhood():
                        np.broadcast_to(np.eye(2), (5, 2, 2)), np.zeros((5, 2)))
     basis = np.zeros((10, 1))
     basis[3, 0] = 1.0  # the lift [e3, 0], horizontal at the mean
-    pga = PgaModel("grassmann", GrassmannPoint(e[:, :2]), basis, [1.0],
-                   np.zeros((2, 1)), 1e-8)
+    pga = PgaModel(GrassmannPoint(e[:, :2]), basis, [1.0], np.zeros((2, 1)),
+                   1e-8)
     with pytest.raises(NormalNeighborhoodError, match=r"station 3 \(eta=0.75\)"):
         consistent_deform(model, pga, np.array([0.1]))
     # the stations inside the neighborhood deform
@@ -384,6 +388,10 @@ def test_blade_definition_syntax_errors(tmp_path):
     p.write_text("bend 0.0 1.0\nstation 0.0 a\nstation 1.0 b\n")
     with pytest.raises(ContractError):
         read_blade_definition(p)
+    for short in ("b 0.1", "m 1 0 0"):
+        p.write_text(f"station 0.0 a {short}\nstation 1.0 b\n")
+        with pytest.raises(ContractError, match=f"field {short[0]} needs"):
+            read_blade_definition(p)
 
 
 def test_blade_save_load_round_trip(tmp_path):

@@ -333,6 +333,7 @@ def corrupt(src, dst, head, edit):
     ("mean-scale+1", "1.0", "block 'mean-scale' needs 2 numbers per line"),
     ("basis+1", "nan 0 0", "block 'basis' holds a non-finite value: 'nan 0 0'"),
     ("epsilon", "epsilon inf", "bad epsilon value 'inf': not finite"),
+    ("mean-scale", "mean-scale bogus", "unknown mean-scale kind 'bogus'"),
 ])
 def test_sample_names_a_corrupt_model_line(dataset, tmp_path, capsys, head,
                                            edit, words):
@@ -677,9 +678,12 @@ def test_convergence_cli(tmp_path, capsys):
     ["sample", "--model", "{model}", "--sweep", "corner-to-corner",
      "--count", "-2", "--out"],
     ["cst-gen", "--coeff-range=0:inf", "--out"],
+    ["cst-gen", "--coeff-range=-1e308:1e308", "--out"],
     ["cst-gen", "--count", "-1", "--out"],
     ["convergence", "--nc-list", "20", "--out-csv"],
     ["convergence", "--nc-list", "20,x", "--out-csv"],
+    ["convergence", "--trials", "0", "--out-csv"],
+    ["convergence", "--trials", "-3", "--out-csv"],
 ], ids=" ".join)
 def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
                                       argv):

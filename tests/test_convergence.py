@@ -52,6 +52,11 @@ def test_needs_two_levels():
         run_convergence(n_trials=2, nc_list=(40,))
 
 
+def test_needs_a_trial():
+    with pytest.raises(ContractError, match="at least one trial, got 0"):
+        run_convergence(n_trials=0)
+
+
 @pytest.mark.parametrize("nc_list", [(40, 40), ("20", "x"), ("20", "40.5"),
                                      (20, 40.5)])
 def test_counts_must_be_two_distinct_integers(nc_list):
