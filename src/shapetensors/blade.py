@@ -128,7 +128,8 @@ class BladeModel:
             raise ContractError("a bend curve needs two or more knots at "
                                 "strictly increasing etas")
         try:
-            self._rebuild()
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                self._rebuild()
         except ShapeTensorError:
             raise
         except ValueError as err:  # scipy refuses a spline whose slopes overflow

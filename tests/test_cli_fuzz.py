@@ -113,8 +113,6 @@ def corpus(tmp_path_factory):
 def mutate(lines, kind, i, j, token):
     """One line-level mutation of ``lines`` at line i and token or
     character j (both taken modulo the available count)."""
-    if not lines:
-        return lines
     k = i % len(lines)
     words = lines[k].split(" ")
     if kind == "delete":
