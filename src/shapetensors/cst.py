@@ -95,8 +95,9 @@ def random_coefficients(rng, lo=COEFF_LO, hi=COEFF_HI):
 
 def perturb_coefficients(rng, upper, lower, percent=20.0):
     """Multiplicative perturbation by up to +-percent of each nominal value."""
-    if percent < 0.0:
-        raise ContractError("perturbation percentage must be non-negative")
+    if not 0.0 <= percent < np.inf:
+        raise ContractError(f"perturbation percentage must be finite and "
+                            f"non-negative, got {percent}")
     frac = percent / 100.0
     fu = 1.0 + rng.uniform(-frac, frac, size=np.shape(upper))
     fl = 1.0 + rng.uniform(-frac, frac, size=np.shape(lower))

@@ -679,6 +679,8 @@ def test_convergence_cli(tmp_path, capsys):
      "--count", "-2", "--out"],
     ["cst-gen", "--coeff-range=0:inf", "--out"],
     ["cst-gen", "--coeff-range=-1e308:1e308", "--out"],
+    ["cst-gen", "--nominal", "{nominal}", "--perturb", "nan", "--out"],
+    ["cst-gen", "--nominal", "{nominal}", "--perturb", "inf", "--out"],
     ["cst-gen", "--count", "-1", "--out"],
     ["convergence", "--nc-list", "20", "--out-csv"],
     ["convergence", "--nc-list", "20,x", "--out-csv"],
@@ -687,8 +689,8 @@ def test_convergence_cli(tmp_path, capsys):
 ], ids=" ".join)
 def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
                                       argv):
-    argv = [a.format(blade=blade_setup / "blade.bld",
-                     model=dataset / "model.txt") for a in argv]
+    argv = [a.format(blade=blade_setup / "blade.bld", model=dataset / "model.txt",
+                     nominal=dataset / "nominal.txt") for a in argv]
     try:
         code = run(*argv, tmp_path / "out")
     except SystemExit as exc:  # an argparse usage error

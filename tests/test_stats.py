@@ -197,6 +197,10 @@ def test_pga_embed_generate_identity(rng):
     model = pga_fit(pts, r=5, epsilon=1e-10)
     t = np.array([0.05, -0.02, 0.01, 0.0, 0.03])
     np.testing.assert_allclose(embed(model, generate(model, t)), t, atol=1e-9)
+    # the coefficient rule that generate shares with consistent_deform
+    for bad, words in ((t[:4], "length r=5"), (t * np.nan, "non-finite")):
+        with pytest.raises(ContractError, match=words):
+            generate(model, bad)
 
 
 def test_pga_coords_nearly_centered(rng):
