@@ -296,21 +296,21 @@ def consistent_deform(model, pga, coeffs, scale=None):
     coeffs = 0 reproduces the input blade exactly (up to roundoff).
 
     ``scale``, when a MeanScale, replaces the spanwise scale schedule by
-    that constant matrix (gl2-schedule blades only).
+    that constant matrix (gl2-schedule blades only).  Coefficients past
+    the training radius ``pga.domain.radius`` warn, for every model.
     """
     if pga.kind != "grassmann":
         raise ContractError(
             "consistent deformation needs a Grassmann PGA model"
         )
     delta = _tangent(pga, coeffs)["grassmann"]
-    if pga.domain is not None:
-        radius = float(np.linalg.norm(coeffs))
-        if radius > pga.domain.radius:
-            warnings.warn(
-                f"deformation magnitude {radius:.3g} exceeds the training "
-                f"radius {pga.domain.radius:.3g}; extrapolating the model",
-                stacklevel=2,
-            )
+    radius = float(np.linalg.norm(coeffs))
+    if radius > pga.domain.radius:
+        warnings.warn(
+            f"deformation magnitude {radius:.3g} exceeds the training "
+            f"radius {pga.domain.radius:.3g}; extrapolating the model",
+            stacklevel=2,
+        )
     mean_rep = pga.mean.rep
     if mean_rep.shape != model.reps.shape[1:]:
         raise ContractError(

@@ -60,7 +60,7 @@ from .shapes import (
 )
 from .spd import SpdMatrix, spd_distance
 from .stats import KINDS, _arrays, _point
-from .stats import generate, mean_scale, pga_fit, sample_domain
+from .stats import generate, mean_scale, pga_fit
 from .grassmann import gr_distance
 from .textio import atomic_write_text, fmt, fmt_rows
 from .textio import read_manifest, write_manifest
@@ -201,7 +201,6 @@ def cmd_fit(args):
     model = pga_fit(points, r=args.rank, epsilon=args.epsilon)
     if args.manifold == "grassmann":
         model.mean_scale = mean_scale(factors)
-    model.domain = sample_domain(model)
     _timed(f"fit {args.manifold} model on {len(points)} shapes", t0)
     save_model(args.out, model)
     coords_path = args.coords or args.out + ".coords.csv"
@@ -252,8 +251,6 @@ def cmd_sample(args):
         coeff_rows = [_parse_floats(args.coeffs, expect=model.r,
                                     what="coefficient list")]
     else:
-        if model.domain is None:
-            return _fail("model carries no sampling domain; refit first")
         rng = np.random.default_rng(args.seed)
         lo, hi = model.domain.lo, model.domain.hi
         a = np.where(rng.random(model.r) < 0.5, lo, hi)

@@ -3,7 +3,7 @@
 The format is the line-block format of ``textio``: a header, then named
 blocks whose first line carries the dimensions.  Floats use
 shortest-exact decimals, so save -> load -> save reproduces the file
-byte for byte.
+byte for byte.  The file ends at ``mean-scale``; the domain is derived.
 """
 
 from .errors import ContractError
@@ -13,7 +13,6 @@ from .stats import (
     MEAN_SCALE_KINDS,
     MeanScale,
     PgaModel,
-    SampleDomain,
     _arrays,
     _point,
 )
@@ -41,12 +40,6 @@ def save_model(path, model):
     else:
         lines.append(f"mean-scale {model.mean_scale.kind}")
         lines.append(fmt_rows(model.mean_scale.m))
-    if model.domain is None:
-        lines.append("domain none")
-    else:
-        lines.append(f"domain {model.domain.lo.size}")
-        lines.append(fmt_rows([model.domain.lo, model.domain.hi]))
-        lines.append(fmt(model.domain.radius))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -65,16 +58,15 @@ def load_model(path):
     rank = basis.shape[1]
     eigenvalues = r.vector("eigenvalues", size=rank)
     coords = r.block("coords", cols=rank)
+    if len(coords) < 2:
+        raise r.error(f"block 'coords' has {len(coords)} rows, expected at least 2")
     mean_scale = None
     tag = r.value("mean-scale")
     if tag != "none":
         if tag not in MEAN_SCALE_KINDS:
             raise r.error(f"unknown mean-scale kind {tag!r}")
         mean_scale = MeanScale(r.rows(2, 2, "mean-scale"), tag)
-    domain = None
-    size = r.value("domain")
-    if size != "none":
-        lo, hi = r.rows(2, r.dim(size, "domain", rank), "domain")
-        domain = SampleDomain(lo, hi, r.rows(1, 1, "domain")[0, 0])
+    if r.pos < len(r.lines):
+        raise r.error(f"expected the end of the file, found {r.next()!r}")
     return PgaModel(mean, basis, eigenvalues, coords, epsilon,
-                    mean_scale=mean_scale, domain=domain)
+                    mean_scale=mean_scale)

@@ -83,14 +83,11 @@ class AffineFactor:
 class SeparableShape:
     """A shape factored into Grassmannian and affine components."""
 
-    __slots__ = ("grass", "affine", "variant", "closed", "name")
+    __slots__ = ("grass", "affine", "closed", "name")
 
-    def __init__(self, grass, affine, variant, closed=False, name=None):
-        if variant not in ("gl2", "polar"):
-            raise ContractError(f"unknown standardization variant {variant!r}")
+    def __init__(self, grass, affine, closed=False, name=None):
         self.grass = grass
         self.affine = affine
-        self.variant = variant
         self.closed = bool(closed)
         self.name = name
 
@@ -245,7 +242,7 @@ def la_standardize(shape, variant="gl2"):
     closed = shape.closed if isinstance(shape, LandmarkShape) else False
     name = shape.name if isinstance(shape, LandmarkShape) else None
     return SeparableShape(
-        GrassmannPoint(rep), AffineFactor(m, b), variant, closed=closed, name=name
+        GrassmannPoint(rep), AffineFactor(m, b), closed=closed, name=name
     )
 
 

@@ -230,14 +230,14 @@ class PgaModel:
     )
 
     def __init__(self, mean, basis, eigenvalues, coords, epsilon,
-                 mean_scale=None, domain=None):
+                 mean_scale=None):
         self.mean = mean
         self.basis = np.asarray(basis, dtype=float)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.coords = np.asarray(coords, dtype=float)
         self.epsilon = float(epsilon)
         self.mean_scale = mean_scale
-        self.domain = domain
+        self.domain = sample_domain(self)
 
     @property
     def kind(self):
@@ -376,5 +376,6 @@ def mean_scale(factors, kind="extrinsic"):
 def sample_domain(model):
     """Bounding box and enclosing centered ball of the training coords."""
     coords = model.coords
-    radius = float(np.linalg.norm(coords, axis=1).max())
+    with np.errstate(over="ignore"):
+        radius = float(np.linalg.norm(coords, axis=1).max())
     return SampleDomain(coords.min(axis=0), coords.max(axis=0), radius)

@@ -292,7 +292,7 @@ def la_standardize(pts, variant="gl2"):
         rep = w @ zt
         m = zt.T @ (s[:, None] * zt)
         m = 0.5 * (m + m.T)
-    return SeparableShape(GrassmannPoint(rep), AffineFactor(m, b), variant)
+    return SeparableShape(GrassmannPoint(rep), AffineFactor(m, b))
 
 
 def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):

@@ -28,7 +28,7 @@ from shapetensors.grassmann import (
 from shapetensors.intersect import self_intersects
 from shapetensors.shapes import LandmarkShape, la_standardize, reconstruct
 from shapetensors.spd import SpdMatrix, SpdTangent, spd_distance, spd_exp, spd_log, spd_transport
-from shapetensors.stats import generate, karcher_mean, mean_scale, pga_fit, sample_domain
+from shapetensors.stats import generate, karcher_mean, mean_scale, pga_fit
 
 from conftest import random_grassmann_point, random_horizontal, random_spd, random_sym
 from oracles import integrate_geodesic, subspace_gap
@@ -264,7 +264,6 @@ def test_consistent_deformation_guarantees(check):
     seps = [la_standardize(s) for s in shapes]
     pga = pga_fit([sep.grass for sep in seps], r=4, epsilon=1e-8)
     pga.mean_scale = mean_scale([sep.affine for sep in seps])
-    pga.domain = sample_domain(pga)
 
     etas = np.linspace(0.0, 1.0, 10)
     stations = [(eta, _blade_station(k)) for k, eta in enumerate(etas)]

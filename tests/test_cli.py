@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,8 +13,10 @@ import shapetensors
 from shapetensors.bladeio import load_blade, save_blade
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
-from shapetensors.model_io import load_model
-from shapetensors.shapes import LandmarkShape, read_landmarks, write_landmarks
+from shapetensors.model_io import load_model, save_model
+from shapetensors.shapes import (LandmarkShape, la_standardize, read_landmarks,
+                                 write_landmarks)
+from shapetensors.stats import pga_fit
 from shapetensors.textio import fmt
 
 
@@ -302,6 +305,17 @@ def test_sample_sweep_deterministic(dataset, tmp_path):
     assert sum(f.startswith("sample_") for f in files) == 7
 
 
+def test_sample_sweeps_a_model_saved_from_a_library_fit(tmp_path):
+    # pga_fit derives the sampling domain, so no caller attaches one
+    shapes = [cst_airfoil(np.full(9, 0.2 + 0.01 * k), np.full(9, 0.1 - 0.005 * k),
+                          n_c=61) for k in range(6)]
+    save_model(tmp_path / "m.txt", pga_fit([la_standardize(s).grass for s in shapes],
+                                           r=2))
+    assert run("sample", "--model", tmp_path / "m.txt", "--sweep",
+               "corner-to-corner", "--count", 3, "--out", tmp_path / "s") == 0
+    assert len(read_landmarks(tmp_path / "s" / "sample_0002.txt").x) == 61
+
+
 def test_sample_usage_errors(dataset, tmp_path):
     assert run("sample", "--model", dataset / "model.txt",
                "--out", tmp_path / "x") == 2
@@ -313,11 +327,15 @@ def test_sample_usage_errors(dataset, tmp_path):
 
 def corrupt(src, dst, head, edit):
     """Copy a line-block file, replacing the line that starts with
-    ``head`` (``+1``: the line after it) by ``edit``; returns dst."""
+    ``head`` (``+1``: the line after it; ``*3``: that line and the 2 after
+    it; ``*0``: none, inserting before it) by the lines of ``edit``;
+    returns dst."""
     lines = src.read_text().splitlines()
-    key, _, offset = head.partition("+")
+    spec, _, count = head.partition("*")
+    key, _, offset = spec.partition("+")
     at = next(i for i, line in enumerate(lines) if line.split()[:1] == [key])
-    lines[at + int(offset or 0)] = edit
+    at += int(offset or 0)
+    lines[at:at + int(count or 1)] = edit.splitlines()
     dst.write_text("\n".join(lines) + "\n")
     return dst
 
@@ -329,7 +347,12 @@ def corrupt(src, dst, head, edit):
     ("basis", "basis x 4", "bad block size 'x'"),
     ("epsilon", "epsilon", "expected 'epsilon value', got 'epsilon'"),
     ("kind", "kind", "expected 'kind value', got 'kind'"),
-    ("domain", "domain", "expected 'domain value', got 'domain'"),
+    # the file ends after the 2 rows of mean-scale: an extra row, and the
+    # domain block that models used to store, are refused
+    ("mean-scale+3*0", "0.0 1.0", "expected the end of the file, found '0.0 1.0'"),
+    ("mean-scale+3*0", "domain 3\n-1.0 -1.0 -1.0\n1.0 1.0 1.0\n1.0",
+     "expected the end of the file, found 'domain 3'"),
+    ("coords*21", "coords 0 3", "block 'coords' has 0 rows, expected at least 2"),
     ("mean-scale+1", "1.0", "block 'mean-scale' needs 2 numbers per line"),
     ("basis+1", "nan 0 0", "block 'basis' holds a non-finite value: 'nan 0 0'"),
     ("epsilon", "epsilon inf", "bad epsilon value 'inf': not finite"),
@@ -341,7 +364,8 @@ def test_sample_names_a_corrupt_model_line(dataset, tmp_path, capsys, head,
     assert run("sample", "--model", model, "--coeffs", "0,0,0",
                "--out", tmp_path / "x") == 2
     err = capsys.readouterr().err
-    assert f"error: {model}:" in err and words in err
+    assert re.search(f"error: {re.escape(str(model))}:[0-9]+: ", err)
+    assert words in err
 
 
 def test_fit_and_preprocess_refuse_an_empty_path_field(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,19 @@ def test_sample_domain_box_and_ball(rng):
     assert np.all(dom.lo <= model.coords.min(axis=0))
     assert np.all(dom.hi >= model.coords.max(axis=0))
     assert dom.radius == pytest.approx(np.linalg.norm(model.coords, axis=1).max())
+    # a fit carries the domain of its coordinates
+    assert model.domain.radius == dom.radius
+    assert np.array_equal(model.domain.lo, dom.lo)
+    assert np.array_equal(model.domain.hi, dom.hi)
+
+
+def test_domain_of_huge_coordinates_has_an_infinite_radius():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = stats.PgaModel(GrassmannPoint(np.eye(3)[:, :2]), np.zeros((6, 1)),
+                               [1.0], [[1e308], [-1e308]], 1e-8)
+    assert model.domain.radius == np.inf
+    assert model.domain.lo[0] == -1e308 and model.domain.hi[0] == 1e308
 
 
 # ------------------------------------------------------------------- io
@@ -391,7 +406,6 @@ def test_model_save_load_bit_identical(tmp_path, rng):
     pts, _ = _cloud(rng, count=8)
     model = pga_fit(pts, r=3, epsilon=1e-10)
     model.mean_scale = MeanScale(np.array([[1.5, 0.1], [0.1, 0.9]]), "extrinsic")
-    model.domain = sample_domain(model)
     p1 = tmp_path / "m1.model"
     p2 = tmp_path / "m2.model"
     save_model(p1, model)
