@@ -228,16 +228,10 @@ def _scale_matrix(spec, model):
     raise ContractError(f"unknown scale {spec!r} (use mean or l4:a,b,c,d)")
 
 
-def _sample_to_shape(model, coeffs, scale_spec):
+def _sample_to_shape(model, coeffs, scale):
+    """One sample's landmarks; a None ``scale`` takes the sample's SPD part."""
     parts = _arrays(generate(model, coeffs))
-    if "grassmann" not in parts:
-        raise ContractError("sampling needs a grassmann or product model")
-    if "spd" in parts and scale_spec is not None:
-        raise ContractError(
-            "product models carry their own scale; --scale not allowed"
-        )
-    scale = parts["spd"] if "spd" in parts else _scale_matrix(scale_spec, model)
-    pts = parts["grassmann"] @ scale
+    pts = parts["grassmann"] @ (parts["spd"] if scale is None else scale)
     return LandmarkShape(pts, closed=bool(np.array_equal(pts[0], pts[-1])))
 
 
@@ -247,6 +241,11 @@ def cmd_sample(args):
         return _fail("give --coeffs or --sweep")
     if args.coeffs is not None and args.sweep is not None:
         return _fail("--coeffs and --sweep are mutually exclusive")
+    if model.kind == "spd":
+        return _fail("sampling needs a grassmann or product model")
+    if model.kind == "product" and args.scale is not None:
+        return _fail("product models carry their own scale; --scale not allowed")
+    scale = None if model.kind == "product" else _scale_matrix(args.scale, model)
     if args.coeffs is not None:
         coeff_rows = [_parse_floats(args.coeffs, expect=model.r,
                                     what="coefficient list")]
@@ -265,7 +264,7 @@ def cmd_sample(args):
     guard_rows = ["file,guard"]
     n_fail = 0
     for i, coeffs in enumerate(coeff_rows):
-        shape = _sample_to_shape(model, coeffs, args.scale)
+        shape = _sample_to_shape(model, coeffs, scale)
         fname = f"sample_{i:04d}.txt"
         write_landmarks(os.path.join(args.out, fname), shape,
                         header="coeffs " + " ".join(fmt(c) for c in coeffs))
@@ -388,7 +387,7 @@ def build_parser():
                         "LO as --coeff-range=-0.1:0.45")
     p.add_argument("--nc", type=int, default=401, help="landmarks per shape")
     p.add_argument("--sampling", choices=("cosine", "uniform"), default="cosine")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument("--nominal", help="coefficient file; draws perturb it")
     p.add_argument("--perturb", type=float, default=20.0,
                    help="perturbation percent around --nominal")
@@ -424,7 +423,7 @@ def build_parser():
                    help="sweep between two random domain corners")
     p.add_argument("--count", type=_count_arg(1), default=20,
                    help="sweep sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument("--scale", help="mean | l4:l1,l2,l3,l4 (grassmann models)")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any sample fails the guard")
@@ -483,7 +482,7 @@ def build_parser():
     p.add_argument("--trials", type=_count_arg(1), default=100)
     p.add_argument("--n-ref", type=int, default=2000)
     p.add_argument("--nc-list", help="comma list (default 20,40,80,160,320)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument("--out-csv", required=True,
                    help="CSV: n_c, gauge mean/max, euclidean "
                         "mean/median/max, grassmann mean/median/max")

@@ -72,8 +72,14 @@ class GrassmannPoint:
                 "Grassmann representative must be (n, 2) with n >= 3, got "
                 f"shape {rep.shape}"
             )
-        if not np.all(np.isfinite(rep)):
+        big = np.abs(rep).max()
+        if not np.isfinite(big):
             raise ContractError("Grassmann representative has non-finite entries")
+        # orthonormal columns have entries in [-1, 1]; refusing far larger
+        # ones first keeps rep.T @ rep from overflowing
+        if big > 2.0:
+            raise ContractError(
+                f"columns are not orthonormal: an entry has magnitude {big:.3e}")
         gram = rep.T @ rep
         drift = np.linalg.norm(gram - np.eye(2))
         if drift > ORTHO_TOL:

@@ -7,9 +7,10 @@ x, and of those pairs only the ones whose y-intervals also overlap are
 kept.  That is exactly the set of pairs whose bounding boxes overlap, in
 about O(n log n + k) work for k such pairs instead of all n^2/2.  Their
 orientation signs are evaluated in floating point with Shewchuk's forward
-error bound, and only the signs the filter cannot certify (including
-products that overflow) fall back to exact rational arithmetic (doubles
-convert to Fraction losslessly).  Any contact between non-adjacent
+error bound plus an absolute term for products that underflow, and only
+the signs the filter cannot certify (including products that overflow)
+fall back to exact rational arithmetic (doubles convert to Fraction
+losslessly), so the verdict is exact at every scale.  Any contact between non-adjacent
 segments counts: proper crossings, endpoint touches and collinear overlaps
 alike.  Adjacent segments legitimately share one vertex and flag only a
 collinear fold-back.
@@ -24,6 +25,8 @@ from .shapes import LandmarkShape, _as_points
 
 # Shewchuk's orient2d A-filter constant for doubles.
 _ERRBOUND = 3.3306690738754716e-16
+# Four units of the smallest subnormal, 4 * 2**-1074 (see _orient_signs).
+_UNDERFLOW = 2.0**-1072
 
 
 def orient_exact(ax, ay, bx, by, cx, cy):
@@ -40,12 +43,26 @@ def _orient_signs(a, b, c):
     a, b, c are (m, 2) arrays of finite points; returns an (m,) int array
     of signs in {-1, 0, +1} that are exact for every entry.  A determinant
     that overflows (inf, or NaN from inf - inf) is never certified.
+
+    The filter holds where products underflow.  Let e = 2**-53 and
+    h = 2**-1075.  Round to nearest gives |fl(z) - z| <= e |fl(z)| for a
+    sum or difference of doubles (exact when subnormal) and
+    <= e |fl(z)| + h for a product.  Each factor of ``left`` is within
+    e |factor| of its exact difference, so ``left`` is within
+    (3e + 3e^2 + e^3) |left| + (1 + e)^2 h of its exact product, and so
+    for ``right``.  With S = |left| + |right| and D the exact determinant,
+    |det - D| <= e |det| + (3e + 3e^2 + e^3) S + 2 (1 + e)^2 h, which is
+    below |det| once (1 - e) |det| exceeds the other two terms.  The
+    computed ``bound`` is at least (1 - e)^3 _ERRBOUND S + 7 (1 - e) h:
+    three roundings, one of which can lose h to underflow, and
+    _UNDERFLOW = 8 h.  As _ERRBOUND = 3e + 16e^2, (1 - e) ``bound``
+    exceeds both terms, so |det| > bound certifies sign(det) = sign(D).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
         right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
         det = left - right
-        bound = _ERRBOUND * (np.abs(left) + np.abs(right))
+        bound = _ERRBOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW
         unsure = ~(np.abs(det) > bound)
         signs = np.where(unsure, 0.0, np.sign(det)).astype(int)
     for k in np.flatnonzero(unsure):

@@ -51,7 +51,11 @@ def load_model(path):
     if kind not in KINDS:
         raise r.error(f"unknown manifold kind {kind!r}")
     epsilon = r.value("epsilon", float)
-    mean = _point({c: r.block(f"mean-{c}") for c in KINDS[kind]})
+    blocks = {c: r.block(f"mean-{c}") for c in KINDS[kind]}
+    try:
+        mean = _point(blocks)
+    except ContractError as err:
+        raise ContractError(f"{path}: {err}") from err
     # one basis row per entry of a vectorized tangent at the mean
     width = sum(_COMPONENTS[c].vec(a).size for c, a in _arrays(mean).items())
     basis = r.block("basis", rows=width)

@@ -29,13 +29,18 @@ SYMMETRY_TOL = 1e-14
 
 def _symmetric2(a, what):
     """``a`` as a symmetrized float array; refuses anything but a finite,
-    symmetric 2x2 (``what`` names it in the message)."""
+    symmetric 2x2 whose entries stay below 2**1023 in magnitude, so that
+    a + a.T cannot overflow (``what`` names it in the message)."""
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
         raise ContractError(f"SPD {what} must be 2x2, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    big = np.abs(a).max()
+    if not np.isfinite(big):
         raise ContractError(f"SPD {what} has non-finite entries")
-    if abs(a[0, 1] - a[1, 0]) > SYMMETRY_TOL * max(1.0, np.max(np.abs(a))):
+    if big >= 2.0**1023:
+        raise ContractError(f"SPD {what} has an entry of magnitude {big:.3e}, "
+                            "2**1023 or more")
+    if abs(a[0, 1] - a[1, 0]) > SYMMETRY_TOL * max(1.0, big):
         raise ContractError(f"{what} is not symmetric")
     return 0.5 * (a + a.T)
 
@@ -47,8 +52,9 @@ class SpdMatrix:
 
     def __init__(self, mat):
         mat = _symmetric2(mat, "matrix")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if det <= 0.0 or mat[0, 0] + mat[1, 1] <= 0.0:
+        # Python floats overflow to inf without a warning
+        (p, q), (r, s) = mat.tolist()
+        if p * s - q * r <= 0.0 or p + s <= 0.0:
             raise ContractError("matrix is not positive definite")
         self.mat = mat
 

@@ -460,6 +460,54 @@ def self_intersects(shape):
 
 
 # ---------------------------------------------------------------------------
+# The guard in exact rational arithmetic throughout: every segment pair,
+# each orientation, fold-back and touch test on Fractions, no float filter.
+
+
+def self_intersects_exact(shape):
+    from fractions import Fraction
+
+    from shapetensors.shapes import LandmarkShape, _as_points
+
+    pts = _as_points(shape)
+    closed = isinstance(shape, LandmarkShape) and shape.closed
+    if closed and np.all(pts[0] == pts[-1]):
+        pts = pts[:-1]
+    q = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
+    segs = list(zip(q, q[1:] + q[:1])) if closed else list(zip(q, q[1:]))
+    m = len(segs)
+
+    def orient(a, b, c):
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (det > 0) - (det < 0)
+
+    def on_segment(p, r, x):
+        return (min(p[0], r[0]) <= x[0] <= max(p[0], r[0])
+                and min(p[1], r[1]) <= x[1] <= max(p[1], r[1]))
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            (p1, p2), (p3, p4) = segs[i], segs[j]
+            if j == i + 1 or (closed and m > 2 and (i, j) == (0, m - 1)):
+                # adjacent: only a collinear fold-back at the shared vertex
+                first, shared, other = (p1, p2, p4) if j == i + 1 else (p2, p1, p3)
+                dot = ((first[0] - shared[0]) * (other[0] - shared[0])
+                       + (first[1] - shared[1]) * (other[1] - shared[1]))
+                if orient(first, shared, other) == 0 and (dot > 0 or first == other):
+                    return True
+                continue
+            d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
+            d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return True
+            if ((d1 == 0 and on_segment(p3, p4, p1)) or (d2 == 0 and on_segment(p3, p4, p2))
+                    or (d3 == 0 and on_segment(p1, p2, p3))
+                    or (d4 == 0 and on_segment(p1, p2, p4))):
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # The row writer as it stood before it went through tolist(): one
 # repr(float(v)) per element.
 

@@ -406,6 +406,43 @@ def test_dist_spaces(dataset, tmp_path, capsys):
     assert run("dist", "--a", a_path, "--b", small) == 2
 
 
+@pytest.fixture(scope="module")
+def kind_models(dataset):
+    """Product and SPD models of the dataset, next to its grassmann one."""
+    for manifold in ("product", "spd"):
+        assert run("fit", "--input", dataset / "data" / "manifest.txt",
+                   "--manifold", manifold, "--rank", 2,
+                   "--out", dataset / f"{manifold}.txt") == 0
+    return dataset
+
+
+@pytest.mark.parametrize("kind, extra, words", [
+    ("spd", [], "sampling needs a grassmann or product model"),
+    ("product", ["--scale", "mean"], "product models carry their own scale"),
+])
+def test_sample_refuses_a_model_before_it_writes(kind_models, tmp_path, capsys,
+                                                 kind, extra, words):
+    for mode in (["--coeffs=0,0"], ["--sweep", "corner-to-corner"]):
+        assert run("sample", "--model", kind_models / f"{kind}.txt", *mode,
+                   *extra, "--out", tmp_path / "x") == 2
+        assert words in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("model, head, words", [
+    ("model.txt", "mean-grassmann+1",
+     "columns are not orthonormal: an entry has magnitude 1.000e+308"),
+    ("product.txt", "mean-spd+1",
+     "SPD matrix has an entry of magnitude 1.000e+308, 2**1023 or more"),
+])
+def test_sample_names_a_model_whose_mean_overflows(kind_models, tmp_path, capsys,
+                                                   model, head, words):
+    bad = corrupt(kind_models / model, tmp_path / "bad.txt", head, "1e308 0.0")
+    assert run_without_warnings("sample", "--model", bad, "--coeffs=0,0",
+                                "--out", tmp_path / "x") == 2
+    assert f"error: {bad}: {words}" in capsys.readouterr().err
+
+
 def shorten(src, dst, name):
     """Copy a line-block file with block ``name`` one entry short and its
     header to match: a matrix loses its last row, a vector its last
@@ -710,6 +747,10 @@ def test_convergence_cli(tmp_path, capsys):
     ["convergence", "--nc-list", "20,x", "--out-csv"],
     ["convergence", "--trials", "0", "--out-csv"],
     ["convergence", "--trials", "-3", "--out-csv"],
+    ["cst-gen", "--seed", "-1", "--out"],
+    ["sample", "--model", "{model}", "--sweep", "corner-to-corner",
+     "--seed", "-1", "--out"],
+    ["convergence", "--seed", "-1", "--out-csv"],
 ], ids=" ".join)
 def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
                                       argv):

@@ -22,6 +22,7 @@ from shapetensors.errors import ContractError
 from shapetensors.intersect import (
     _candidate_pairs,
     _orient_signs,
+    orient_exact,
     self_intersects,
 )
 from shapetensors.shapes import LandmarkShape
@@ -89,19 +90,79 @@ def test_guard_equals_all_pairs_oracle(seed, case, n, closed, duplicate):
 
 @PROPERTY
 @given(seed=seeds, case=st.sampled_from(("grid", "random")),
-       n=st.integers(3, 30), closed=st.booleans(), k=st.integers(-500, 1000))
+       n=st.integers(3, 30), closed=st.booleans(), k=st.integers(-1100, 1000))
 def test_guard_verdict_is_scale_free(seed, case, n, closed, k):
     """Scaling by a power of two keeps the verdict, also where the
-    orientation products overflow.  Random floats are only scaled up:
-    scaled down, their products can fall below the normal range."""
+    orientation products overflow or fall below the normal range.  The
+    scalings go down only as far as keeps every coordinate normal, so
+    they are exact."""
     rng = np.random.default_rng(seed)
     pts = _polyline(rng, case, n)
-    exponents = (k, 1000, -500) if case == "grid" else (abs(k), 1000)
+    nonzero = np.abs(pts[pts != 0.0])
+    # x * 2**e stays normal for e >= -1021 - frexp(x) exponent
+    lowest = -1021 - int(np.frexp(nonzero.min())[1]) if nonzero.size else k
+    exponents = (max(k, lowest), 1000, lowest)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         want = self_intersects(LandmarkShape(pts, closed=closed))
         for e in exponents:
             assert self_intersects(LandmarkShape(pts * 2.0**e, closed=closed)) == want
+
+
+# Segments 0 and 4 cross, yet the orientation products underflow into
+# the subnormal range, below a purely relative filter bound.
+PINNED_TINY = np.array([
+    [-4.888715454990937e-156, 9.685283558970632e-155],
+    [-2.277359477480282e-162, 2.2128766025949135e-159],
+    [3.8740248857505545e-154, 1.955706558712843e-155],
+    [4.35585871723736e-154, 2.6794278032452584e-155],
+    [4.818338087132108e-155, 7.239425321926751e-156],
+    [-2.419304852307804e-157, 4.795068733111021e-156],
+])
+
+
+def test_guard_is_exact_where_orientation_products_underflow():
+    assert oracles.self_intersects_exact(PINNED_TINY)
+    for e in (0, 300, 600):
+        assert self_intersects(np.ldexp(PINNED_TINY, e))
+
+
+@PROPERTY
+@given(seed=seeds, base=st.integers(-520, -508))
+def test_orientation_signs_are_exact_on_tiny_nearly_collinear_triples(seed, base):
+    """Near 2**-514 the orientation products of these triples are
+    subnormal and their float determinant is a few units of rounding."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 200, 2))
+    c = a + rng.uniform(-2.0, 2.0, (200, 1)) * (b - a)
+    a, b, c = (np.ldexp(x, base) for x in (a, b, c))
+    want = [orient_exact(*p, *q, *r)
+            for p, q, r in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert _orient_signs(a, b, c).tolist() == want
+
+
+@PROPERTY
+@given(seed=seeds, case=st.sampled_from(CASES), n=st.integers(3, 12),
+       closed=st.booleans(), base=st.integers(-600, -460),
+       spread=st.integers(0, 64))
+def test_guard_equals_exact_oracle_at_tiny_and_mixed_scales(seed, case, n, closed,
+                                                            base, spread):
+    """Coordinates at 2**base, each scaled by its own power of two up to
+    2**spread, where orientation products underflow."""
+    rng = np.random.default_rng(seed)
+    pts = _polyline(rng, case, n)
+    pts = np.ldexp(pts, base + rng.integers(0, spread + 1, size=pts.shape))
+    shape = LandmarkShape(pts, closed=closed)
+    assert self_intersects(shape) == oracles.self_intersects_exact(shape)
+
+
+@PROPERTY
+@given(seed=seeds, case=st.sampled_from(CASES), n=st.integers(3, 12),
+       closed=st.booleans())
+def test_exact_oracle_equals_all_pairs_oracle(seed, case, n, closed):
+    shape = LandmarkShape(_polyline(np.random.default_rng(seed), case, n),
+                          closed=closed)
+    assert oracles.self_intersects_exact(shape) == oracles.self_intersects(shape)
 
 
 # (points, closed): degenerate polylines where a single rule decides
@@ -132,7 +193,8 @@ def test_guard_equals_oracle_on_edge_cases(pts, closed):
         variants += [np.roll(pts, r, axis=0) for r in range(1, len(pts))]
     for v in variants:
         shape = LandmarkShape(v, closed=closed)
-        assert self_intersects(shape) == oracles.self_intersects(shape), v
+        want = oracles.self_intersects_exact(shape)
+        assert self_intersects(shape) == oracles.self_intersects(shape) == want, v
 
 
 def test_overflowing_orientation_goes_exact():
