@@ -10,10 +10,10 @@ orientation signs are evaluated in floating point with Shewchuk's forward
 error bound plus an absolute term for products that underflow, and only
 the signs the filter cannot certify (including products that overflow)
 fall back to exact rational arithmetic (doubles convert to Fraction
-losslessly), so the verdict is exact at every scale.  Any contact between non-adjacent
-segments counts: proper crossings, endpoint touches and collinear overlaps
-alike.  Adjacent segments legitimately share one vertex and flag only a
-collinear fold-back.
+losslessly), so the verdict is exact at every scale.  Any contact between
+non-adjacent segments counts: proper crossings, endpoint touches and
+collinear overlaps alike.  Adjacent segments legitimately share one vertex
+and flag only a collinear fold-back.
 """
 
 from fractions import Fraction
@@ -49,8 +49,8 @@ def _orient_signs(a, b, c):
     sum or difference of doubles (exact when subnormal) and
     <= e |fl(z)| + h for a product.  Each factor of ``left`` is within
     e |factor| of its exact difference, so ``left`` is within
-    (3e + 3e^2 + e^3) |left| + (1 + e)^2 h of its exact product, and so
-    for ``right``.  With S = |left| + |right| and D the exact determinant,
+    (3e + 3e^2 + e^3) |left| + (1 + e)^2 h of its exact product, and
+    likewise ``right``.  With S = |left| + |right| and D the exact determinant,
     |det - D| <= e |det| + (3e + 3e^2 + e^3) S + 2 (1 + e)^2 h, which is
     below |det| once (1 - e) |det| exceeds the other two terms.  The
     computed ``bound`` is at least (1 - e)^3 _ERRBOUND S + 7 (1 - e) h:

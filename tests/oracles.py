@@ -500,7 +500,8 @@ def self_intersects_exact(shape):
             d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
             if d1 * d2 < 0 and d3 * d4 < 0:
                 return True
-            if ((d1 == 0 and on_segment(p3, p4, p1)) or (d2 == 0 and on_segment(p3, p4, p2))
+            if ((d1 == 0 and on_segment(p3, p4, p1))
+                    or (d2 == 0 and on_segment(p3, p4, p2))
                     or (d3 == 0 and on_segment(p1, p2, p3))
                     or (d4 == 0 and on_segment(p1, p2, p4))):
                 return True
