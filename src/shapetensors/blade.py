@@ -25,14 +25,13 @@ import warnings
 from itertools import accumulate
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from . import cubic
 from .errors import (
     ContractError,
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
-    ShapeTensorError,
 )
 from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
                         _transport_raw)
@@ -82,8 +81,11 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
 def _spanwise_spline(etas, values):
     """Cubic spline of per-station values; natural ends with a
     not-a-knot fallback when only 2-3 stations exist."""
-    bc = "natural" if len(etas) >= 4 else "not-a-knot"
-    return CubicSpline(etas, values, axis=0, bc_type=bc)
+    try:
+        return cubic.spline(etas, values,
+                            "natural" if len(etas) >= 4 else "not-a-knot")
+    except ContractError as err:
+        raise ContractError(f"spanwise schedule: {err}") from err
 
 
 def _polar_split(m):
@@ -127,13 +129,8 @@ class BladeModel:
                 len(bend) >= 2 and np.all(np.diff(self.bend[:, 0]) > 0.0)):
             raise ContractError("a bend curve needs two or more knots at "
                                 "strictly increasing etas")
-        try:
-            with np.errstate(over="ignore"):  # an overflow is refused below
-                self._rebuild()
-        except ShapeTensorError:
-            raise
-        except ValueError as err:  # scipy refuses a spline whose slopes overflow
-            raise ContractError(f"spanwise schedule: {err}") from err
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self._rebuild()
 
     @property
     def n_stations(self):
@@ -160,7 +157,7 @@ class BladeModel:
         self._gr_logs = _log_raw(reps[:-1], reps[1:])
         gaps = np.linalg.norm(self._gr_logs, axis=(-2, -1))
         self.ts = np.concatenate([[0.0], np.cumsum(gaps)])
-        self._phi = PchipInterpolator(self.etas, self.ts)
+        self._phi = cubic.pchip(self.etas, self.ts)
         self._m_spline = self._spd_p = self._spd_logs = None
         self._psi = self._angle_spline = self.ell = None
         if self.variant == "gl2-schedule":
@@ -168,7 +165,12 @@ class BladeModel:
         else:
             # clustering was restricted to SO(2), so a reflected m is one
             # the input asked for
-            p, angles = _polar_split(self.affine_m)
+            with np.errstate(invalid="ignore"):  # refused just below
+                p, angles = _polar_split(self.affine_m)
+            # below 2**1023 the split of p into mid I + h e cannot overflow
+            self._check(np.abs(p).max(axis=(-2, -1)) < 2.0**1023, ContractError,
+                        lambda k: "scale factor is too large: its polar split "
+                                  "overflows")
             mid, h, _ = sym2_split(p)
             self._check(mid - h > RANK_TOL * (mid + h),
                         DegenerateGeometryError, lambda k: (
@@ -178,7 +180,7 @@ class BladeModel:
             self._spd_logs = _spd_log_raw(p[:-1], p[1:])
             spd_gaps = _spd_distance_raw(p[:-1], p[1:])
             self.ell = np.concatenate([[0.0], np.cumsum(spd_gaps)])
-            self._psi = PchipInterpolator(self.etas, self.ell)
+            self._psi = cubic.pchip(self.etas, self.ell)
             self._angle_spline = _spanwise_spline(self.etas, np.unwrap(angles))
         self._b_spline = _spanwise_spline(self.etas, self.affine_b)
         self._bend_curve = None if self.bend is None else _spanwise_spline(

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
+    without_refused,
 )
 from .intersect import self_intersects
 from .model_io import load_model, save_model
@@ -140,25 +141,32 @@ def cmd_preprocess(args):
     shapes, failures = _load_dataset(args.input)
     cfg = PreprocessConfig(n=args.n, spline=args.spline, sampling=args.sampling)
     os.makedirs(args.out, exist_ok=True)
-    entries = []
-    gauge_rows = ["file,label,gauge_in,gauge_out"]
-    seen = set()
-    for path, label, shape in shapes:
+    refused, refined, groups, seen = {}, {}, {}, set()
+    for i, (path, _, shape) in enumerate(shapes):
         fname = os.path.basename(path)
         if fname in seen:
-            failures.append(f"{path}: duplicate output name {fname}")
+            refused[i] = f"{path}: duplicate output name {fname}"
             continue
         seen.add(fname)
-        try:
-            refined = refine(shape, cfg)
-        except (ContractError, DegenerateGeometryError) as err:
-            failures.append(f"{path}: {err}")
+        groups.setdefault((shape.n, shape.closed), []).append(i)
+    for members in groups.values():  # one refine call per (n, closed)
+        kept, out, errors = without_refused(
+            lambda group: refine(group, cfg), [shapes[i][2] for i in members])
+        refined.update(zip([members[j] for j in kept], out))
+        refused.update((members[j], f"{shapes[members[j]][0]}: {err}")
+                       for j, err in errors.items())
+    entries = []
+    gauge_rows = ["file,label,gauge_in,gauge_out"]
+    for i, (path, label, shape) in enumerate(shapes):
+        if i in refused:
+            failures.append(refused[i])
             continue
-        write_landmarks(os.path.join(args.out, fname), refined)
+        fname = os.path.basename(path)
+        write_landmarks(os.path.join(args.out, fname), refined[i])
         entries.append((fname, label))
         gauge_rows.append(
             f"{fname},{label},{fmt(landmark_gauge(shape))},"
-            f"{fmt(landmark_gauge(refined))}"
+            f"{fmt(landmark_gauge(refined[i]))}"
         )
     write_manifest(os.path.join(args.out, "manifest.txt"), entries,
                    header=f"preprocessed to n={args.n}")

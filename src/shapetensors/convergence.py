@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .cst import cst_airfoil, random_coefficients
-from .errors import ContractError, DegenerateGeometryError
+from .errors import ContractError, DegenerateGeometryError, without_refused
 from .grassmann import principal_angles
 from .shapes import PreprocessConfig, _standardize_raw, landmark_gauge, refine
 from .textio import atomic_write_text, fmt
@@ -88,24 +88,30 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
         raise ContractError("need at least two distinct coarse landmark counts")
     rng = np.random.default_rng(seed)
     cfg = PreprocessConfig(n=n_ref, sampling="uniform-arclength")
-    table = []
+    shapes = []  # each kept trial's truth, then its coarse samplings
     for _ in range(n_trials):
         upper, lower = random_coefficients(rng)
-        try:  # the truth, then the coarse samplings
-            shapes = [cst_airfoil(upper, lower, n_c=n_c)
-                      for n_c in (n_ref,) + nc_list]
-            dense = np.stack([refine(shape, cfg).x for shape in shapes])
-            rep = _standardize_raw(dense, "gl2")[0]
+        try:
+            shapes.append([cst_airfoil(upper, lower, n_c=n_c)
+                           for n_c in (n_ref,) + nc_list])
         except DegenerateGeometryError:
             continue
-        table.append(np.stack([
-            [landmark_gauge(shape) for shape in shapes[1:]],
-            np.linalg.norm(dense[1:] - dense[0], axis=-1).max(axis=-1),
-            principal_angles(rep[1:], rep[0]).sum(axis=-1),
-        ], axis=-1))
-    if not table:
+    dense = [[] for _ in shapes]
+    for level in range(len(nc_list) + 1):  # one refine call per level
+        kept, refined, _ = without_refused(lambda group: refine(group, cfg),
+                                           [trial[level] for trial in shapes])
+        shapes = [shapes[i] for i in kept]
+        dense = [dense[i] + [r.x] for i, r in zip(kept, refined)]
+    kept, rep, _ = without_refused(
+        lambda trials: _standardize_raw(np.stack(trials), "gl2")[0], dense)
+    if not kept:
         raise DegenerateGeometryError("every convergence trial was degenerate")
-    table = np.stack(table)  # (kept trials, levels, MEASURES)
+    shapes, dense = [shapes[i] for i in kept], np.stack([dense[i] for i in kept])
+    table = np.stack([
+        [[landmark_gauge(shape) for shape in trial[1:]] for trial in shapes],
+        np.linalg.norm(dense[:, 1:] - dense[:, :1], axis=-1).max(axis=-1),
+        principal_angles(rep[:, 1:], rep[:, :1]).sum(axis=-1),
+    ], axis=-1)  # (kept trials, levels, MEASURES)
     rows = []
     for j, n_c in enumerate(nc_list):
         values = []

@@ -11,12 +11,13 @@ lower surface -> trailing edge as a single closed polyline with zero
 trailing-edge thickness; the first and last landmarks coincide at (1, 0).
 """
 
+from math import comb
+
 import numpy as np
-from scipy.special import comb
 
 from .errors import ContractError, DegenerateGeometryError
 from .intersect import self_intersects
-from .shapes import LandmarkShape, la_standardize
+from .shapes import MAX_LANDMARKS, LandmarkShape, la_standardize
 
 CLASS_N1 = 0.5
 CLASS_N2 = 1.0
@@ -33,7 +34,8 @@ def bernstein_shape(x, coeff):
     coeff = np.asarray(coeff, dtype=float)
     deg = coeff.size - 1
     i = np.arange(coeff.size)
-    basis = comb(deg, i)[:, None] * x[None, :] ** i[:, None] * (1.0 - x[None, :]) ** (
+    binom = np.array([comb(deg, k) for k in range(coeff.size)], dtype=float)
+    basis = binom[:, None] * x[None, :] ** i[:, None] * (1.0 - x[None, :]) ** (
         deg - i
     )[:, None]
     return coeff @ basis
@@ -56,8 +58,9 @@ def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
         raise DegenerateGeometryError(
             "all-zero coefficients give a rank-deficient (flat) shape"
         )
-    if n_c < 5:
-        raise ContractError(f"need at least 5 landmarks for an airfoil, got {n_c}")
+    if not 5 <= n_c <= MAX_LANDMARKS:
+        raise ContractError(f"an airfoil needs between 5 and {MAX_LANDMARKS} "
+                            f"landmarks, got {n_c}")
 
     zeta = np.linspace(0.0, 2.0 * np.pi, int(n_c))
     if sampling == "cosine":

@@ -7,7 +7,11 @@ CLI can map failures to distinct exit codes and messages.
 
 
 class ShapeTensorError(Exception):
-    """Base class for all library-specific failures."""
+    """Base class for all library-specific failures.  A kernel over a
+    stack that refuses one member sets ``index``, that member's position
+    (``()`` when no member is named)."""
+
+    index = ()
 
 
 class ContractError(ShapeTensorError, ValueError):
@@ -23,8 +27,6 @@ class DegenerateGeometryError(ShapeTensorError, ValueError):
     shape in a standardized stack (``()`` for a single shape).
     """
 
-    index = ()
-
 
 class NormalNeighborhoodError(ShapeTensorError, ValueError):
     """A logarithm was requested between points too far apart: the
@@ -33,8 +35,6 @@ class NormalNeighborhoodError(ShapeTensorError, ValueError):
     Carries ``index``, the position of the first such target when the
     logarithm was taken over a stack (``()`` for a single pair).
     """
-
-    index = ()
 
 
 class ConvergenceError(ShapeTensorError, RuntimeError):
@@ -55,3 +55,20 @@ class ConvergenceError(ShapeTensorError, RuntimeError):
 class ExtrapolationError(ShapeTensorError, ValueError):
     """A spanwise evaluation was requested outside the interpolated
     range; the schedules are interpolants, not extrapolants."""
+
+
+def without_refused(fn, members):
+    """fn(members) with the members fn refuses left out: while fn raises
+    a ShapeTensorError whose ``index`` names a member, drop that member
+    and call fn again.  Returns (positions kept, fn's result on them,
+    {position: error}); fn is not called once every member is refused,
+    and the result is then []."""
+    kept, refused = list(range(len(members))), {}
+    while kept:
+        try:
+            return kept, fn([members[i] for i in kept]), refused
+        except ShapeTensorError as err:
+            if not err.index:
+                raise
+            refused[kept.pop(err.index[0])] = err
+    return kept, [], refused

@@ -12,14 +12,14 @@ factor m = S Z^T; "polar" rotates the representative by the right
 singular vectors so m becomes the symmetric positive definite factor
 Z S Z^T, which is the form the product-manifold statistics operate on.
 
-Refinement re-samples a shape at a target landmark count by splining its
-coordinates over the normalized cumulative chord length (the standard
-discrete arc-length surrogate).
+Refinement re-samples a stack of shapes at a target landmark count by
+splining their coordinates over the normalized cumulative chord length
+(the standard discrete arc-length surrogate), in one kernel call.
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from . import cubic
 from .errors import ContractError, DegenerateGeometryError
 from .grassmann import GrassmannPoint, gr_distance
 from .linalg import mT, rotation2, thin_svd
@@ -27,6 +27,8 @@ from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
 
 # Smallest acceptable sigma_2 / sigma_1 of the centered landmark matrix.
 RANK_TOL = 1e-10
+# Largest landmark count a shape may be sampled or refined at.
+MAX_LANDMARKS = 10_000_000
 
 SPLINE_KINDS = ("cubic-natural", "pchip")
 SAMPLING_KINDS = ("uniform-arclength", "cosine")
@@ -98,8 +100,9 @@ class PreprocessConfig:
     __slots__ = ("n", "spline", "sampling")
 
     def __init__(self, n=401, spline="cubic-natural", sampling="uniform-arclength"):
-        if int(n) != n or n < 3:
-            raise ContractError(f"refinement count must be an integer >= 3, got {n}")
+        if int(n) != n or not 3 <= n <= MAX_LANDMARKS:
+            raise ContractError(f"refinement count must be an integer in "
+                                f"[3, {MAX_LANDMARKS}], got {n}")
         if spline not in SPLINE_KINDS:
             raise ContractError(f"spline must be one of {SPLINE_KINDS}, got {spline!r}")
         if sampling not in SAMPLING_KINDS:
@@ -130,20 +133,29 @@ def cumulative_lengths(shape):
     pts = _as_points(shape)
     if pts.shape[0] < 2:
         raise ContractError("cumulative lengths need at least 2 landmarks")
-    s = np.empty(pts.shape[0])
-    s[0] = 0.0
+    return _chord_params(pts)
+
+
+def _chord_params(pts):
+    """cumulative_lengths of each member of an (..., n, 2) stack; the
+    error's ``index`` names the first member refused."""
+    s = np.zeros(pts.shape[:-1])
     with np.errstate(over="ignore"):  # an overflowing length is refused below
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        np.cumsum(seg, out=s[1:])
-    if np.any(seg == 0.0):
-        k = int(np.flatnonzero(seg == 0.0)[0])
-        raise DegenerateGeometryError(
-            f"repeated consecutive landmarks at index {k}: zero-length segment"
-        )
-    if not np.isfinite(s[-1]):
-        raise ContractError("chord lengths overflow: coordinates are too large")
-    s /= s[-1]
-    return s
+        seg = np.linalg.norm(np.diff(pts, axis=-2), axis=-1)
+        np.cumsum(seg, axis=-1, out=s[..., 1:])
+    zero = seg == 0.0
+    bad = zero.any(axis=-1) | ~np.isfinite(s[..., -1])
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        if zero[index].any():
+            err = DegenerateGeometryError(
+                f"repeated consecutive landmarks at index "
+                f"{int(np.argmax(zero[index]))}: zero-length segment")
+        else:
+            err = ContractError("chord lengths overflow: coordinates are too large")
+        err.index = tuple(int(i) for i in index)
+        raise err
+    return s / s[..., -1:]
 
 
 def landmark_gauge(shape):
@@ -159,20 +171,22 @@ def fit_path(shape, spline="cubic-natural"):
     periodic cubic; open shapes a natural cubic; "pchip" is the
     shape-preserving alternative for either.
     """
-    pts = _as_points(shape)
     closed = isinstance(shape, LandmarkShape) and shape.closed
-    if closed and not np.array_equal(pts[0], pts[-1]):
-        pts = np.vstack([pts, pts[0]])
-    s = cumulative_lengths(pts)
-    if spline == "cubic-natural":
-        if closed:
-            pts = pts.copy()
-            pts[-1] = pts[0]  # periodic bc demands exact equality
-            return CubicSpline(s, pts, axis=0, bc_type="periodic")
-        return CubicSpline(s, pts, axis=0, bc_type="natural")
-    if spline == "pchip":
-        return PchipInterpolator(s, pts, axis=0)
-    raise ContractError(f"spline must be one of {SPLINE_KINDS}, got {spline!r}")
+    return _fit_paths(_as_points(shape), closed, spline)
+
+
+def _fit_paths(pts, closed, kind):
+    """fit_path for each member of an (..., n, 2) stack of shapes that
+    are all closed or all open.  Closed members get their first landmark
+    repeated at the end unless every member repeats it already."""
+    if closed and not np.array_equal(pts[..., 0, :], pts[..., -1, :]):
+        pts = np.concatenate([pts, pts[..., :1, :]], axis=-2)
+    s = _chord_params(pts)
+    if kind == "cubic-natural":
+        return cubic.spline(s, pts, "periodic" if closed else "natural")
+    if kind == "pchip":
+        return cubic.pchip(s, pts)
+    raise ContractError(f"spline must be one of {SPLINE_KINDS}, got {kind!r}")
 
 
 def sampling_positions(n, sampling="uniform-arclength"):
@@ -184,11 +198,27 @@ def sampling_positions(n, sampling="uniform-arclength"):
     raise ContractError(f"sampling must be one of {SAMPLING_KINDS}, got {sampling!r}")
 
 
-def refine(shape, cfg):
-    """Re-sample a shape at cfg.n landmarks along its fitted path."""
-    path = fit_path(shape, spline=cfg.spline)
-    xi = sampling_positions(cfg.n, cfg.sampling)
-    return LandmarkShape(path(xi), closed=shape.closed, name=shape.name)
+def refine(shapes, cfg):
+    """Re-sample shapes that share n and closedness at cfg.n landmarks
+    along their fitted paths, in one kernel call; returns a list.  A
+    member that cannot be refined raises, and the error's ``index``
+    names it."""
+    shapes = list(shapes)
+    if not shapes:
+        return []
+    if len({(s.n, s.closed) for s in shapes}) != 1:
+        raise ContractError("refine needs shapes that share a landmark count "
+                            "and closedness")
+    closed = shapes[0].closed
+    path = _fit_paths(np.stack([s.x for s in shapes]), closed, cfg.spline)
+    out = path(sampling_positions(cfg.n, cfg.sampling))
+    bad = ~np.isfinite(out).all(axis=(-2, -1))
+    if bad.any():
+        err = ContractError("refined landmarks overflow: coordinates are too large")
+        err.index = (int(np.argmax(bad)),)
+        raise err
+    return [LandmarkShape(x, closed=closed, name=s.name)
+            for x, s in zip(out, shapes)]
 
 
 def _standardize_raw(pts, variant):

@@ -54,7 +54,11 @@ class SpdMatrix:
         mat = _symmetric2(mat, "matrix")
         # Python floats overflow to inf without a warning
         (p, q), (r, s) = mat.tolist()
-        if p * s - q * r <= 0.0 or p + s <= 0.0:
+        det = p * s - q * r
+        if det != det:  # inf - inf: take the sign at a largest entry in [0.5, 1)
+            (p, q), (r, s) = np.ldexp(mat, -np.frexp(np.abs(mat).max())[1]).tolist()
+            det = p * s - q * r
+        if det <= 0.0 or p + s <= 0.0:
             raise ContractError("matrix is not positive definite")
         self.mat = mat
 

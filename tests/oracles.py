@@ -13,8 +13,10 @@ the SVD form of Procrustes and the square-root form of the polar split,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
 all-pairs self-intersection guard, the per-element row writer, the
 broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
-principal angles, and the per-line
-text readers and per-row writers of landmark, block and OBJ files.
+principal angles, the per-line
+text readers and per-row writers of landmark, block and OBJ files, and
+the per-shape refinement through scipy's splines and the CST Bernstein
+basis through scipy's binomials.
 """
 
 import numpy as np
@@ -671,3 +673,39 @@ def write_obj(path, sections3d):
             d = base + n + i + 1
             lines.append(f"f {a} {b} {c} {d}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Refinement and the CST basis as they stood while the library used scipy:
+# one CubicSpline or PchipInterpolator per shape, and scipy's float
+# binomials.
+
+
+def refine(shape, cfg):
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
+    from shapetensors.shapes import cumulative_lengths, sampling_positions
+
+    pts = shape.x
+    if shape.closed and not np.array_equal(pts[0], pts[-1]):
+        pts = np.vstack([pts, pts[0]])
+    s = cumulative_lengths(pts)
+    if cfg.spline == "pchip":
+        path = PchipInterpolator(s, pts, axis=0)
+    else:
+        path = CubicSpline(s, pts, axis=0,
+                           bc_type="periodic" if shape.closed else "natural")
+    xi = sampling_positions(cfg.n, cfg.sampling)
+    return LandmarkShape(path(xi), closed=shape.closed, name=shape.name)
+
+
+def bernstein_shape(x, coeff):
+    from scipy.special import comb
+
+    coeff = np.asarray(coeff, dtype=float)
+    deg = coeff.size - 1
+    i = np.arange(coeff.size)
+    basis = comb(deg, i)[:, None] * x[None, :] ** i[:, None] * (1.0 - x[None, :]) ** (
+        deg - i
+    )[:, None]
+    return coeff @ basis

@@ -693,6 +693,40 @@ def test_product_spd_build_refuses_a_singular_scale(tmp_path, capsys):
     assert not (tmp_path / "x.bld").exists()
 
 
+@pytest.mark.parametrize("variant", ["gl2-schedule", "product-spd"])
+def test_an_overflowing_station_scale_exits_2_without_warnings(tmp_path, capsys,
+                                                               variant):
+    """A middle station m = [[1e308, 1e308], [-1e308, 1e308]] overflows the
+    spanwise schedule (gl2-schedule) or the polar split (product-spd);
+    build and wireframe refuse it with no numpy warning."""
+    for k in range(3):
+        write_landmarks(tmp_path / f"st{k}.txt",
+                        cst_airfoil(np.full(9, 0.25) + 0.01 * k,
+                                    np.full(9, 0.1), n_c=41))
+    huge = "1e308 1e308 -1e308 1e308"
+    for name, middle in (("ok", "1 0 0 1"), ("huge", huge)):
+        (tmp_path / f"{name}.def").write_text("".join(
+            f"station {fmt(k / 2.0)} st{k}.txt m {middle if k == 1 else '1 0 0 1'}\n"
+            for k in range(3)))
+    words = ("spanwise schedule: spline slopes are not finite"
+             if variant == "gl2-schedule" else
+             "station 1 (eta=0.5): scale factor is too large")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("blade", "build", "--blade", tmp_path / "huge.def",
+                   "--variant", variant, "--out", tmp_path / "x.bld") == 2
+        assert words in capsys.readouterr().err
+        assert run("blade", "build", "--blade", tmp_path / "ok.def",
+                   "--variant", variant, "--out", tmp_path / "ok.bld") == 0
+        blade = corrupt(tmp_path / "ok.bld", tmp_path / "huge.bld",
+                        "affine-m+2", huge)
+        assert run("blade", "wireframe", "--blade", blade,
+                   "--out", tmp_path / "wire") == 2
+        assert f"error: {blade}: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "x.bld").exists()
+    assert not (tmp_path / "wire").exists()
+
+
 def test_blade_build_wrong_file_exit_code(tmp_path):
     bad = tmp_path / "bad.def"
     bad.write_text("wingspan 10\n")
@@ -766,6 +800,23 @@ def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["preprocess", "--input", "{manifest}", "--n", "999999999999"],
+     "refinement count must be an integer in [3, 10000000], got 999999999999"),
+    (["cst-gen", "--nc", "99999999999"],
+     "an airfoil needs between 5 and 10000000 landmarks, got 99999999999"),
+], ids=["preprocess", "cst-gen"])
+def test_oversized_landmark_counts_exit_2(dataset, tmp_path, capsys, argv,
+                                          words):
+    """Counts numpy would refuse to allocate are refused before any array
+    is made, naming the count."""
+    argv = [a.format(manifest=dataset / "data" / "manifest.txt") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def assert_help(argv, env=None):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -797,3 +848,41 @@ def test_console_script_mapping():
                     reason="console script not installed")
 def test_installed_console_script_help():
     assert_help(["shapetensors", "--help"])
+
+
+PIPELINE_WITHOUT_SCIPY = """
+import sys
+import shapetensors.cli as cli
+assert "scipy" not in sys.modules, "import shapetensors.cli loaded scipy"
+steps = [
+    ["cst-gen", "--count", "8", "--nc", "61", "--seed", "3", "--out", "raw"],
+    ["preprocess", "--input", "raw/manifest.txt", "--n", "81", "--out", "cooked"],
+    ["fit", "--input", "cooked/manifest.txt", "--rank", "2", "--out", "model.txt"],
+    ["sample", "--model", "model.txt", "--sweep", "corner-to-corner",
+     "--count", "3", "--out", "samples"],
+    ["blade", "build", "--blade", "blade.def", "--n", "81", "--out", "blade.bld"],
+    ["blade", "wireframe", "--blade", "blade.bld", "--sections", "5",
+     "--out", "wire"],
+]
+for argv in steps:
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+def test_the_pipeline_runs_without_importing_scipy(tmp_path):
+    """A fresh interpreter imports the CLI and runs cst-gen, preprocess,
+    fit, sample, blade build and blade wireframe through cli.main; scipy
+    never enters sys.modules."""
+    (tmp_path / "blade.def").write_text(
+        "bend 0.0 0 0 0\nbend 0.5 0 1 5\nbend 1.0 0 3 10\n"
+        + "".join(f"station {k / 2.0} raw/airfoil_000{k}.txt\n" for k in range(3)))
+    package_root = os.path.dirname(os.path.dirname(shapetensors.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_SCIPY],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "wire" / "blade.obj").exists()

@@ -10,6 +10,7 @@ from shapetensors.convergence import (
     write_convergence_svg,
 )
 from shapetensors.errors import ContractError, DegenerateGeometryError
+from shapetensors.shapes import PreprocessConfig
 
 
 @pytest.fixture(scope="module")
@@ -84,37 +85,44 @@ def test_a_degenerate_draw_drops_its_trial_whole(monkeypatch):
     assert skipping.slopes == reference.slopes
 
 
-# Which coarse level each step is working on when it is called.
-LEVEL_OF_CALL = {
-    "cst_airfoil": lambda args, kwargs: kwargs["n_c"],
-    "refine": lambda args, kwargs: args[0].n,
-    "_standardize_raw": lambda args, kwargs: 20,  # one call for every level
-}
-
-
-@pytest.mark.parametrize("step", sorted(LEVEL_OF_CALL))
+@pytest.mark.parametrize("step", ["_standardize_raw", "cst_airfoil", "refine"])
 def test_a_degenerate_level_drops_its_trial_whole(monkeypatch, step):
-    """The truth is valid but coarse level 20 fails: the trial is skipped."""
+    """The truth is valid but coarse level 20 of one draw fails in ``step``,
+    which refines and standardizes each level as one stack: that trial
+    alone is skipped."""
     rng = np.random.default_rng(2)
     draws = [convergence.random_coefficients(rng) for _ in range(4)]
     bad = draws[1]
-    current, raised = [], []
+    coarse = convergence.cst_airfoil(*bad, n_c=20)
+    cfg = PreprocessConfig(n=300, sampling="uniform-arclength")
+    dense = convergence.refine([coarse], cfg)[0].x
+    # where the call holds the bad draw's level 20: its index, else None
+    find = {
+        "cst_airfoil": lambda args, kwargs: (
+            () if args[0] is bad[0] and kwargs["n_c"] == 20 else None),
+        "refine": lambda args, kwargs: next(
+            ((i,) for i, shape in enumerate(args[0])
+             if shape.n == 20 and np.array_equal(shape.x, coarse.x)), None),
+        "_standardize_raw": lambda args, kwargs: next(
+            ((i, 1) for i, trial in enumerate(args[0])
+             if np.array_equal(trial[1], dense)), None),
+    }[step]
+    raised = []
     original = getattr(convergence, step)
 
     def failing(*args, **kwargs):
-        if current[-1] is bad and LEVEL_OF_CALL[step](args, kwargs) == 20:
+        index = find(args, kwargs)
+        if index is not None:
             raised.append(step)
-            raise DegenerateGeometryError(f"{step} refused level 20")
+            err = DegenerateGeometryError(f"{step} refused level 20")
+            err.index = index
+            raise err
         return original(*args, **kwargs)
 
     def report(sequence):
         feed = iter(sequence)
-
-        def draw(rng):
-            current.append(next(feed))
-            return current[-1]
-
-        monkeypatch.setattr(convergence, "random_coefficients", draw)
+        monkeypatch.setattr(convergence, "random_coefficients",
+                            lambda rng: next(feed))
         return run_convergence(n_trials=len(sequence), n_ref=300,
                                nc_list=(20, 40))
 

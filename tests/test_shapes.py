@@ -64,13 +64,13 @@ def test_landmark_gauge_is_max_gap():
 
 def test_refine_reproduces_knots_at_same_parameters():
     shape = _circle(16)  # equal chords: knots at j/16
-    out = refine(shape, PreprocessConfig(n=17, spline="cubic-natural"))
+    out, = refine([shape], PreprocessConfig(n=17, spline="cubic-natural"))
     np.testing.assert_allclose(out.x, shape.x, atol=1e-12)
 
 
 def test_refine_circle_radial_deviation():
     shape = _circle(64)
-    out = refine(shape, PreprocessConfig(n=401))
+    out, = refine([shape], PreprocessConfig(n=401))
     radii = np.linalg.norm(out.x, axis=1)
     assert np.max(np.abs(radii - 1.0)) <= 1e-4
 
@@ -80,12 +80,12 @@ def test_refine_pchip_stays_in_hull_of_monotone_data():
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
     # jitter corners so no repeated landmarks, keep monotone coordinates
     shape = LandmarkShape(pts + 1e-9)
-    out = refine(shape, PreprocessConfig(n=101, spline="pchip"))
+    out, = refine([shape], PreprocessConfig(n=101, spline="pchip"))
     assert out.x[:, 1].min() >= -1e-9 and out.x[:, 1].max() <= 1.0 + 1e-6
 
 
 def test_refine_closed_is_periodic():
-    out = refine(_circle(32), PreprocessConfig(n=201))
+    out, = refine([_circle(32)], PreprocessConfig(n=201))
     np.testing.assert_allclose(out.x[0], out.x[-1], atol=1e-14)
     assert out.closed
 
@@ -94,7 +94,7 @@ def test_refine_order_of_accuracy():
     # halving the gauge should cut the radial error by roughly 2^4
     errs = []
     for n_c in (16, 32, 64):
-        out = refine(_circle(n_c), PreprocessConfig(n=1001))
+        out, = refine([_circle(n_c)], PreprocessConfig(n=1001))
         errs.append(np.max(np.abs(np.linalg.norm(out.x, axis=1) - 1.0)))
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(rate) > 3.0

@@ -31,6 +31,22 @@ def test_rejects_non_spd():
         SpdMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))  # asymmetric
 
 
+@pytest.mark.parametrize("mat", [
+    [[1e200, 2e200], [2e200, 1e200]],  # eigenvalues 3e200 and -1e200
+    [[1e200, 1e200], [1e200, 1e200]],  # singular
+], ids=["indefinite", "singular"])
+def test_rejects_non_spd_whose_determinant_overflows(mat):
+    """p s and q r both overflow, and inf - inf is NaN: the sign of the
+    determinant is taken from the matrix scaled down."""
+    with pytest.raises(ContractError, match="not positive definite"):
+        SpdMatrix(mat)
+
+
+def test_accepts_spd_whose_determinant_overflows():
+    mat = np.array([[1e200, 0.5e200], [0.5e200, 1e200]])
+    assert np.array_equal(SpdMatrix(mat).mat, mat)
+
+
 def test_rejects_asymmetric_tangent():
     with pytest.raises(ContractError):
         SpdTangent(np.array([[0.0, 1.0], [0.0, 0.0]]))
