@@ -20,7 +20,7 @@ splining their coordinates over the normalized cumulative chord length
 import numpy as np
 
 from . import cubic
-from .errors import ContractError, DegenerateGeometryError
+from .errors import ContractError, DegenerateGeometryError, ShapeTensorError
 from .grassmann import GrassmannPoint, gr_distance
 from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
@@ -177,8 +177,8 @@ def fit_path(shape, spline="cubic-natural"):
 
 def _fit_paths(pts, closed, kind):
     """fit_path for each member of an (..., n, 2) stack of shapes that
-    are all closed or all open.  Closed members get their first landmark
-    repeated at the end unless every member repeats it already."""
+    are all open, or all closed and alike in whether they repeat their
+    first landmark at the end; those that do not get it repeated."""
     if closed and not np.array_equal(pts[..., 0, :], pts[..., -1, :]):
         pts = np.concatenate([pts, pts[..., :1, :]], axis=-2)
     s = _chord_params(pts)
@@ -200,9 +200,10 @@ def sampling_positions(n, sampling="uniform-arclength"):
 
 def refine(shapes, cfg):
     """Re-sample shapes that share n and closedness at cfg.n landmarks
-    along their fitted paths, in one kernel call; returns a list.  A
-    member that cannot be refined raises, and the error's ``index``
-    names it."""
+    along their fitted paths; returns a list.  One kernel call refines
+    them all, or two when some closed members repeat their first
+    landmark at the end and others do not.  A member that cannot be
+    refined raises, and the error's ``index`` names it."""
     shapes = list(shapes)
     if not shapes:
         return []
@@ -210,15 +211,23 @@ def refine(shapes, cfg):
         raise ContractError("refine needs shapes that share a landmark count "
                             "and closedness")
     closed = shapes[0].closed
-    path = _fit_paths(np.stack([s.x for s in shapes]), closed, cfg.spline)
-    out = path(sampling_positions(cfg.n, cfg.sampling))
-    bad = ~np.isfinite(out).all(axis=(-2, -1))
-    if bad.any():
-        err = ContractError("refined landmarks overflow: coordinates are too large")
-        err.index = (int(np.argmax(bad)),)
-        raise err
-    return [LandmarkShape(x, closed=closed, name=s.name)
-            for x, s in zip(out, shapes)]
+    x = np.stack([s.x for s in shapes])
+    # a closed member gains a closing knot unless it repeats its first
+    # landmark already, so the two kinds are splined apart
+    repeats = closed & (x[:, 0] == x[:, -1]).all(axis=-1)
+    xi = sampling_positions(cfg.n, cfg.sampling)
+    out = [None] * len(shapes)
+    for kind in np.unique(repeats):
+        members = np.flatnonzero(repeats == kind)
+        try:
+            path = _fit_paths(x[members], closed, cfg.spline)
+        except ShapeTensorError as err:
+            if err.index:
+                err.index = (int(members[err.index[0]]),)
+            raise
+        for i, refined in zip(members, path(xi)):
+            out[i] = LandmarkShape(refined, closed=closed, name=shapes[i].name)
+    return out
 
 
 def _standardize_raw(pts, variant):

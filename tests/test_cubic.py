@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 import oracles
 from shapetensors import cubic
 from shapetensors.cst import bernstein_shape, cst_airfoil
-from shapetensors.errors import ContractError
+from shapetensors.errors import ContractError, DegenerateGeometryError
 from shapetensors.shapes import LandmarkShape, PreprocessConfig, refine
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -135,6 +135,26 @@ def test_refine_of_a_stack_matches_the_scipy_refinement(spline, closed):
         assert np.abs(got.x - want.x).max() <= 1e-14
         if spline == "cubic-natural":  # periodic when closed: exactly closed
             assert np.array_equal(got.x[0], got.x[-1]) == closed
+
+
+def test_refine_of_closed_shapes_that_repeat_their_first_landmark_or_not():
+    """Closed members that repeat their first landmark at the end and
+    members that do not are splined apart, each as scipy would; a refused
+    member is named by its place in the whole stack."""
+    rng = np.random.default_rng(11)
+    shapes = []
+    for k in range(6):
+        pts = cst_airfoil(rng.uniform(0.05, 0.45, 9), rng.uniform(0.05, 0.45, 9),
+                          n_c=62 - k % 2).x
+        shapes.append(LandmarkShape(pts[:61], closed=True))  # odd k repeat
+    cfg = PreprocessConfig(n=101)
+    for got, shape in zip(refine(shapes, cfg), shapes):
+        assert np.abs(got.x - oracles.refine(shape, cfg).x).max() <= 1e-14
+    shapes[3] = LandmarkShape(np.vstack([shapes[3].x[:30], shapes[3].x[29:60]]),
+                              closed=True)
+    with pytest.raises(DegenerateGeometryError, match="index 29") as info:
+        refine(shapes, cfg)
+    assert info.value.index == (3,)
 
 
 def test_refusals_name_the_member_and_warn_nothing():
