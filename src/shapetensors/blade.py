@@ -36,7 +36,7 @@ from .errors import (
 from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
                         _transport_raw)
 from .linalg import mT, orthogonal_factor, rotation2, sym2_split
-from .shapes import RANK_TOL, LandmarkShape, _standardize_raw
+from .shapes import RANK_TOL, LandmarkShape, _standardize_raw, ends_meet
 from .spd import _distance_raw as _spd_distance_raw
 from .spd import _exp_raw as _spd_exp_raw
 from .spd import _log_raw as _spd_log_raw
@@ -221,11 +221,16 @@ def _fraction(value, knots, k):
 
 
 def _sections(model, etas):
-    """Cross-section landmarks at each of ``etas``: (len(etas), n, 2)."""
+    """Cross-section landmarks at each of ``etas``: (len(etas), n, 2).
+    The sections of a closed blade whose station representatives close
+    (``ends_meet``) repeat their first landmark as their last."""
     etas = np.asarray(etas, dtype=float)
     k = model._interval(etas)
     m = model._scale_at(etas, k)
-    return model._rep_at(etas, k) @ m + model._b_spline(etas)[:, None, :]
+    out = model._rep_at(etas, k) @ m + model._b_spline(etas)[:, None, :]
+    if model.closed and ends_meet(model.reps).all():
+        out[:, -1] = out[:, 0]
+    return out
 
 
 def evaluate_blade(model, eta):
@@ -259,6 +264,12 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
             "preprocess the sections to a common n first"
         )
     closed = shapes[0].closed
+    differs = [s.closed != closed for s in shapes]
+    if any(differs):
+        k = differs.index(True)
+        raise ContractError(
+            f"station {k} (eta={etas[k]:g}) is {'open' if closed else 'closed'} "
+            f"but station 0 is not; stations must be all open or all closed")
     std_variant = "gl2" if variant == "gl2-schedule" else "polar"
     try:
         reps, ms, bs = _standardize_raw(np.stack([s.x for s in shapes]),

@@ -118,13 +118,9 @@ def build_blade_from_definition(defn, variant="gl2-schedule", n=None,
     shapes = [read_landmarks(p) for _, p, _, _ in defn.stations]
     target = max(s.n for s in shapes) if n is None else int(n)
     cfg = PreprocessConfig(n=target, spline=spline, sampling=sampling)
-    groups = {}
-    for i, shape in enumerate(shapes):
-        if shape.n != target:
-            groups.setdefault((shape.n, shape.closed), []).append(i)
-    for members in groups.values():  # one refine call per (n, closed)
-        for i, shape in zip(members, refine([shapes[i] for i in members], cfg)):
-            shapes[i] = shape
+    members = [i for i, shape in enumerate(shapes) if shape.n != target]
+    for i, shape in zip(members, refine([shapes[i] for i in members], cfg)):
+        shapes[i] = shape
     has_m = [m is not None for _, _, m, _ in defn.stations]
     if any(has_m) and not all(has_m):
         raise ContractError(

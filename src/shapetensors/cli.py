@@ -52,6 +52,7 @@ from .shapes import (
     LandmarkShape,
     PreprocessConfig,
     _standardize_raw,
+    ends_meet,
     l4_matrix,
     la_standardize,
     landmark_gauge,
@@ -141,20 +142,19 @@ def cmd_preprocess(args):
     shapes, failures = _load_dataset(args.input)
     cfg = PreprocessConfig(n=args.n, spline=args.spline, sampling=args.sampling)
     os.makedirs(args.out, exist_ok=True)
-    refused, refined, groups, seen = {}, {}, {}, set()
-    for i, (path, _, shape) in enumerate(shapes):
+    refused, members, seen = {}, [], set()
+    for i, (path, _, _) in enumerate(shapes):
         fname = os.path.basename(path)
         if fname in seen:
             refused[i] = f"{path}: duplicate output name {fname}"
             continue
         seen.add(fname)
-        groups.setdefault((shape.n, shape.closed), []).append(i)
-    for members in groups.values():  # one refine call per (n, closed)
-        kept, out, errors = without_refused(
-            lambda group: refine(group, cfg), [shapes[i][2] for i in members])
-        refined.update(zip([members[j] for j in kept], out))
-        refused.update((members[j], f"{shapes[members[j]][0]}: {err}")
-                       for j, err in errors.items())
+        members.append(i)
+    kept, out, errors = without_refused(
+        lambda group: refine(group, cfg), [shapes[i][2] for i in members])
+    refined = dict(zip([members[j] for j in kept], out))
+    refused.update((members[j], f"{shapes[members[j]][0]}: {err}")
+                   for j, err in errors.items())
     entries = []
     gauge_rows = ["file,label,gauge_in,gauge_out"]
     for i, (path, label, shape) in enumerate(shapes):
@@ -237,10 +237,15 @@ def _scale_matrix(spec, model):
 
 
 def _sample_to_shape(model, coeffs, scale):
-    """One sample's landmarks; a None ``scale`` takes the sample's SPD part."""
+    """One sample's landmarks; a None ``scale`` takes the sample's SPD part.
+    The samples of a model whose mean closes (``ends_meet``) are closed
+    and repeat their first landmark as their last."""
     parts = _arrays(generate(model, coeffs))
     pts = parts["grassmann"] @ (parts["spd"] if scale is None else scale)
-    return LandmarkShape(pts, closed=bool(np.array_equal(pts[0], pts[-1])))
+    closed = bool(ends_meet(_arrays(model.mean)["grassmann"]))
+    if closed:
+        pts[-1] = pts[0]
+    return LandmarkShape(pts, closed=closed)
 
 
 def cmd_sample(args):

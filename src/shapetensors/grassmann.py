@@ -60,6 +60,23 @@ GRAM_S1_MAX = 1e2
 SERIES_MAX = 1e-8
 
 
+def check_orthonormal(a):
+    """Refuse, with a ContractError, a finite matrix whose columns are not
+    orthonormal within ORTHO_TOL."""
+    # orthonormal columns have entries in [-1, 1]; refusing far larger
+    # ones first keeps a.T @ a from overflowing
+    big = np.abs(a).max(initial=0.0)
+    if big > 2.0:
+        raise ContractError(
+            f"columns are not orthonormal: an entry has magnitude {big:.3e}")
+    drift = np.linalg.norm(a.T @ a - np.eye(a.shape[1]))
+    if drift > ORTHO_TOL:
+        raise ContractError(
+            f"columns are not orthonormal: ||X.T X - I||_F = {drift:.3e} "
+            f"exceeds {ORTHO_TOL:.0e}"
+        )
+
+
 class GrassmannPoint:
     """A 2-plane in R^n held as an orthonormal (n, 2) representative."""
 
@@ -72,21 +89,9 @@ class GrassmannPoint:
                 "Grassmann representative must be (n, 2) with n >= 3, got "
                 f"shape {rep.shape}"
             )
-        big = np.abs(rep).max()
-        if not np.isfinite(big):
+        if not np.all(np.isfinite(rep)):
             raise ContractError("Grassmann representative has non-finite entries")
-        # orthonormal columns have entries in [-1, 1]; refusing far larger
-        # ones first keeps rep.T @ rep from overflowing
-        if big > 2.0:
-            raise ContractError(
-                f"columns are not orthonormal: an entry has magnitude {big:.3e}")
-        gram = rep.T @ rep
-        drift = np.linalg.norm(gram - np.eye(2))
-        if drift > ORTHO_TOL:
-            raise ContractError(
-                f"columns are not orthonormal: ||X.T X - I||_F = {drift:.3e} "
-                f"exceeds {ORTHO_TOL:.0e}"
-            )
+        check_orthonormal(rep)
         self.rep = rep
 
     @property

@@ -7,6 +7,7 @@ byte for byte.  The file ends at ``mean-scale``; the domain is derived.
 """
 
 from .errors import ContractError
+from .grassmann import check_orthonormal
 from .stats import (
     _COMPONENTS,
     KINDS,
@@ -59,6 +60,10 @@ def load_model(path):
     # one basis row per entry of a vectorized tangent at the mean
     width = sum(_COMPONENTS[c].vec(a).size for c, a in _arrays(mean).items())
     basis = r.block("basis", rows=width)
+    try:
+        check_orthonormal(basis)
+    except ContractError as err:
+        raise ContractError(f"{path}: basis {err}") from err
     rank = basis.shape[1]
     eigenvalues = r.vector("eigenvalues", size=rank)
     coords = r.block("coords", cols=rank)

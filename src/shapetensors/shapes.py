@@ -12,16 +12,17 @@ factor m = S Z^T; "polar" rotates the representative by the right
 singular vectors so m becomes the symmetric positive definite factor
 Z S Z^T, which is the form the product-manifold statistics operate on.
 
-Refinement re-samples a stack of shapes at a target landmark count by
+Refinement re-samples a list of shapes at a target landmark count by
 splining their coordinates over the normalized cumulative chord length
-(the standard discrete arc-length surrogate), in one kernel call.
+(the standard discrete arc-length surrogate), one kernel call for each
+kind of shape in the list.
 """
 
 import numpy as np
 
 from . import cubic
 from .errors import ContractError, DegenerateGeometryError, ShapeTensorError
-from .grassmann import GrassmannPoint, gr_distance
+from .grassmann import ORTHO_TOL, GrassmannPoint, gr_distance
 from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
 
@@ -199,35 +200,39 @@ def sampling_positions(n, sampling="uniform-arclength"):
 
 
 def refine(shapes, cfg):
-    """Re-sample shapes that share n and closedness at cfg.n landmarks
-    along their fitted paths; returns a list.  One kernel call refines
-    them all, or two when some closed members repeat their first
-    landmark at the end and others do not.  A member that cannot be
-    refined raises, and the error's ``index`` names it."""
+    """Re-sample shapes at cfg.n landmarks along their fitted paths;
+    returns a list in input order.  Members alike in landmark count,
+    closedness and whether they repeat their first landmark at the end
+    share one kernel call.  A member that cannot be refined raises, and
+    the error's ``index`` names its position in ``shapes``."""
     shapes = list(shapes)
-    if not shapes:
-        return []
-    if len({(s.n, s.closed) for s in shapes}) != 1:
-        raise ContractError("refine needs shapes that share a landmark count "
-                            "and closedness")
-    closed = shapes[0].closed
-    x = np.stack([s.x for s in shapes])
-    # a closed member gains a closing knot unless it repeats its first
-    # landmark already, so the two kinds are splined apart
-    repeats = closed & (x[:, 0] == x[:, -1]).all(axis=-1)
+    groups = {}
+    for i, s in enumerate(shapes):
+        # a closed member gains a closing knot unless it repeats its first
+        # landmark already, so the two kinds are splined apart
+        repeats = s.closed and np.array_equal(s.x[0], s.x[-1])
+        groups.setdefault((s.n, s.closed, repeats), []).append(i)
     xi = sampling_positions(cfg.n, cfg.sampling)
     out = [None] * len(shapes)
-    for kind in np.unique(repeats):
-        members = np.flatnonzero(repeats == kind)
+    for (_, closed, _), members in groups.items():
         try:
-            path = _fit_paths(x[members], closed, cfg.spline)
+            path = _fit_paths(np.stack([shapes[i].x for i in members]), closed,
+                              cfg.spline)
         except ShapeTensorError as err:
             if err.index:
-                err.index = (int(members[err.index[0]]),)
+                err.index = (members[err.index[0]],)
             raise
         for i, refined in zip(members, path(xi)):
             out[i] = LandmarkShape(refined, closed=closed, name=shapes[i].name)
     return out
+
+
+def ends_meet(rep):
+    """Whether the first and last rows of a Grassmann representative, or
+    of each in an (..., n, 2) stack, agree within ORTHO_TOL, as those of
+    a closed shape that repeats its first landmark do: standardization
+    moves the repeat by a few ulps, so exact equality would read open."""
+    return np.linalg.norm(rep[..., 0, :] - rep[..., -1, :], axis=-1) <= ORTHO_TOL
 
 
 def _standardize_raw(pts, variant):

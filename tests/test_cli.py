@@ -14,8 +14,8 @@ from shapetensors.bladeio import load_blade, save_blade
 from shapetensors.cli import main
 from shapetensors.cst import cst_airfoil
 from shapetensors.model_io import load_model, save_model
-from shapetensors.shapes import (LandmarkShape, la_standardize, read_landmarks,
-                                 write_landmarks)
+from shapetensors.shapes import (LandmarkShape, PreprocessConfig, la_standardize,
+                                 read_landmarks, refine, write_landmarks)
 from shapetensors.stats import pga_fit
 from shapetensors.textio import fmt
 
@@ -175,6 +175,39 @@ def test_preprocess_collects_per_file_errors(dataset, tmp_path, capsys):
     assert (out / "airfoil_0000.txt").exists()
 
 
+def test_preprocess_refines_a_mixed_manifest_as_each_file_alone(tmp_path, capsys):
+    """Files of several landmark counts, open and closed, go through one
+    refine call: each output equals its own file's refinement, the
+    manifest and gauges.csv keep input order, and a bad file is named."""
+    rng = np.random.default_rng(8)
+    names = []
+    for k in range(8):
+        pts = cst_airfoil(rng.uniform(0.1, 0.4, 9), rng.uniform(0.1, 0.4, 9),
+                          n_c=(41, 61)[k % 2]).x
+        names.append(f"f{k}.txt")
+        if k == 5:  # a repeated consecutive landmark
+            pts = np.vstack([pts[:20], pts[19:]])
+        write_landmarks(tmp_path / names[-1], LandmarkShape(
+            pts if k % 3 else pts[:-1], closed=k % 3 > 0))
+    (tmp_path / "manifest.txt").write_text(
+        "".join(f"{name},l{k}\n" for k, name in enumerate(names)))
+    out = tmp_path / "out"
+    assert run_without_warnings("preprocess", "--input", tmp_path / "manifest.txt",
+                                "--n", 51, "--spline", "pchip", "--out", out) == 2
+    assert f"{tmp_path / 'f5.txt'}: repeated consecutive landmarks" in \
+        capsys.readouterr().err
+    kept = [name for name in names if name != "f5.txt"]
+    cfg = PreprocessConfig(n=51, spline="pchip")
+    for name in kept:
+        alone, = refine([read_landmarks(tmp_path / name)], cfg)
+        assert np.array_equal(read_landmarks(out / name).x, alone.x)
+    rows = (out / "manifest.txt").read_text().splitlines()
+    assert [row for row in rows if not row.startswith("#")] == [
+        f"{name},l{names.index(name)}" for name in kept]
+    gauges = (out / "gauges.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in gauges] == kept
+
+
 def test_fit_writes_model_and_coords(dataset):
     model = load_model(dataset / "model.txt")
     assert model.kind == "grassmann"
@@ -316,6 +349,27 @@ def test_sample_sweeps_a_model_saved_from_a_library_fit(tmp_path):
     assert len(read_landmarks(tmp_path / "s" / "sample_0002.txt").x) == 61
 
 
+def test_samples_of_a_closed_training_set_are_closed(tmp_path):
+    """Standardization breaks a closed shape's repeat in the last bits, so
+    the samples take their closedness from the model mean's end rows and
+    repeat their first landmark exactly; written open, some crossed
+    themselves at the nearly touching ends."""
+    assert run("cst-gen", "--count", 12, "--nc", 61, "--seed", 4,
+               "--out", tmp_path / "raw") == 0
+    assert run("preprocess", "--input", tmp_path / "raw" / "manifest.txt",
+               "--n", 81, "--out", tmp_path / "pre") == 0
+    for manifold in ("product", "grassmann"):
+        model, out = tmp_path / f"{manifold}.txt", tmp_path / manifold
+        assert run("fit", "--input", tmp_path / "pre" / "manifest.txt",
+                   "--manifold", manifold, "--rank", 3, "--out", model) == 0
+        assert run("sample", "--model", model, "--sweep", "corner-to-corner",
+                   "--count", 5, "--out", out) == 0
+        for i in range(5):
+            assert read_landmarks(out / f"sample_{i:04d}.txt").closed
+        assert (out / "guard.csv").read_text().splitlines()[1:] == [
+            f"sample_{i:04d}.txt,pass" for i in range(5)]
+
+
 def test_sample_usage_errors(dataset, tmp_path):
     assert run("sample", "--model", dataset / "model.txt",
                "--out", tmp_path / "x") == 2
@@ -441,6 +495,21 @@ def test_sample_names_a_model_whose_mean_overflows(kind_models, tmp_path, capsys
     assert run_without_warnings("sample", "--model", bad, "--coeffs=0,0",
                                 "--out", tmp_path / "x") == 2
     assert f"error: {bad}: {words}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, words", [
+    ("1e308 0 0", "an entry has magnitude 1.000e+308"),
+    ("0.5 0.5 0.5", "||X.T X - I||_F ="),
+])
+def test_sample_names_a_model_whose_basis_is_not_orthonormal(dataset, tmp_path,
+                                                             capsys, edit, words):
+    bad = corrupt(dataset / "model.txt", tmp_path / "bad.txt", "basis+1", edit)
+    assert run_without_warnings("sample", "--model", bad, "--coeffs=0.01,0,0",
+                                "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: basis columns are not orthonormal: " in err
+    assert words in err
+    assert not (tmp_path / "x").exists()
 
 
 def shorten(src, dst, name):
@@ -725,6 +794,45 @@ def test_an_overflowing_station_scale_exits_2_without_warnings(tmp_path, capsys,
         assert f"error: {blade}: {words}" in capsys.readouterr().err
     assert not (tmp_path / "x.bld").exists()
     assert not (tmp_path / "wire").exists()
+
+
+def closed_blade_definition(root, open_station=None):
+    """Three closed CST stations at n=61, with ``open_station`` (if given)
+    written open, one landmark short; returns the definition's path."""
+    lines = []
+    for k in range(3):
+        x = cst_airfoil(np.full(9, 0.25) + 0.02 * k, np.full(9, 0.1), n_c=61).x
+        write_landmarks(root / f"st{k}.txt", LandmarkShape(
+            x[:-1] if k == open_station else x, closed=k != open_station))
+        lines.append(f"station {fmt(k / 2.0)} st{k}.txt")
+    (root / "blade.def").write_text("\n".join(lines) + "\n")
+    return root / "blade.def"
+
+
+def test_a_closed_blade_writes_closed_sections(tmp_path):
+    built = tmp_path / "x.bld"
+    assert run("blade", "build", "--blade", closed_blade_definition(tmp_path),
+               "--out", built) == 0
+    assert "closed 1" in built.read_text().splitlines()
+    assert run("blade", "wireframe", "--blade", built, "--sections", 5,
+               "--out", tmp_path / "wire") == 0
+    assert run("blade", "eval", "--blade", built, "--eta", 0.3,
+               "--out", tmp_path / "sec.txt") == 0
+    paths = [tmp_path / "wire" / f"section_{i:03d}.txt" for i in range(5)]
+    for path in paths + [tmp_path / "sec.txt"]:
+        assert read_landmarks(path).closed
+
+
+@pytest.mark.parametrize("open_station, words", [
+    (1, "station 1 (eta=0.5) is open but station 0 is not"),
+    (0, "station 1 (eta=0.5) is closed but station 0 is not"),
+])
+def test_blade_build_refuses_open_and_closed_stations_together(
+        tmp_path, capsys, open_station, words):
+    defn = closed_blade_definition(tmp_path, open_station)
+    assert run("blade", "build", "--blade", defn, "--out", tmp_path / "x.bld") == 2
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "x.bld").exists()
 
 
 def test_blade_build_wrong_file_exit_code(tmp_path):

@@ -139,8 +139,10 @@ def test_refine_of_a_stack_matches_the_scipy_refinement(spline, closed):
 
 def test_refine_of_closed_shapes_that_repeat_their_first_landmark_or_not():
     """Closed members that repeat their first landmark at the end and
-    members that do not are splined apart, each as scipy would; a refused
-    member is named by its place in the whole stack."""
+    members that do not are splined apart, each as scipy would.  A list
+    that also mixes in open members and other landmark counts refines as
+    each member alone does, bit for bit.  A refused member is named by
+    its place in the whole list."""
     rng = np.random.default_rng(11)
     shapes = []
     for k in range(6):
@@ -150,11 +152,26 @@ def test_refine_of_closed_shapes_that_repeat_their_first_landmark_or_not():
     cfg = PreprocessConfig(n=101)
     for got, shape in zip(refine(shapes, cfg), shapes):
         assert np.abs(got.x - oracles.refine(shape, cfg).x).max() <= 1e-14
-    shapes[3] = LandmarkShape(np.vstack([shapes[3].x[:30], shapes[3].x[29:60]]),
-                              closed=True)
-    with pytest.raises(DegenerateGeometryError, match="index 29") as info:
-        refine(shapes, cfg)
-    assert info.value.index == (3,)
+    mixed = []
+    for k in range(18):  # each (n, kind) twice, nine members apart
+        pts = cst_airfoil(rng.uniform(0.05, 0.45, 9), rng.uniform(0.05, 0.45, 9),
+                          n_c=(61, 62, 81)[k % 3]).x
+        kind = k // 3 % 3  # open, closed and repeating, closed and not
+        mixed.append(LandmarkShape(pts if kind == 1 else pts[:-1],
+                                   closed=kind > 0))
+    for spline in ("cubic-natural", "pchip"):
+        cfg = PreprocessConfig(n=101, spline=spline)
+        for got, shape in zip(refine(mixed, cfg), mixed):
+            alone, = refine([shape], cfg)
+            assert got.closed == shape.closed
+            assert np.array_equal(got.x, alone.x)
+    for stack, k in ((shapes, 3), (mixed, 16)):  # 16 is second in its group
+        x = stack[k].x
+        stack[k] = LandmarkShape(np.vstack([x[:30], x[29:-1]]),
+                                 closed=stack[k].closed)
+        with pytest.raises(DegenerateGeometryError, match="index 29") as info:
+            refine(stack, cfg)
+        assert info.value.index == (k,)
 
 
 def test_refusals_name_the_member_and_warn_nothing():
