@@ -77,7 +77,6 @@ from .shapes import (
     PreprocessConfig,
     SeparableShape,
     cumulative_lengths,
-    fit_path,
     idempotence_check,
     l4_matrix,
     la_standardize,

@@ -32,6 +32,8 @@ from .errors import (
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
+    named,
+    refuse,
 )
 from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
                         _transport_raw)
@@ -81,11 +83,9 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
 def _spanwise_spline(etas, values):
     """Cubic spline of per-station values; natural ends with a
     not-a-knot fallback when only 2-3 stations exist."""
-    try:
+    with named("spanwise schedule"):
         return cubic.spline(etas, values,
                             "natural" if len(etas) >= 4 else "not-a-knot")
-    except ContractError as err:
-        raise ContractError(f"spanwise schedule: {err}") from err
 
 
 def _polar_split(m):
@@ -140,20 +140,19 @@ class BladeModel:
     def n(self):
         return self.reps.shape[1]
 
-    def _check(self, ok, cls, message):
-        """Raise cls naming the first station where ``ok`` is False (as it
-        is for NaN); ``message(k)`` says what is wrong there."""
-        if not np.all(ok):
-            k = int(np.argmin(ok))
-            raise cls(f"station {k} (eta={self.etas[k]:g}): {message(k)}")
+    def _check(self, ok, make):
+        """Raise make(i), named by its station, for the first station i
+        where ``ok`` is False (as it is for NaN)."""
+        with named(_station(self.etas)):
+            refuse(~ok, make)
 
     def _rebuild(self):
         """Check the stations; derive schedules and per-interval caches."""
         reps = self.reps
         drift = np.linalg.norm(mT(reps) @ reps - np.eye(2), axis=(-2, -1))
-        self._check(drift <= ORTHO_TOL, ContractError, lambda k: (
+        self._check(drift <= ORTHO_TOL, lambda i: ContractError(
             "representative columns are not orthonormal: ||X.T X - I||_F = "
-            f"{drift[k]:.3e} exceeds {ORTHO_TOL:.0e}"))
+            f"{drift[i]:.3e} exceeds {ORTHO_TOL:.0e}"))
         self._gr_logs = _log_raw(reps[:-1], reps[1:])
         gaps = np.linalg.norm(self._gr_logs, axis=(-2, -1))
         self.ts = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -168,12 +167,12 @@ class BladeModel:
             with np.errstate(invalid="ignore"):  # refused just below
                 p, angles = _polar_split(self.affine_m)
             # below 2**1023 the split of p into mid I + h e cannot overflow
-            self._check(np.abs(p).max(axis=(-2, -1)) < 2.0**1023, ContractError,
-                        lambda k: "scale factor is too large: its polar split "
-                                  "overflows")
+            self._check(np.abs(p).max(axis=(-2, -1)) < 2.0**1023,
+                        lambda _: ContractError("scale factor is too large: its "
+                                                "polar split overflows"))
             mid, h, _ = sym2_split(p)
             self._check(mid - h > RANK_TOL * (mid + h),
-                        DegenerateGeometryError, lambda k: (
+                        lambda _: DegenerateGeometryError(
                 "scale factor is singular or contains a reflection; the "
                 "product-spd schedule needs a positive determinant"))
             self._spd_p = p
@@ -191,11 +190,8 @@ class BladeModel:
         inside the span, NaN included."""
         etas = self.etas
         inside = (eta >= etas[0]) & (eta <= etas[-1])
-        if not np.all(inside):
-            bad = float(np.asarray(eta)[~inside].flat[0])
-            raise ExtrapolationError(
-                f"eta={bad:g} outside the blade span [{etas[0]:g}, {etas[-1]:g}]"
-            )
+        refuse(~inside, lambda i: ExtrapolationError(
+            f"eta={eta[i]:g} outside the blade span [{etas[0]:g}, {etas[-1]:g}]"))
         k = np.searchsorted(etas, eta, side="right") - 1
         return np.clip(k, 0, etas.size - 2)
 
@@ -209,6 +205,11 @@ class BladeModel:
         ss = _fraction(self._psi(eta), self.ell, k)
         p = _spd_exp_raw(self._spd_p[k], ss[..., None, None] * self._spd_logs[k])
         return p @ rotation2(self._angle_spline(eta))
+
+
+def _station(etas):
+    """named()'s prefix for station k of a blade with these etas."""
+    return lambda k: f"station {k} (eta={etas[k]:g})"
 
 
 def _fraction(value, knots, k):
@@ -264,19 +265,13 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
             "preprocess the sections to a common n first"
         )
     closed = shapes[0].closed
-    differs = [s.closed != closed for s in shapes]
-    if any(differs):
-        k = differs.index(True)
-        raise ContractError(
-            f"station {k} (eta={etas[k]:g}) is {'open' if closed else 'closed'} "
-            f"but station 0 is not; stations must be all open or all closed")
+    refuse(np.array([s.closed != closed for s in shapes]), lambda i: ContractError(
+        f"station {i[0]} (eta={etas[i]:g}) is {'open' if closed else 'closed'} "
+        f"but station 0 is not; stations must be all open or all closed"))
     std_variant = "gl2" if variant == "gl2-schedule" else "polar"
-    try:
+    with named(_station(etas)):
         reps, ms, bs = _standardize_raw(np.stack([s.x for s in shapes]),
                                         std_variant)
-    except DegenerateGeometryError as err:
-        k = err.index[0]
-        raise DegenerateGeometryError(f"station {k} (eta={etas[k]:g}): {err}") from err
     if affine_overrides is not None:
         if len(affine_overrides) != len(stations):
             raise ContractError("need one affine override per station")
@@ -316,7 +311,7 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError(
             "consistent deformation needs a Grassmann PGA model"
         )
-    delta = _tangent(pga, coeffs)["grassmann"]
+    delta = _tangent(pga, coeffs)[0]["grassmann"]
     radius = float(np.linalg.norm(coeffs))
     if radius > pga.domain.radius:
         warnings.warn(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blade import BladeModel, _sections, build_blade
 from .blade import evaluate_blade  # noqa: F401  (bench/spans.py traces this name)
-from .errors import ContractError, DegenerateGeometryError
+from .errors import ContractError, named, refuse
 from .linalg import mT
 from .shapes import (
     LandmarkShape,
@@ -177,13 +177,11 @@ def load_blade(path):
     bend = r.block("bend", optional=True, cols=4)
     if r.next() != "end":
         raise ContractError(f"{path}: missing end marker")
-    try:
+    with named(path):
         return BladeModel(
             variant, etas, reps, affine_m, affine_b, closed=closed,
             has_reflection=has_reflection, span_length=span_length, bend=bend,
         )
-    except (ContractError, DegenerateGeometryError) as err:
-        raise type(err)(f"{path}: {err}") from err
 
 
 def _axis_frames(tangents):
@@ -220,12 +218,8 @@ def _placed_sections(model, etas):
     curve = model._bend_curve
     tan = curve(etas, nu=1)
     norm = np.linalg.norm(tan, axis=-1)
-    vanishing = norm < 1e-12
-    if np.any(vanishing):
-        raise ContractError(
-            "bend curve has a vanishing tangent at "
-            f"eta={etas[np.argmax(vanishing)]:g}"
-        )
+    refuse(norm < 1e-12, lambda i: ContractError(
+        f"bend curve has a vanishing tangent at eta={etas[i]:g}"))
     frames = _axis_frames(tan / norm[:, None])
     return flat, pts @ mT(frames) + curve(etas)[:, None, :]
 

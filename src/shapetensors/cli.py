@@ -42,6 +42,8 @@ from .errors import (
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
+    ShapeTensorError,
+    named,
     without_refused,
 )
 from .intersect import self_intersects
@@ -102,8 +104,9 @@ def _load_dataset(manifest_path):
     for path, label in entries:
         try:
             shapes.append((path, label, read_landmarks(path)))
-        except (ContractError, DegenerateGeometryError, OSError,
-                ValueError) as err:
+        except ShapeTensorError as err:  # read_landmarks names the file
+            failures.append(str(err))
+        except (OSError, ValueError) as err:
             failures.append(f"{path}: {err}")
     return shapes, failures
 
@@ -180,12 +183,10 @@ def cmd_preprocess(args):
 
 def _lift_points(shapes, manifold):
     variant = "gl2" if manifold == "grassmann" else "polar"
-    try:
+    with named(lambda k: shapes[k][0]):
         rep, m, _ = _standardize_raw(
             np.stack([shape.x for _, _, shape in shapes]), variant
         )
-    except DegenerateGeometryError as err:
-        raise DegenerateGeometryError(f"{shapes[err.index[0]][0]}: {err}") from err
     stacks = {"grassmann": rep, "spd": m}
     points = [_point({c: stacks[c][k] for c in KINDS[manifold]})
               for k in range(len(shapes))]
@@ -307,11 +308,16 @@ def cmd_dist(args):
     if args.space == "euclidean":
         value = float(np.linalg.norm(a.x - b.x, axis=1).max())
     elif args.space == "grassmann":
-        value = gr_distance(la_standardize(a).grass, la_standardize(b).grass,
-                            metric=args.metric)
+        with named(args.a):
+            ga = la_standardize(a).grass
+        with named(args.b):
+            gb = la_standardize(b).grass
+        value = gr_distance(ga, gb, metric=args.metric)
     else:
-        pa = SpdMatrix(la_standardize(a, variant="polar").affine.m)
-        pb = SpdMatrix(la_standardize(b, variant="polar").affine.m)
+        with named(args.a):
+            pa = SpdMatrix(la_standardize(a, variant="polar").affine.m)
+        with named(args.b):
+            pb = SpdMatrix(la_standardize(b, variant="polar").affine.m)
         value = spd_distance(pa, pb)
     print(fmt(value))
     return 0

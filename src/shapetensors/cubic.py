@@ -34,7 +34,7 @@ with ContractError; its ``index`` is the first such member of the stack.
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, refuse
 
 SPLINE_ENDS = ("natural", "not-a-knot", "periodic")
 
@@ -55,8 +55,9 @@ class Cubic:
             t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
             c = np.stack([t / dx, (secant - slopes[:-1]) / dx - t,
                           slopes[:-1], y[:-1]], axis=-2)
-        _refuse(~np.isfinite(c).all(axis=(0, 2, 3)), batch,
-                "spline slopes are not finite: the values are too large")
+        refuse(~np.isfinite(c).all(axis=(0, 2, 3)).reshape(batch),
+               lambda _: ContractError(
+                   "spline slopes are not finite: the values are too large"))
         # (4, B (n - 1), d): one row per interval of the stack
         self.c = c.transpose(2, 1, 0, 3).reshape(4, -1, c.shape[-1])
         self.x = x
@@ -87,15 +88,6 @@ class Cubic:
         return out.reshape(self.batch + s.shape + self.values)
 
 
-def _refuse(bad, batch, message):
-    """Raise ContractError(message) at the first True entry of the
-    flattened-stack mask ``bad``, naming it in ``index``."""
-    if bad.any():
-        err = ContractError(message)
-        err.index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), batch))
-        raise err
-
-
 def _stack(x, y):
     """Checked (B, n) knots, knot-major (n, B, d) values, stack and value
     shapes."""
@@ -110,9 +102,10 @@ def _stack(x, y):
     yt = np.moveaxis(y.reshape(xb.shape[0], n, -1), 1, 0)
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(xb).all(axis=-1) & (np.diff(xb, axis=-1) > 0.0).all(axis=-1)
-    _refuse(~ok, batch, "spline knots must be finite and strictly increasing")
-    _refuse(~np.isfinite(yt).all(axis=(0, 2)), batch,
-            "spline values must be finite")
+    refuse(~ok.reshape(batch), lambda _: ContractError(
+        "spline knots must be finite and strictly increasing"))
+    refuse(~np.isfinite(yt).all(axis=(0, 2)).reshape(batch),
+           lambda _: ContractError("spline values must be finite"))
     return xb, yt, batch, values
 
 
@@ -185,8 +178,9 @@ def spline(x, y, ends="natural"):
         raise ContractError(f"spline ends must be one of {SPLINE_ENDS}, got {ends!r}")
     xb, yt, batch, values = _stack(x, y)
     if ends == "periodic":
-        _refuse((yt[0] != yt[-1]).any(axis=-1), batch,
-                "a periodic spline needs equal first and last values")
+        refuse((yt[0] != yt[-1]).any(axis=-1).reshape(batch),
+               lambda _: ContractError(
+                   "a periodic spline needs equal first and last values"))
     xt = xb.T[..., None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slopes = _spline_slopes(xt, np.diff(xt, axis=0), np.diff(yt, axis=0), ends)

@@ -2,8 +2,14 @@
 
 The hierarchy is intentionally shallow: callers that only want "this input
 was bad" can catch ShapeTensorError; the subclasses exist so tests and the
-CLI can map failures to distinct exit codes and messages.
+CLI can map failures to distinct exit codes and messages.  ``refuse``
+raises the error of the first refused member of a stack, and ``named``
+puts the name of the input it came from in front of a message.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class ShapeTensorError(Exception):
@@ -72,3 +78,30 @@ def without_refused(fn, members):
                 raise
             refused[kept.pop(err.index[0])] = err
     return kept, [], refused
+
+
+def refuse(bad, make):
+    """Raise make(i), with ``index`` i, for the first True entry i of the
+    mask ``bad`` in C order (``()`` for a 0-d mask); return if there is
+    none."""
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        err = make(index)
+        err.index = index
+        raise err
+
+
+@contextmanager
+def named(where):
+    """Re-raise a ShapeTensorError from the block as the same type with
+    ``where: `` in front.  ``where`` may be a function, called with the
+    refused member's index; an error that names no member then passes
+    through unchanged."""
+    try:
+        yield
+    except ShapeTensorError as err:
+        if callable(where):
+            if not err.index:
+                raise
+            where = where(*err.index)
+        raise type(err)(f"{where}: {err}") from err

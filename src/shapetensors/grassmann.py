@@ -42,7 +42,7 @@ the same code.
 
 import numpy as np
 
-from .errors import ContractError, NormalNeighborhoodError
+from .errors import ContractError, NormalNeighborhoodError, refuse
 from .linalg import (inv2, mT, polar_orthonormalize, rotation2, sv2, sym2_join,
                      sym2_split)
 
@@ -182,16 +182,11 @@ def _log_raw(x, y):
     """
     q = mT(x) @ y
     sq = sv2(q)
-    outside = sq[..., 1] <= sq[..., 0] / NEIGHBORHOOD_COND_MAX
-    if np.any(outside):
-        index = tuple(int(i) for i in np.argwhere(outside)[0])
-        where = f"point {', '.join(map(str, index))}" if index else "target subspace"
-        err = NormalNeighborhoodError(
-            f"{where} lies outside the normal neighborhood of the base (a "
-            "principal angle is at or near pi/2); Log is undefined"
-        )
-        err.index = index
-        raise err
+    refuse(sq[..., 1] <= sq[..., 0] / NEIGHBORHOOD_COND_MAX,
+           lambda i: NormalNeighborhoodError(
+               f"{'point ' + ', '.join(map(str, i)) if i else 'target subspace'} "
+               "lies outside the normal neighborhood of the base (a principal "
+               "angle is at or near pi/2); Log is undefined"))
     w = y @ inv2(q)
     w -= x  # the horizontal part: X.T Y q^-1 = I
     lam, e = _gram(w)

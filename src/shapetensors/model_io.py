@@ -6,7 +6,7 @@ shortest-exact decimals, so save -> load -> save reproduces the file
 byte for byte.  The file ends at ``mean-scale``; the domain is derived.
 """
 
-from .errors import ContractError
+from .errors import ContractError, named
 from .grassmann import check_orthonormal
 from .stats import (
     _COMPONENTS,
@@ -53,10 +53,8 @@ def load_model(path):
         raise r.error(f"unknown manifold kind {kind!r}")
     epsilon = r.value("epsilon", float)
     blocks = {c: r.block(f"mean-{c}") for c in KINDS[kind]}
-    try:
+    with named(path):
         mean = _point(blocks)
-    except ContractError as err:
-        raise ContractError(f"{path}: {err}") from err
     # one basis row per entry of a vectorized tangent at the mean
     width = sum(_COMPONENTS[c].vec(a).size for c, a in _arrays(mean).items())
     basis = r.block("basis", rows=width)

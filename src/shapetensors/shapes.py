@@ -21,7 +21,8 @@ kind of shape in the list.
 import numpy as np
 
 from . import cubic
-from .errors import ContractError, DegenerateGeometryError, ShapeTensorError
+from .errors import (ContractError, DegenerateGeometryError, ShapeTensorError,
+                     named, refuse)
 from .grassmann import ORTHO_TOL, GrassmannPoint, gr_distance
 from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
@@ -77,7 +78,8 @@ class AffineFactor:
             raise ContractError("affine factor needs a 2x2 m and a 2-vector b")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise ContractError("affine factor has non-finite entries")
-        if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == 0.0:
+        (p, q), (r, s) = m.tolist()  # Python floats overflow without a warning
+        if p * s - q * r == 0.0:
             raise DegenerateGeometryError("affine scale matrix is singular")
         self.m = m
         self.b = b
@@ -145,17 +147,11 @@ def _chord_params(pts):
         seg = np.linalg.norm(np.diff(pts, axis=-2), axis=-1)
         np.cumsum(seg, axis=-1, out=s[..., 1:])
     zero = seg == 0.0
-    bad = zero.any(axis=-1) | ~np.isfinite(s[..., -1])
-    if bad.any():
-        index = np.unravel_index(np.argmax(bad), bad.shape)
-        if zero[index].any():
-            err = DegenerateGeometryError(
-                f"repeated consecutive landmarks at index "
-                f"{int(np.argmax(zero[index]))}: zero-length segment")
-        else:
-            err = ContractError("chord lengths overflow: coordinates are too large")
-        err.index = tuple(int(i) for i in index)
-        raise err
+    refuse(zero.any(axis=-1) | ~np.isfinite(s[..., -1]), lambda i: (
+        DegenerateGeometryError(f"repeated consecutive landmarks at index "
+                                f"{int(np.argmax(zero[i]))}: zero-length segment")
+        if zero[i].any() else
+        ContractError("chord lengths overflow: coordinates are too large")))
     return s / s[..., -1:]
 
 
@@ -165,21 +161,13 @@ def landmark_gauge(shape):
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).max())
 
 
-def fit_path(shape, spline="cubic-natural"):
-    """Interpolate a shape's coordinates over its cumulative lengths.
-
-    Returns a callable c(s) defined on [0, 1].  Closed shapes get a
-    periodic cubic; open shapes a natural cubic; "pchip" is the
-    shape-preserving alternative for either.
-    """
-    closed = isinstance(shape, LandmarkShape) and shape.closed
-    return _fit_paths(_as_points(shape), closed, spline)
-
-
 def _fit_paths(pts, closed, kind):
-    """fit_path for each member of an (..., n, 2) stack of shapes that
+    """Interpolate the coordinates of each member of an (..., n, 2) stack
+    over its cumulative lengths: a callable c(s) on [0, 1].  The members
     are all open, or all closed and alike in whether they repeat their
-    first landmark at the end; those that do not get it repeated."""
+    first landmark at the end; those that do not get it repeated.  Closed
+    shapes get a periodic cubic, open shapes a natural cubic; "pchip" is
+    the shape-preserving alternative for either."""
     if closed and not np.array_equal(pts[..., 0, :], pts[..., -1, :]):
         pts = np.concatenate([pts, pts[..., :1, :]], axis=-2)
     s = _chord_params(pts)
@@ -222,8 +210,11 @@ def refine(shapes, cfg):
             if err.index:
                 err.index = (members[err.index[0]],)
             raise
-        for i, refined in zip(members, path(xi)):
-            out[i] = LandmarkShape(refined, closed=closed, name=shapes[i].name)
+        refined = path(xi)
+        if closed:  # the path meets its start at s = 1 only to rounding
+            refined[:, -1] = refined[:, 0]
+        for i, pts in zip(members, refined):
+            out[i] = LandmarkShape(pts, closed=closed, name=shapes[i].name)
     return out
 
 
@@ -250,17 +241,10 @@ def _standardize_raw(pts, variant):
     if not finite.all():  # a zeroed member keeps the SVD defined, reads collinear
         centered = np.where(finite[..., None, None], centered, 0.0)
     w, s, zt = thin_svd(centered)
-    bad = s[..., 1] <= RANK_TOL * s[..., 0]
-    if bad.any():
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
-        sk = s[index]
-        err = DegenerateGeometryError(
-            "landmarks are collinear after centering: sigma_2/sigma_1 = "
-            f"{sk[1] / sk[0] if sk[0] else 0.0:.3e}" if finite[index] else
-            "centered landmarks are not finite: the coordinates overflow"
-        )
-        err.index = index
-        raise err
+    refuse(s[..., 1] <= RANK_TOL * s[..., 0], lambda i: DegenerateGeometryError(
+        "landmarks are collinear after centering: sigma_2/sigma_1 = "
+        f"{s[i][1] / s[i][0] if s[i][0] else 0.0:.3e}" if finite[i] else
+        "centered landmarks are not finite: the coordinates overflow"))
     if variant == "gl2":
         return w, s[..., :, None] * zt, b
     m = mT(zt) @ (s[..., :, None] * zt)
@@ -348,7 +332,8 @@ def read_landmarks(path):
     if len(pts) < 3:
         raise ContractError(f"{path}: need at least 3 landmarks, found {len(pts)}")
     closed = bool(np.all(pts[0] == pts[-1]))
-    return LandmarkShape(pts, closed=closed, name=name)
+    with named(path):
+        return LandmarkShape(pts, closed=closed, name=name)
 
 
 def _raise_bad_line(path, text):

@@ -326,8 +326,9 @@ def embed(model, point):
 
 
 def _tangent(model, coeffs):
-    """{component: tangent at the mean} of a PGA coefficient vector, which
-    must hold r finite values."""
+    """({component: tangent at the mean}, its Exp at the mean) of a PGA
+    coefficient vector, which must hold r finite values small enough that
+    the Exp is a point of the manifold."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (model.r,):
         raise ContractError(
@@ -337,15 +338,19 @@ def _tangent(model, coeffs):
         raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
     base = _arrays(model.mean)
     sizes = [_COMPONENTS[c].vec(x).size for c, x in base.items()]
-    parts = np.split(model.basis @ coeffs, np.cumsum(sizes)[:-1])
-    return {c: _COMPONENTS[c].unvec(v) for c, v in zip(base, parts)}
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        parts = np.split(model.basis @ coeffs, np.cumsum(sizes)[:-1])
+        tangent = {c: _COMPONENTS[c].unvec(v) for c, v in zip(base, parts)}
+        end = {c: _COMPONENTS[c].exp(base[c], t) for c, t in tangent.items()}
+    try:
+        return tangent, _point(end)
+    except ContractError as err:
+        raise ContractError(f"coefficient vector is too large: {err}") from err
 
 
 def generate(model, coeffs):
     """Map normal coordinates back to a manifold point via Exp at the mean."""
-    base = _arrays(model.mean)
-    return _point({c: _COMPONENTS[c].exp(base[c], t)
-                   for c, t in _tangent(model, coeffs).items()})
+    return _tangent(model, coeffs)[1]
 
 
 def mean_scale(factors, kind="extrinsic"):

@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, refuse
 
 
 def fmt(value):
@@ -144,11 +144,9 @@ class BlockReader:
                         f"block {name!r} needs {cols} numbers per line, "
                         f"got {line!r}", self.pos + offset + 1,
                     )
-        finite = np.isfinite(data).all(axis=1)
-        if not finite.all():
-            offset = int(np.argmin(finite))
-            raise self.error(f"block {name!r} holds a non-finite value: "
-                             f"{lines[offset]!r}", self.pos + offset + 1)
+        refuse(~np.isfinite(data).all(axis=1), lambda i: self.error(
+            f"block {name!r} holds a non-finite value: {lines[i[0]]!r}",
+            self.pos + i[0] + 1))
         self.pos += count
         return data
 

@@ -585,6 +585,8 @@ def read_landmarks(path):
     if len(rows) < 3:
         raise ContractError(f"{path}: need at least 3 landmarks, found {len(rows)}")
     pts = np.array(rows)
+    if not np.all(np.isfinite(pts)):
+        raise ContractError(f"{path}: landmarks contain non-finite values")
     closed = bool(np.all(pts[0] == pts[-1]))
     return LandmarkShape(pts, closed=closed, name=name)
 

@@ -208,6 +208,54 @@ def test_preprocess_refines_a_mixed_manifest_as_each_file_alone(tmp_path, capsys
     assert [row.split(",")[0] for row in gauges] == kept
 
 
+def test_preprocess_refuses_a_duplicate_output_name(dataset, tmp_path, capsys):
+    """Two manifest entries with one file name would write one output; the
+    second is refused and the first still written."""
+    first = dataset / "data" / "airfoil_0000.txt"
+    (tmp_path / "sub").mkdir()
+    shutil.copy(first, tmp_path / "sub" / first.name)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{os.path.relpath(first, tmp_path)},a\n"
+                        f"sub/{first.name},b\n")
+    out = tmp_path / "out"
+    assert run("preprocess", "--input", manifest, "--n", 61, "--out", out) == 2
+    assert (f"error: {tmp_path / 'sub' / first.name}: duplicate output name "
+            f"{first.name}") in capsys.readouterr().err
+    rows = (out / "manifest.txt").read_text().splitlines()
+    assert [row for row in rows if not row.startswith("#")] == [f"{first.name},a"]
+
+
+@pytest.fixture(scope="module")
+def pchip_tree(tmp_path_factory):
+    """5 CST airfoils (seed 1, n = 61) refined by pchip to n = 81, and a
+    rank-2 Grassmann fit of them."""
+    root = tmp_path_factory.mktemp("pchip")
+    assert run("cst-gen", "--count", 5, "--nc", 61, "--seed", 1,
+               "--out", root / "raw") == 0
+    assert run("preprocess", "--input", root / "raw" / "manifest.txt", "--n", 81,
+               "--spline", "pchip", "--out", root / "pre") == 0
+    assert run("fit", "--input", root / "pre" / "manifest.txt", "--rank", 2,
+               "--out", root / "model.txt") == 0
+    return root
+
+
+def test_preprocess_pchip_writes_closed_shapes_closed(pchip_tree):
+    """The pchip path misses its start at s = 1 by rounding; the refined
+    files repeat their first landmark exactly and read back closed."""
+    for i in range(5):
+        shape = read_landmarks(pchip_tree / "pre" / f"airfoil_{i:04d}.txt")
+        assert shape.closed and np.array_equal(shape.x[-1], shape.x[0])
+
+
+def test_sample_strict_exits_4_on_a_guard_failure(pchip_tree, tmp_path, capsys):
+    argv = ["sample", "--model", pchip_tree / "model.txt", "--coeffs=0.6,0"]
+    assert run(*argv, "--out", tmp_path / "lax") == 0
+    assert run(*argv, "--strict", "--out", tmp_path / "strict") == 4
+    assert "1 failed the self-intersection guard" in capsys.readouterr().out
+    assert (tmp_path / "strict" / "guard.csv").read_text().splitlines()[1:] == [
+        "sample_0000.txt,fail"]
+
+
 def test_fit_writes_model_and_coords(dataset):
     model = load_model(dataset / "model.txt")
     assert model.kind == "grassmann"
@@ -685,6 +733,44 @@ def test_blade_deform_zero_matches_undeformed(blade_setup, dataset, tmp_path):
         assert np.abs(a.x - b.x).max() < 1e-10
 
 
+def test_blade_deform_mean_scale(blade_setup, dataset, tmp_path, capsys):
+    """--scale mean puts the model's mean scale at every station (up to the
+    alignment rotation); a model without one is refused before writing."""
+    out = tmp_path / "mean.bld"
+    assert run("blade", "deform", "--blade", blade_setup / "blade.bld",
+               "--model", dataset / "model.txt", "--coeffs", "0,0,0",
+               "--scale", "mean", "--out", out) == 0
+    mean = load_model(dataset / "model.txt").mean_scale.m
+    np.testing.assert_allclose(
+        np.linalg.svd(load_blade(out).affine_m, compute_uv=False),
+        np.broadcast_to(np.linalg.svd(mean, compute_uv=False), (6, 2)), rtol=1e-12)
+    bare = corrupt(dataset / "model.txt", tmp_path / "bare.txt", "mean-scale*3",
+                   "mean-scale none")
+    assert run("blade", "deform", "--blade", blade_setup / "blade.bld",
+               "--model", bare, "--coeffs", "0,0,0", "--scale", "mean",
+               "--out", tmp_path / "x.bld") == 2
+    assert "error: model carries no mean scale" in capsys.readouterr().err
+    assert not (tmp_path / "x.bld").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "{root}/model.txt", "--coeffs=1e308,0,0"],
+    ["sample", "--model", "{root}/product.txt", "--coeffs=5000,0"],
+    ["blade", "deform", "--blade", "{blade}", "--model", "{root}/model.txt",
+     "--coeffs=1e308,0,0"],
+], ids=["sample-grassmann", "sample-product", "blade-deform"])
+def test_oversized_coefficients_exit_2_without_warnings(
+        kind_models, blade_setup, tmp_path, capsys, argv):
+    """Coefficients whose Exp at the mean overflows are refused once, as too
+    large, before numpy warns on the way to a non-finite point."""
+    argv = [a.format(root=kind_models, blade=blade_setup / "blade.bld")
+            for a in argv]
+    out = tmp_path / "out"
+    assert run_without_warnings(*argv, "--out", out) == 2
+    assert "error: coefficient vector is too large" in capsys.readouterr().err
+    assert not out.is_file() and not list(out.glob("sample_*"))
+
+
 def test_blade_wireframe_artifacts(blade_setup, tmp_path):
     out = tmp_path / "wire"
     assert run("blade", "wireframe", "--blade", blade_setup / "blade.bld",
@@ -861,6 +947,51 @@ def test_blade_build_names_an_overflowing_station(tmp_path, capsys):
     assert not (tmp_path / "x.bld").exists()
 
 
+@pytest.fixture(scope="module")
+def odd_files(tmp_path_factory):
+    """An airfoil, a copy with a nan row, a collinear file, the airfoil
+    scaled by 1e300 and a blade definition with the nan file as a station."""
+    root = tmp_path_factory.mktemp("odd")
+    x = cst_airfoil(np.full(9, 0.2), np.full(9, 0.1), n_c=51).x
+    write_landmarks(root / "a.txt", LandmarkShape(x))
+    write_landmarks(root / "big.txt", LandmarkShape(1e300 * x))
+    line = np.linspace(0.0, 1.0, 51)
+    write_landmarks(root / "line.txt", LandmarkShape(np.c_[line, 2.0 * line]))
+    rows = (root / "a.txt").read_text().splitlines()
+    rows[7] = "nan 0.1"
+    (root / "nan.txt").write_text("\n".join(rows) + "\n")
+    (root / "blade.def").write_text("station 0 a.txt\nstation 1 nan.txt\n")
+    return root
+
+
+@pytest.mark.parametrize("argv, name, words", [
+    (["dist", "--a", "a.txt", "--b", "nan.txt"], "nan.txt",
+     "landmarks contain non-finite values"),
+    (["blade", "build", "--blade", "blade.def", "--out", "x.bld"], "nan.txt",
+     "landmarks contain non-finite values"),
+    (["dist", "--a", "line.txt", "--b", "a.txt"], "line.txt",
+     "landmarks are collinear after centering"),
+    (["dist", "--a", "a.txt", "--b", "line.txt", "--space", "spd"], "line.txt",
+     "landmarks are collinear after centering"),
+], ids=["dist-nan", "blade-build-nan", "dist-collinear", "dist-spd-collinear"])
+def test_landmark_refusals_name_their_file(odd_files, capsys, argv, name, words):
+    argv = [odd_files / a if a.endswith((".txt", ".def", ".bld")) else a
+            for a in argv]
+    assert run_without_warnings(*argv) == 2
+    assert f"error: {odd_files / name}: {words}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, want", [
+    ("grassmann", 0.0), ("spd", np.sqrt(2.0) * np.log(1e300))],
+    ids=["grassmann", "spd"])
+def test_dist_of_huge_coordinates_does_not_warn(odd_files, capsys, space, want):
+    """Scale factors near 1e301 overflow the determinant test of their
+    affine factor, which must stay silent."""
+    assert run_without_warnings("dist", "--a", odd_files / "a.txt",
+                                "--b", odd_files / "big.txt", "--space", space) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 def test_convergence_cli(tmp_path, capsys):
     csv1 = tmp_path / "c1.csv"
     svg = tmp_path / "c.svg"
@@ -893,6 +1024,8 @@ def test_convergence_cli(tmp_path, capsys):
     ["sample", "--model", "{model}", "--sweep", "corner-to-corner",
      "--seed", "-1", "--out"],
     ["convergence", "--seed", "-1", "--out-csv"],
+    ["sample", "--model", "{model}", "--coeffs=0,0,0", "--sweep",
+     "corner-to-corner", "--out"],
 ], ids=" ".join)
 def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
                                       argv):

@@ -1,17 +1,21 @@
-"""The file contract under fuzzing: mutated artifacts through ``cli.main``.
+"""The file and option contract under fuzzing, through ``cli.main``.
 
-One small corpus (12 CST airfoils at n = 61, their manifest, a Grassmann
-and a product model, a blade definition, and a gl2 and a product-spd
-blade built from it) is made once.  Each example applies one to three
-line-level mutations to one artifact -- a token replaced by a non-finite,
-overflowing, non-numeric, empty, negative or underscored value, a line
-deleted, truncated or duplicated, a token dropped or appended -- and runs
-every command that reads that artifact.  Each must exit 0, 2, 3 or 4 and
-print no traceback.
+One small corpus (12 CST airfoils at n = 61, one more at n = 41, their
+manifest, a Grassmann and a product model, a blade definition, and a gl2
+and a product-spd blade built from it) is made once.  Each example of the
+first test applies one to three line-level mutations to one artifact -- a
+token replaced by a non-finite, overflowing, non-numeric, empty, negative
+or underscored value, a line deleted, truncated or duplicated, a token
+dropped or appended, the first line replaced (a wrong magic), two
+adjacent lines swapped (reordered blocks), a file name pointed at the
+n = 41 airfoil -- and runs every command that reads that artifact.  The
+second test gives the numeric options of the commands those same values.
+Each run must exit 0, 2, 3 or 4 and print no traceback.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -90,6 +94,8 @@ def corpus(tmp_path_factory):
     shapes, _, _ = generate_airfoils(np.random.default_rng(3), 12, n_c=61)
     for i, shape in enumerate(shapes):
         write_landmarks(root / f"s{i:02d}.txt", shape)
+    odd, _, _ = generate_airfoils(np.random.default_rng(4), 1, n_c=41)
+    write_landmarks(root / "odd.txt", odd[0])
     write_manifest(root / "manifest.txt",
                    [(f"s{i:02d}.txt", "fuzz") for i in range(12)], "fuzz corpus")
     (root / "blade.def").write_text("\n".join(
@@ -119,6 +125,13 @@ def mutate(lines, kind, i, j, token):
         del lines[k]
     elif kind == "duplicate":
         lines.insert(k, lines[k])
+    elif kind == "head":
+        lines[0] = token
+    elif kind == "swap":
+        j = (k + 1) % len(lines)
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "repoint":
+        lines[k] = re.sub(r"s\d\d\.txt", "odd.txt", lines[k])
     elif kind == "truncate":
         lines[k] = lines[k][:j % (len(lines[k]) + 1)]
     else:
@@ -136,7 +149,7 @@ def mutate(lines, kind, i, j, token):
 # line indices lean towards the first lines, where the headers sit
 MUTATIONS = st.tuples(
     st.sampled_from(("replace", "delete", "truncate", "duplicate", "drop",
-                     "append")),
+                     "append", "head", "swap", "repoint")),
     st.one_of(st.integers(0, 8), st.integers(0, 10**4)),
     st.integers(0, 10**4),
     st.sampled_from(TOKENS),
@@ -158,3 +171,38 @@ def test_mutated_artifacts_exit_with_a_documented_code(corpus, name, edits):
             code, err = cli(*[a.format(a=mutant, root=corpus, out=out)
                               for a in argv])
         assert code in DOCUMENTED_EXITS and "Traceback" not in err, (argv, err)
+
+
+# Commands whose numeric options the second test sets; each {v} takes the
+# next drawn value.
+NUMERIC_ARGV = [
+    ["cst-gen", "--count", "{v}", "--nc", "21", "--seed", "{v}", "--out", "{out}"],
+    ["preprocess", "--input", "{root}/manifest.txt", "--n", "{v}", "--out", "{out}"],
+    ["fit", "--input", "{root}/manifest.txt", "--rank", "{v}", "--epsilon", "{v}",
+     "--out", "{out}"],
+    ["sample", "--model", "{root}/grassmann.model", "--coeffs={v},{v},{v}",
+     "--out", "{out}"],
+    ["sample", "--model", "{root}/product.model", "--sweep", "corner-to-corner",
+     "--count", "{v}", "--seed", "{v}", "--out", "{out}"],
+    ["blade", "build", "--blade", "{root}/blade.def", "--n", "{v}",
+     "--out", "{out}"],
+    ["blade", "eval", "--blade", "{root}/gl2.blade", "--eta", "{v}",
+     "--out", "{out}"],
+    ["blade", "deform", "--blade", "{root}/gl2.blade", "--model",
+     "{root}/grassmann.model", "--coeffs={v},{v},{v}", "--out", "{out}"],
+    ["blade", "wireframe", "--blade", "{root}/spd.blade", "--sections", "{v}",
+     "--out", "{out}"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.sampled_from(NUMERIC_ARGV),
+       values=st.lists(st.sampled_from(TOKENS + ("3", "0.5", "1e-3")),
+                       min_size=3, max_size=3))
+def test_fuzzed_numeric_options_exit_with_a_documented_code(corpus, argv, values):
+    values = iter(values)
+    with tempfile.TemporaryDirectory(dir=corpus) as tmp:
+        argv = [re.sub(r"\{v\}", lambda _: next(values), a).format(
+            root=corpus, out=Path(tmp) / "out") for a in argv]
+        code, err = cli(*argv)
+    assert code in DOCUMENTED_EXITS and "Traceback" not in err, (argv, err)

@@ -90,6 +90,19 @@ def test_refine_closed_is_periodic():
     assert out.closed
 
 
+@pytest.mark.parametrize("spline", ["cubic-natural", "pchip"])
+@pytest.mark.parametrize("sampling", ["uniform-arclength", "cosine"])
+def test_refine_closes_closed_shapes_exactly(rng, spline, sampling):
+    """Each closed member's last landmark is its first, bit for bit, for
+    members that repeat their first landmark and for those that do not; a
+    pchip path misses its start at s = 1 by rounding."""
+    blobs = [_blob(rng), _blob(rng)]
+    shapes = blobs + [LandmarkShape(b.x[:-1], closed=True) for b in blobs]
+    cfg = PreprocessConfig(n=81, spline=spline, sampling=sampling)
+    for out in refine(shapes, cfg):
+        assert out.closed and np.array_equal(out.x[-1], out.x[0])
+
+
 def test_refine_order_of_accuracy():
     # halving the gauge should cut the radial error by roughly 2^4
     errs = []
