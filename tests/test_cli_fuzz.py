@@ -128,8 +128,8 @@ def mutate(lines, kind, i, j, token):
     elif kind == "head":
         lines[0] = token
     elif kind == "swap":
-        j = (k + 1) % len(lines)
-        lines[k], lines[j] = lines[j], lines[k]
+        after = (k + 1) % len(lines)
+        lines[k], lines[after] = lines[after], lines[k]
     elif kind == "repoint":
         lines[k] = re.sub(r"s\d\d\.txt", "odd.txt", lines[k])
     elif kind == "truncate":
