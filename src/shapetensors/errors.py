@@ -94,9 +94,9 @@ def refuse(bad, make):
 @contextmanager
 def named(where):
     """Re-raise a ShapeTensorError from the block as the same type with
-    ``where: `` in front.  ``where`` may be a function, called with the
-    refused member's index; an error that names no member then passes
-    through unchanged."""
+    ``where: `` in front and no ``index``.  ``where`` may be a function,
+    called with the refused member's index; an error that names no member
+    then passes through unchanged."""
     try:
         yield
     except ShapeTensorError as err:
