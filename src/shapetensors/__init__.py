@@ -38,6 +38,7 @@ from .convergence import (
 from .cst import (
     bernstein_shape,
     cst_airfoil,
+    cst_airfoils,
     generate_airfoils,
     is_valid_airfoil,
     perturb_coefficients,

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -273,12 +274,13 @@ def cmd_sample(args):
                 break
         s = np.linspace(0.0, 1.0, args.count)[:, None]
         coeff_rows = list((1.0 - s) * a + s * b)
+    # every sample is formed before --out exists, so a refusal writes nothing
+    shapes = [_sample_to_shape(model, coeffs, scale) for coeffs in coeff_rows]
     os.makedirs(args.out, exist_ok=True)
     entries = []
     guard_rows = ["file,guard"]
     n_fail = 0
-    for i, coeffs in enumerate(coeff_rows):
-        shape = _sample_to_shape(model, coeffs, scale)
+    for i, (coeffs, shape) in enumerate(zip(coeff_rows, shapes)):
         fname = f"sample_{i:04d}.txt"
         write_landmarks(os.path.join(args.out, fname), shape,
                         header="coeffs " + " ".join(fmt(c) for c in coeffs))
@@ -356,7 +358,14 @@ def cmd_blade_deform(args):
             return _fail("model carries no mean scale")
         scale = pga.mean_scale
     t0 = time.perf_counter()
-    deformed = consistent_deform(model, pga, coeffs, scale=scale)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        deformed = consistent_deform(model, pga, coeffs, scale=scale)
+    for w in caught:  # the model's own warning as one line; others pass on
+        if w.category is UserWarning:
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     _timed(f"deformed {model.n_stations} stations", t0)
     save_blade(args.out, deformed)
     print(f"blade {args.out}")

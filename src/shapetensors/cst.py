@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ContractError, DegenerateGeometryError
+from .errors import ContractError, DegenerateGeometryError, refuse
 from .intersect import self_intersects
 from .shapes import MAX_LANDMARKS, LandmarkShape, la_standardize
 
@@ -29,35 +29,52 @@ N_COEFF = 9
 MAX_RESAMPLES = 1000
 
 
+def _bernstein_basis(x, k):
+    """The k Bernstein polynomials of degree k - 1 at the points x, as a
+    (k, x.size) table: row i is C(k - 1, i) x^i (1 - x)^(k - 1 - i)."""
+    deg = k - 1
+    i = np.arange(k)
+    binom = np.array([comb(deg, j) for j in range(k)], dtype=float)
+    return binom[:, None] * x[None, :] ** i[:, None] * (1.0 - x[None, :]) ** (
+        deg - i
+    )[:, None]
+
+
 def bernstein_shape(x, coeff):
     """Shape function: sum_i w_i C(deg, i) x^i (1 - x)^(deg - i)."""
     coeff = np.asarray(coeff, dtype=float)
-    deg = coeff.size - 1
-    i = np.arange(coeff.size)
-    binom = np.array([comb(deg, k) for k in range(coeff.size)], dtype=float)
-    basis = binom[:, None] * x[None, :] ** i[:, None] * (1.0 - x[None, :]) ** (
-        deg - i
-    )[:, None]
-    return coeff @ basis
+    return coeff @ _bernstein_basis(x, coeff.size)
 
 
-def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
-    """Sample a CST airfoil as a closed LandmarkShape.
+def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
+    """Sample CST airfoils as an (..., n_c, 2) array of closed traversals.
 
-    ``upper`` and ``lower`` are the Bernstein coefficient vectors
-    (conventionally 9 each); ``sampling`` is "cosine" (clustered at the
-    edges, the aerodynamic default) or "uniform" in chordwise x.
+    ``upper`` (..., k) and ``lower`` (..., k') are stacks of Bernstein
+    coefficient vectors with the same leading shape; ``sampling`` is
+    "cosine" (clustered at the edges, the aerodynamic default) or
+    "uniform" in chordwise x.  The x grid, the class function and the
+    Bernstein basis are formed once per call, and the surfaces share the
+    basis when k = k'.  A member whose coefficients are all zero is
+    refused, and the error's ``index`` names it.
+
+    A pair of 1-d vectors goes through numpy's vector-matrix product; a
+    stack goes through a matrix product, which sums in another order, so
+    its members differ from their batch-of-one result by up to about
+    7e-17.
     """
     upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    if upper.ndim != 1 or lower.ndim != 1 or upper.size < 1 or lower.size < 1:
-        raise ContractError("coefficient vectors must be non-empty 1-d arrays")
-    if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
+    if upper.ndim < 1 or lower.ndim < 1 or not upper.shape[-1] or not lower.shape[-1]:
+        raise ContractError("coefficient stacks need a non-empty last axis")
+    if upper.shape[:-1] != lower.shape[:-1]:
+        raise ContractError(
+            f"upper and lower coefficient stacks differ in leading shape: "
+            f"{upper.shape[:-1]} and {lower.shape[:-1]}")
+    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
         raise ContractError("coefficients must be finite")
-    if np.all(upper == 0.0) and np.all(lower == 0.0):
-        raise DegenerateGeometryError(
-            "all-zero coefficients give a rank-deficient (flat) shape"
-        )
+    refuse(~(upper.any(axis=-1) | lower.any(axis=-1)),
+           lambda i: DegenerateGeometryError(
+               "all-zero coefficients give a rank-deficient (flat) shape"))
     if not 5 <= n_c <= MAX_LANDMARKS:
         raise ContractError(f"an airfoil needs between 5 and {MAX_LANDMARKS} "
                             f"landmarks, got {n_c}")
@@ -72,14 +89,25 @@ def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
     x = np.clip(x, 0.0, 1.0)
 
     cls = x**CLASS_N1 * (1.0 - x) ** CLASS_N2
-    y = np.where(
-        zeta <= np.pi,
-        cls * bernstein_shape(x, upper),
-        -cls * bernstein_shape(x, lower),
-    )
-    pts = np.column_stack([x, y])
-    pts[0] = pts[-1] = (1.0, 0.0)  # zero trailing-edge thickness, exactly
-    return LandmarkShape(pts, closed=True)
+    basis = _bernstein_basis(x, upper.shape[-1])
+    lower_basis = (basis if lower.shape[-1] == upper.shape[-1]
+                   else _bernstein_basis(x, lower.shape[-1]))
+    y = np.where(zeta <= np.pi, cls * (upper @ basis), -cls * (lower @ lower_basis))
+    pts = np.empty(y.shape + (2,))
+    pts[..., 0] = x
+    pts[..., 1] = y
+    pts[..., 0, :] = pts[..., -1, :] = (1.0, 0.0)  # zero trailing-edge thickness
+    return pts
+
+
+def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
+    """Sample a CST airfoil as a closed LandmarkShape: ``cst_airfoils``
+    of one pair of 1-d coefficient vectors (conventionally 9 each)."""
+    upper = np.asarray(upper, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    if upper.ndim != 1 or lower.ndim != 1 or upper.size < 1 or lower.size < 1:
+        raise ContractError("coefficient vectors must be non-empty 1-d arrays")
+    return LandmarkShape(cst_airfoils(upper, lower, n_c, sampling), closed=True)
 
 
 def is_valid_airfoil(shape):

@@ -40,6 +40,8 @@ against an (N, n, 2) stack, and a stack against a stack all go through
 the same code.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, NormalNeighborhoodError, refuse
@@ -69,7 +71,10 @@ def check_orthonormal(a):
     if big > 2.0:
         raise ContractError(
             f"columns are not orthonormal: an entry has magnitude {big:.3e}")
-    drift = np.linalg.norm(a.T @ a - np.eye(a.shape[1]))
+    gap = a.T @ a
+    gap.flat[:: a.shape[1] + 1] -= 1.0  # a.T a - I
+    gap = gap.ravel()
+    drift = math.sqrt(gap @ gap)
     if drift > ORTHO_TOL:
         raise ContractError(
             f"columns are not orthonormal: ||X.T X - I||_F = {drift:.3e} "
@@ -89,7 +94,7 @@ class GrassmannPoint:
                 "Grassmann representative must be (n, 2) with n >= 3, got "
                 f"shape {rep.shape}"
             )
-        if not np.all(np.isfinite(rep)):
+        if not np.isfinite(rep).all():
             raise ContractError("Grassmann representative has non-finite entries")
         check_orthonormal(rep)
         self.rep = rep

@@ -33,9 +33,10 @@ def fix_svd_signs(u, vt):
     u @ diag(s) @ vt is unchanged.  Works for stacked inputs
     (``u``: (..., m, k), ``vt``: (..., k, n)).
     """
-    au = np.abs(u)
-    anchor = (au > SIGN_TOL).argmax(axis=-2)  # first index above tolerance
-    anchored = np.take_along_axis(u, anchor[..., None, :], axis=-2)[..., 0, :]
+    anchored = u[..., 0, :]
+    if not (np.abs(anchored) > SIGN_TOL).all():  # some anchors lie further down
+        anchor = (np.abs(u) > SIGN_TOL).argmax(axis=-2)  # first index above tolerance
+        anchored = np.take_along_axis(u, anchor[..., None, :], axis=-2)[..., 0, :]
     flip = np.where(anchored < 0.0, -1.0, 1.0)
     u *= flip[..., None, :]
     vt *= flip[..., :, None]

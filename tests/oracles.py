@@ -14,9 +14,10 @@ the per-section wireframe writer, the full-SVD PGA decomposition, the
 all-pairs self-intersection guard, the per-element row writer, the
 broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
 principal angles, the per-line
-text readers and per-row writers of landmark, block and OBJ files, and
+text readers and per-row writers of landmark, block and OBJ files,
 the per-shape refinement through scipy's splines and the CST Bernstein
-basis through scipy's binomials.
+basis through scipy's binomials, and the one-airfoil CST sampler and the
+searching SVD sign fix as they stood before CST took stacks.
 """
 
 import numpy as np
@@ -711,3 +712,48 @@ def bernstein_shape(x, coeff):
         deg - i
     )[:, None]
     return coeff @ basis
+
+
+# ---------------------------------------------------------------------------
+# CST sampling and the SVD sign convention as they stood before CST took
+# stacks: one airfoil per call, a Bernstein table per surface, and a search
+# for every sign anchor.
+
+
+def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
+    from math import comb
+
+    from shapetensors.cst import CLASS_N1, CLASS_N2
+
+    def bernstein(x, coeff):
+        deg = coeff.size - 1
+        i = np.arange(coeff.size)
+        binom = np.array([comb(deg, k) for k in range(coeff.size)], dtype=float)
+        return coeff @ (binom[:, None] * x[None, :] ** i[:, None]
+                        * (1.0 - x[None, :]) ** (deg - i)[:, None])
+
+    upper = np.asarray(upper, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    zeta = np.linspace(0.0, 2.0 * np.pi, int(n_c))
+    if sampling == "cosine":
+        x = 0.5 * (np.cos(zeta) + 1.0)
+    else:
+        x = np.abs(1.0 - zeta / np.pi)
+    x = np.clip(x, 0.0, 1.0)
+    cls = x**CLASS_N1 * (1.0 - x) ** CLASS_N2
+    y = np.where(zeta <= np.pi, cls * bernstein(x, upper), -cls * bernstein(x, lower))
+    pts = np.column_stack([x, y])
+    pts[0] = pts[-1] = (1.0, 0.0)
+    return LandmarkShape(pts, closed=True)
+
+
+def fix_svd_signs(u, vt):
+    from shapetensors.linalg import SIGN_TOL
+
+    au = np.abs(u)
+    anchor = (au > SIGN_TOL).argmax(axis=-2)
+    anchored = np.take_along_axis(u, anchor[..., None, :], axis=-2)[..., 0, :]
+    flip = np.where(anchored < 0.0, -1.0, 1.0)
+    u *= flip[..., None, :]
+    vt *= flip[..., :, None]
+    return u, vt

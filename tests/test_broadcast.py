@@ -41,6 +41,7 @@ from shapetensors.grassmann import (
 )
 from shapetensors.linalg import (
     SIGN_TOL,
+    fix_svd_signs,
     mT,
     orthogonal_factor,
     rotation2,
@@ -466,6 +467,37 @@ def test_rank_r_svd_equals_truncated_full_svd(seed, side, small, extra, r, cases
         # the sign convention: first component above SIGN_TOL is positive
         anchor = (np.abs(uk) > SIGN_TOL).argmax(axis=0)
         assert np.all(uk[anchor, np.arange(r)] > 0.0)
+
+
+# row-0 entries of a left singular-vector matrix: the sign search falls
+# back from row 0 on any entry that is not above SIGN_TOL
+SIGN_LEADS = ("generic", "negative", "zero", "-zero", "tol", "-tol", "2tol",
+              "-2tol", "nan", "zero-column")
+
+
+@PROPERTY
+@given(seed=seeds, m=st.integers(2, 9), k=st.integers(1, 4),
+       cases=st.lists(st.lists(st.sampled_from(SIGN_LEADS), min_size=4, max_size=4),
+                      min_size=1, max_size=4))
+def test_fix_svd_signs_equals_the_anchor_search(seed, m, k, cases):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((len(cases), m, k))
+    for member, leads in zip(u, cases):
+        for j, lead in enumerate(leads[:k]):
+            if lead == "zero-column":
+                member[:, j] = 0.0
+            else:
+                member[0, j] = {
+                    "generic": member[0, j], "negative": -abs(member[0, j]),
+                    "zero": 0.0, "-zero": -0.0, "tol": SIGN_TOL, "-tol": -SIGN_TOL,
+                    "2tol": 2.0 * SIGN_TOL, "-2tol": -2.0 * SIGN_TOL,
+                    "nan": np.nan}[lead]
+    vt = rng.standard_normal((len(cases), k, 3))
+    pairs = [(u, vt)] + list(zip(u, vt))  # the stack, then one matrix at a time
+    for a, b in pairs:
+        for got, want in zip(fix_svd_signs(a.copy(), b.copy()),
+                             oracles.fix_svd_signs(a.copy(), b.copy())):
+            _same_bits(got, want)
 
 
 def _two_by_two(rng, case):

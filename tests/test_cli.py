@@ -753,6 +753,20 @@ def test_blade_deform_mean_scale(blade_setup, dataset, tmp_path, capsys):
     assert not (tmp_path / "x.bld").exists()
 
 
+def test_blade_deform_past_the_training_radius_warns_in_one_line(
+        blade_setup, dataset, tmp_path, capsys):
+    radius = load_model(dataset / "model.txt").domain.radius
+    out = tmp_path / "far.bld"
+    assert run("blade", "deform", "--blade", blade_setup / "blade.bld",
+               "--model", dataset / "model.txt", f"--coeffs={fmt(1.5 * radius)},0,0",
+               "--out", out) == 0
+    warning, timing = capsys.readouterr().err.splitlines()
+    assert warning == (f"warning: deformation magnitude {1.5 * radius:.3g} exceeds "
+                       f"the training radius {radius:.3g}; extrapolating the model")
+    assert re.fullmatch(r"deformed 6 stations in [0-9.]+ s", timing)
+    assert load_blade(out).n_stations == 6
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--model", "{root}/model.txt", "--coeffs=1e308,0,0"],
     ["sample", "--model", "{root}/product.txt", "--coeffs=5000,0"],
@@ -768,7 +782,7 @@ def test_oversized_coefficients_exit_2_without_warnings(
     out = tmp_path / "out"
     assert run_without_warnings(*argv, "--out", out) == 2
     assert "error: coefficient vector is too large" in capsys.readouterr().err
-    assert not out.is_file() and not list(out.glob("sample_*"))
+    assert not out.exists()  # sample forms every shape before it makes --out
 
 
 def test_blade_wireframe_artifacts(blade_setup, tmp_path):

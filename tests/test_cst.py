@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shapetensors.cst import (
     cst_airfoil,
+    cst_airfoils,
     generate_airfoils,
     is_valid_airfoil,
     perturb_coefficients,
@@ -10,6 +14,11 @@ from shapetensors.cst import (
 )
 from shapetensors.errors import ContractError, DegenerateGeometryError
 from shapetensors.intersect import self_intersects
+from shapetensors.shapes import MAX_LANDMARKS
+
+PROPERTY = settings(max_examples=40, deadline=None)
+SAMPLINGS = ("cosine", "uniform")
+LANDMARK_COUNTS = (5, 6, 7, 61, 200, 401)
 
 
 def test_traversal_and_te_closure():
@@ -90,3 +99,98 @@ def test_generator_reports_resamples():
     assert rows.shape == (10, 18)
     assert rejected >= 0
     assert all(s.closed for s in shapes)
+
+
+def _coefficients(rng, lead, k, case):
+    """Coefficients of shape lead + (k,): uniform thicknesses, signed
+    values, or a surface left at zero."""
+    if case == "zero":
+        return np.zeros(lead + (k,))
+    if case == "signed":
+        return rng.uniform(-0.5, 0.5, size=lead + (k,))
+    return rng.uniform(0.0, 0.45, size=lead + (k,))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), ku=st.integers(1, 14), kl=st.integers(1, 14),
+       n_c=st.sampled_from(LANDMARK_COUNTS), sampling=st.sampled_from(SAMPLINGS),
+       case=st.sampled_from(("thickness", "signed", "zero")))
+def test_cst_airfoil_matches_the_per_airfoil_oracle_bit_for_bit(seed, ku, kl, n_c,
+                                                                  sampling, case):
+    rng = np.random.default_rng(seed)
+    upper = _coefficients(rng, (), ku, "thickness")
+    lower = _coefficients(rng, (), kl, case)
+    got = cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
+    want = oracles.cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
+    assert got.closed and got.x.tobytes() == want.x.tobytes()
+    # the stack kernel's batch of one is the same call
+    assert cst_airfoils(upper, lower, n_c, sampling).tobytes() == want.x.tobytes()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from(((1,), (4,), (2, 3))),
+       ku=st.integers(1, 14), kl=st.integers(1, 14),
+       n_c=st.sampled_from(LANDMARK_COUNTS), sampling=st.sampled_from(SAMPLINGS))
+def test_cst_airfoils_members_match_the_per_airfoil_oracle(seed, lead, ku, kl, n_c,
+                                                           sampling):
+    rng = np.random.default_rng(seed)
+    upper = _coefficients(rng, lead, ku, "signed")
+    lower = _coefficients(rng, lead, kl, "thickness")
+    got = cst_airfoils(upper, lower, n_c=n_c, sampling=sampling)
+    assert got.shape == lead + (n_c, 2)
+    for k in np.ndindex(lead):
+        want = oracles.cst_airfoil(upper[k], lower[k], n_c=n_c, sampling=sampling)
+        np.testing.assert_array_equal(got[k][:, 0], want.x[:, 0])
+        np.testing.assert_allclose(got[k], want.x, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(got[k][[0, -1]], [[1.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("lead, member", [((5,), (3,)), ((5,), (0,)), ((2, 3), (1, 2))])
+def test_cst_airfoils_names_an_all_zero_member(lead, member):
+    upper = np.full(lead + (9,), 0.2)
+    lower = np.full(lead + (9,), 0.1)
+    upper[member] = lower[member] = 0.0
+    with pytest.raises(DegenerateGeometryError, match="all-zero") as err:
+        cst_airfoils(upper, lower)
+    assert err.value.index == member
+    with pytest.raises(DegenerateGeometryError) as err:
+        cst_airfoil(upper[member], lower[member])
+    assert err.value.index == ()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cst_airfoils_refuses_non_finite_coefficients(bad):
+    upper = np.full((3, 9), 0.2)
+    upper[1, 4] = bad
+    with pytest.raises(ContractError, match="coefficients must be finite"):
+        cst_airfoils(upper, np.full((3, 9), 0.1))
+    with pytest.raises(ContractError, match="coefficients must be finite"):
+        cst_airfoil(np.full(9, 0.1), upper[1])
+
+
+@pytest.mark.parametrize("upper_shape, lower_shape", [
+    ((3, 9), (4, 9)), ((3, 9), (9,)), ((2, 3, 9), (3, 2, 9)), ((3, 9), (1, 3, 9)),
+])
+def test_cst_airfoils_refuses_mismatched_leading_shapes(upper_shape, lower_shape):
+    with pytest.raises(ContractError, match="differ in leading shape"):
+        cst_airfoils(np.full(upper_shape, 0.2), np.full(lower_shape, 0.1))
+
+
+@pytest.mark.parametrize("upper, lower", [
+    (0.2, np.full(9, 0.1)), (np.zeros((3, 0)), np.full((3, 9), 0.1)),
+])
+def test_cst_airfoils_refuses_an_empty_coefficient_axis(upper, lower):
+    with pytest.raises(ContractError, match="non-empty last axis"):
+        cst_airfoils(upper, lower)
+
+
+@pytest.mark.parametrize("n_c", [-1, 0, 4, MAX_LANDMARKS + 1])
+def test_cst_airfoils_refuses_landmark_counts_out_of_range(n_c):
+    with pytest.raises(ContractError, match="landmarks, got"):
+        cst_airfoils(np.full((2, 9), 0.2), np.full((2, 9), 0.1), n_c=n_c)
+    with pytest.raises(ContractError, match="landmarks, got"):
+        cst_airfoil(np.full(9, 0.2), np.full(9, 0.1), n_c=n_c)
+
+
+def test_cst_airfoils_of_an_empty_stack_is_empty():
+    assert cst_airfoils(np.zeros((0, 9)), np.zeros((0, 9)), n_c=11).shape == (0, 11, 2)

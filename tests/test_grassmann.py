@@ -3,8 +3,10 @@ import pytest
 
 from shapetensors.errors import ContractError, NormalNeighborhoodError
 from shapetensors.grassmann import (
+    ORTHO_TOL,
     GrassmannPoint,
     GrassmannTangent,
+    check_orthonormal,
     gr_distance,
     gr_exp,
     gr_log,
@@ -27,6 +29,41 @@ def _eye_point(n=4):
 def test_point_rejects_non_orthonormal():
     with pytest.raises(ContractError):
         GrassmannPoint(np.ones((4, 2)))
+
+
+def _scaled_first_column(n, t):
+    """e1, e2 with the first column scaled so that ||X.T X - I||_F = t."""
+    x = np.zeros((n, 2))
+    x[0, 0], x[1, 1] = np.sqrt(1.0 + t), 1.0
+    return x
+
+
+def test_point_refuses_drift_just_above_the_tolerance():
+    GrassmannPoint(_scaled_first_column(5, 0.99 * ORTHO_TOL))
+    with pytest.raises(ContractError, match=r"\|\|X.T X - I\|\|_F = 1.01"):
+        GrassmannPoint(_scaled_first_column(5, 1.01 * ORTHO_TOL))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (2.5, "an entry has magnitude 2.500e\\+00"),
+    (-1e300, "an entry has magnitude 1.000e\\+300"),
+    (np.nan, "non-finite entries"),
+    (np.inf, "non-finite entries"),
+])
+def test_point_refuses_large_and_non_finite_entries(bad, message):
+    x = _scaled_first_column(5, 0.0)
+    x[3, 1] = bad
+    with pytest.raises(ContractError, match=message):
+        GrassmannPoint(x)
+
+
+def test_orthonormality_drift_is_the_frobenius_norm(rng):
+    for k in (1, 2, 5):
+        a = np.linalg.qr(rng.standard_normal((9, k)))[0]
+        a += 1e-9 * rng.standard_normal(a.shape)
+        want = np.linalg.norm(a.T @ a - np.eye(k))
+        with pytest.raises(ContractError, match=f"= {want:.3e} exceeds"):
+            check_orthonormal(a)
 
 
 def test_point_rejects_small_n():
