@@ -64,21 +64,13 @@ from .grassmann import (
 )
 from .intersect import self_intersects
 from .model_io import load_model, save_model
-from .product import (
-    ProductPoint,
-    ProductTangent,
-    product_distance,
-    product_exp,
-    product_log,
-    product_transport,
-)
+from .product import ProductPoint
 from .shapes import (
     AffineFactor,
     LandmarkShape,
     PreprocessConfig,
     SeparableShape,
     cumulative_lengths,
-    idempotence_check,
     l4_matrix,
     la_standardize,
     landmark_gauge,

@@ -11,7 +11,6 @@ from .grassmann import check_orthonormal
 from .stats import (
     _COMPONENTS,
     KINDS,
-    MEAN_SCALE_KINDS,
     MeanScale,
     PgaModel,
     _arrays,
@@ -27,6 +26,8 @@ from .textio import (
 )
 
 _MAGIC = "shapetensors model 1"
+# The tag of a mean-scale block: the entrywise (gl2) average of the scales.
+_MEAN_SCALE = "extrinsic"
 
 
 def save_model(path, model):
@@ -39,7 +40,7 @@ def save_model(path, model):
     if model.mean_scale is None:
         lines.append("mean-scale none")
     else:
-        lines.append(f"mean-scale {model.mean_scale.kind}")
+        lines.append(f"mean-scale {_MEAN_SCALE}")
         lines.append(fmt_rows(model.mean_scale.m))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -69,10 +70,11 @@ def load_model(path):
         raise r.error(f"block 'coords' has {len(coords)} rows, expected at least 2")
     mean_scale = None
     tag = r.value("mean-scale")
-    if tag != "none":
-        if tag not in MEAN_SCALE_KINDS:
-            raise r.error(f"unknown mean-scale kind {tag!r}")
-        mean_scale = MeanScale(r.rows(2, 2, "mean-scale"), tag)
+    if tag == _MEAN_SCALE:
+        mean_scale = MeanScale(r.rows(2, 2, "mean-scale"))
+    elif tag != "none":
+        raise r.error(f"unknown mean-scale kind {tag!r}; "
+                      f"expected none or {_MEAN_SCALE}")
     if r.pos < len(r.lines):
         raise r.error(f"expected the end of the file, found {r.next()!r}")
     return PgaModel(mean, basis, eigenvalues, coords, epsilon,

@@ -23,7 +23,7 @@ import numpy as np
 from . import cubic
 from .errors import (ContractError, DegenerateGeometryError, ShapeTensorError,
                      named, refuse)
-from .grassmann import ORTHO_TOL, GrassmannPoint, gr_distance
+from .grassmann import ORTHO_TOL, GrassmannPoint
 from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
 
@@ -297,19 +297,6 @@ def l4_matrix(l):
             "l1*l2*l3 = 0 makes the affine family singular"
         )
     return l[0] * np.diag([l[1], l[2]]) @ rotation2(l[3])
-
-
-def idempotence_check(shape, variant="gl2"):
-    """Does standardizing a standardized representative reproduce it?
-
-    True when the Grassmann distance between pi(X) and pi(pi(X)) is at
-    most 1e-10; rank-deficient input raises through la_standardize.
-    """
-    first = la_standardize(shape, variant=variant)
-    again = la_standardize(
-        LandmarkShape(first.grass.rep, closed=shape.closed), variant=variant
-    )
-    return gr_distance(first.grass, again.grass) <= 1e-10
 
 
 # ----------------------------------------------------------------- files

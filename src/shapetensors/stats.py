@@ -106,9 +106,6 @@ _COMPONENTS = {
 KINDS = {"grassmann": ("grassmann",), "spd": ("spd",),
          "product": ("grassmann", "spd")}
 
-# The averaging rules of a mean scale, as mean_scale and model files name them.
-MEAN_SCALE_KINDS = ("extrinsic", "intrinsic")
-
 
 def _arrays(point):
     """{component: raw array} of one manifold point; a product point is
@@ -258,16 +255,15 @@ class PgaModel:
 
 
 class MeanScale:
-    """An averaged 2x2 scale matrix and the averaging rule that made it."""
+    """The entrywise average of an ensemble's 2x2 gl2 scale factors."""
 
-    __slots__ = ("m", "kind")
+    __slots__ = ("m",)
 
-    def __init__(self, m, kind):
+    def __init__(self, m):
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ContractError("mean scale must be 2x2")
         self.m = m
-        self.kind = kind
 
 
 class SampleDomain:
@@ -318,6 +314,9 @@ def embed(model, point):
     """Normal coordinates of a point in the model's tangent frame."""
     base = _arrays(model.mean)
     target = _arrays(point)
+    if {c: a.shape for c, a in target.items()} != {c: a.shape for c, a in base.items()}:
+        raise ContractError(f"{point!r} does not lie on the manifold of the "
+                            f"model, whose mean is {model.mean!r}")
     v = np.concatenate([
         _COMPONENTS[c].vec(_COMPONENTS[c].log(base[c], target[c]))
         for c in base
@@ -353,29 +352,27 @@ def generate(model, coeffs):
     return _tangent(model, coeffs)[1]
 
 
-def mean_scale(factors, kind="extrinsic"):
-    """Average the 2x2 scale factors of an ensemble (AffineFactors, 2x2
-    matrices, or an (N, 2, 2) stack).
+def mean_scale(factors):
+    """The entrywise average of the 2x2 gl2 scale factors of an ensemble
+    (AffineFactors, 2x2 matrices, or an (N, 2, 2) stack).
 
-    kind="extrinsic" is the entrywise average of the gl2 factors (errors
-    if the average degenerates); kind="intrinsic" is the Karcher mean of
-    polar-variant SPD factors under the affine-invariant metric.
+    Refuses a non-finite factor and an average that is singular.  The
+    average and its singularity test are formed on a copy scaled by a
+    power of two, which is exact and cannot overflow.
     """
     if len(factors) == 0:
         raise ContractError("mean_scale needs at least one factor")
-    mats = [f.m if isinstance(f, AffineFactor) else np.asarray(f, float) for f in factors]
-    if kind == "extrinsic":
-        avg = np.mean(mats, axis=0)
-        s = sv2(avg)  # s[1] = |det| / s[0], and 0 for a zero average
-        if s[1] <= 1e-12 * s[0]:
-            raise DegenerateGeometryError("the entrywise average scale is singular")
-        return MeanScale(avg, kind)
-    if kind == "intrinsic":
-        spd_points = [SpdMatrix(m) for m in mats]  # raises unless SPD
-        mean = karcher_mean(spd_points)
-        return MeanScale(mean.mat, kind)
-    raise ContractError(
-        f"unknown mean-scale kind {kind!r}; expected one of {MEAN_SCALE_KINDS}")
+    mats = np.array([f.m if isinstance(f, AffineFactor) else f for f in factors],
+                    dtype=float)
+    big = np.abs(mats).max()
+    if not np.isfinite(big):
+        raise ContractError("a scale factor has non-finite entries")
+    e = np.frexp(big)[1]
+    avg = np.mean(np.ldexp(mats, -e), axis=0)
+    s = sv2(avg)  # s[1] = |det| / s[0], and 0 for a zero average
+    if s[1] <= 1e-12 * s[0]:
+        raise DegenerateGeometryError("the entrywise average scale is singular")
+    return MeanScale(np.ldexp(avg, e))
 
 
 def sample_domain(model):

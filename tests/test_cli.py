@@ -319,6 +319,25 @@ def test_fit_names_an_overflowing_file(dataset, tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+@pytest.mark.parametrize("size", [1e160, 6e307])
+def test_fit_of_huge_finite_shapes_writes_a_finite_mean_scale(tmp_path, size):
+    """Twelve quadrilaterals near 6e307 each standardize, but the sum of
+    their scale factors overflowed; near 1e160 the singularity test did."""
+    rng = np.random.default_rng(5)
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    for k in range(12):
+        write_landmarks(tmp_path / f"s{k:02d}.txt", LandmarkShape(
+            size * (square + 0.2 * rng.standard_normal((4, 2)))))
+    (tmp_path / "manifest.txt").write_text(
+        "".join(f"s{k:02d}.txt,huge\n" for k in range(12)))
+    model = tmp_path / "m.txt"
+    assert run_without_warnings("fit", "--input", tmp_path / "manifest.txt",
+                                "--rank", 1, "--out", model) == 0
+    assert np.isfinite(load_model(model).mean_scale.m).all()
+    assert run_without_warnings("sample", "--model", model, "--coeffs=0",
+                                "--out", tmp_path / "s") == 0
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
 def test_fit_refuses_an_epsilon_that_is_not_finite_and_positive(
         dataset, tmp_path, capsys, epsilon):
@@ -459,6 +478,9 @@ def corrupt(src, dst, head, edit):
     ("basis+1", "nan 0 0", "block 'basis' holds a non-finite value: 'nan 0 0'"),
     ("epsilon", "epsilon inf", "bad epsilon value 'inf': not finite"),
     ("mean-scale", "mean-scale bogus", "unknown mean-scale kind 'bogus'"),
+    # no writer produces the intrinsic tag, so no reader accepts it
+    ("mean-scale", "mean-scale intrinsic",
+     "unknown mean-scale kind 'intrinsic'; expected none or extrinsic"),
 ])
 def test_sample_names_a_corrupt_model_line(dataset, tmp_path, capsys, head,
                                            edit, words):

@@ -1,16 +1,18 @@
 """The file and option contract under fuzzing, through ``cli.main``.
 
-One small corpus (12 CST airfoils at n = 61, one more at n = 41, their
-manifest, a Grassmann and a product model, a blade definition, and a gl2
-and a product-spd blade built from it) is made once.  Each example of the
-first test applies one to three line-level mutations to one artifact -- a
-token replaced by a non-finite, overflowing, non-numeric, empty, negative
-or underscored value, a line deleted, truncated or duplicated, a token
-dropped or appended, the first line replaced (a wrong magic), two
-adjacent lines swapped (reordered blocks), a file name pointed at the
-n = 41 airfoil -- and runs every command that reads that artifact.  The
-second test gives the numeric options of the commands those same values.
-Each run must exit 0, 2, 3 or 4 and print no traceback.
+One small corpus (12 CST airfoils at n = 61, one more at n = 41, a
+collinear copy of the first, their manifest, a Grassmann and a product
+model, a blade definition, and a gl2 and a product-spd blade built from
+it) is made once.  Each example of the first test applies one to three
+line-level mutations to one artifact -- a token replaced by a
+non-finite, overflowing, non-numeric, empty, negative or underscored
+value, a line deleted, truncated or duplicated, a token dropped or
+appended, the first line replaced (a wrong magic), two adjacent lines
+swapped (reordered blocks), every two-number row put on the line y = x
+(collinear landmarks), a file name pointed at the n = 41 airfoil or at
+the collinear one -- and runs every command that reads that artifact.
+The second test gives the numeric options of the commands those same
+values.  Each run must exit 0, 2, 3 or 4 and print no traceback.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from shapetensors.cli import main
 from shapetensors.cst import generate_airfoils
-from shapetensors.shapes import write_landmarks
+from shapetensors.shapes import LandmarkShape, write_landmarks
 from shapetensors.textio import write_manifest
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
@@ -96,6 +98,8 @@ def corpus(tmp_path_factory):
         write_landmarks(root / f"s{i:02d}.txt", shape)
     odd, _, _ = generate_airfoils(np.random.default_rng(4), 1, n_c=41)
     write_landmarks(root / "odd.txt", odd[0])
+    x = shapes[0].x[:, 0]
+    write_landmarks(root / "line.txt", LandmarkShape(np.column_stack([x, x])))
     write_manifest(root / "manifest.txt",
                    [(f"s{i:02d}.txt", "fuzz") for i in range(12)], "fuzz corpus")
     (root / "blade.def").write_text("\n".join(
@@ -131,7 +135,9 @@ def mutate(lines, kind, i, j, token):
         after = (k + 1) % len(lines)
         lines[k], lines[after] = lines[after], lines[k]
     elif kind == "repoint":
-        lines[k] = re.sub(r"s\d\d\.txt", "odd.txt", lines[k])
+        lines[k] = re.sub(r"s\d\d\.txt", ("odd.txt", "line.txt")[j % 2], lines[k])
+    elif kind == "collinear":  # every two-token row onto the line y = x
+        lines[:] = [re.sub(r"^(\S+) \S+$", r"\1 \1", line) for line in lines]
     elif kind == "truncate":
         lines[k] = lines[k][:j % (len(lines[k]) + 1)]
     else:
@@ -149,7 +155,7 @@ def mutate(lines, kind, i, j, token):
 # line indices lean towards the first lines, where the headers sit
 MUTATIONS = st.tuples(
     st.sampled_from(("replace", "delete", "truncate", "duplicate", "drop",
-                     "append", "head", "swap", "repoint")),
+                     "append", "head", "swap", "repoint", "collinear")),
     st.one_of(st.integers(0, 8), st.integers(0, 10**4)),
     st.integers(0, 10**4),
     st.sampled_from(TOKENS),
@@ -171,6 +177,35 @@ def test_mutated_artifacts_exit_with_a_documented_code(corpus, name, edits):
             code, err = cli(*[a.format(a=mutant, root=corpus, out=out)
                               for a in argv])
         assert code in DOCUMENTED_EXITS and "Traceback" not in err, (argv, err)
+
+
+def test_a_collinear_landmark_file_exits_2_and_is_named(corpus):
+    """dist and fit name the collinear file, blade build its station."""
+    (corpus / "collinear-s00.txt").write_text("\n".join(mutate(
+        (corpus / "s00.txt").read_text().splitlines(), "collinear", 0, 0, "")) + "\n")
+    for name, at in (("manifest.txt", 5), ("blade.def", 4)):
+        (corpus / f"collinear-{name}").write_text("\n".join(mutate(
+            (corpus / name).read_text().splitlines(), "repoint", at, 1, "")) + "\n")
+    fit = ["fit", "--input", "{root}/collinear-manifest.txt", "--rank", "3",
+           "--out", "{out}"]
+    build = ["blade", "build", "--blade", "{root}/collinear-blade.def",
+             "--out", "{out}"]
+    cases = [
+        (["dist", "--a", "{root}/collinear-s00.txt", "--b", "{root}/s01.txt"],
+         "collinear-s00.txt: "),
+        (["dist", "--a", "{root}/s01.txt", "--b", "{root}/collinear-s00.txt",
+          "--space", "spd"], "collinear-s00.txt: "),
+        (fit, "line.txt: "),
+        (fit[:3] + ["--manifold", "product"] + fit[3:], "line.txt: "),
+        (build, "station 1 (eta=0.3333"),
+        (build + ["--variant", "product-spd", "--n", "41"], "station 1 (eta=0.3333"),
+    ]
+    for argv, named in cases:
+        with tempfile.TemporaryDirectory(dir=corpus) as tmp:
+            code, err = cli(*[a.format(root=corpus, out=Path(tmp) / "out")
+                              for a in argv])
+        assert code == 2, (argv, err)
+        assert named in err and "landmarks are collinear" in err, (argv, err)
 
 
 # Commands whose numeric options the second test sets; each {v} takes the

@@ -79,6 +79,13 @@ def test_karcher_spd_two_point_midpoint(rng):
     assert abs(spd_distance(p, mid) + spd_distance(mid, d) - spd_distance(p, d)) < 1e-9
 
 
+def test_karcher_spd_does_not_depend_on_order(rng):
+    mats = [random_spd(rng) for _ in range(25)]
+    a = karcher_mean(mats).mat
+    b = karcher_mean(mats[::-1]).mat
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+
 def test_karcher_nonconvergence_reports_gradient():
     # antipodal-ish spread on SPD with a absurdly tight epsilon and
     # one iteration cannot converge
@@ -184,6 +191,22 @@ def test_pga_embed_of_training_points_matches_coords(rng):
     model = pga_fit(pts, r=9, epsilon=1e-10)
     for k, p in enumerate(pts):
         np.testing.assert_allclose(embed(model, p), model.coords[k], atol=1e-10)
+
+
+def test_embed_refuses_a_point_of_another_manifold_kind(rng):
+    pts = [ProductPoint(random_grassmann_point(rng, n=6), random_spd(rng))
+           for _ in range(6)]
+    model = pga_fit(pts, r=2, epsilon=1e-10)
+    for point in (pts[0].grass, pts[0].scale):
+        with pytest.raises(ContractError, match="does not lie on the manifold"):
+            embed(model, point)
+
+
+def test_embed_refuses_a_grassmann_point_of_another_n(rng):
+    pts = [random_grassmann_point(rng, n=6) for _ in range(6)]
+    model = pga_fit(pts, r=2, epsilon=1e-10)
+    with pytest.raises(ContractError, match=r"GrassmannPoint\(n=7\) does not lie"):
+        embed(model, random_grassmann_point(rng, n=7))
 
 
 def test_pga_generate_recovers_training_points(rng):
@@ -335,15 +358,14 @@ def test_pga_deterministic(rng):
 def test_mean_scale_extrinsic_average():
     f1 = AffineFactor(np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     f2 = AffineFactor(np.array([[4.0, 0.0], [0.0, 3.0]]), np.zeros(2))
-    ms = mean_scale([f1, f2], kind="extrinsic")
+    ms = mean_scale([f1, f2])
     np.testing.assert_allclose(ms.m, [[3.0, 0.0], [0.0, 2.0]])
 
 
 def test_mean_scale_accepts_a_stack():
     mats = [np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([[4.0, 0.5], [0.5, 3.0]])]
-    for kind in ("extrinsic", "intrinsic"):
-        stacked = mean_scale(np.stack(mats), kind=kind)
-        assert np.array_equal(stacked.m, mean_scale(mats, kind=kind).m)
+    stacked = mean_scale(np.stack(mats))
+    assert np.array_equal(stacked.m, mean_scale(mats).m)
     with pytest.raises(ContractError):
         mean_scale(np.empty((0, 2, 2)))
 
@@ -354,26 +376,37 @@ def test_mean_scale_extrinsic_degenerate():
     f3 = AffineFactor(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
     for pair in ([f1, f2], [f1, f3]):  # averages 0 and diag(1, 0)
         with pytest.raises(DegenerateGeometryError):
-            mean_scale(pair, kind="extrinsic")
+            mean_scale(pair)
 
 
-def test_mean_scale_intrinsic_geodesic_midpoint(rng):
-    p = np.diag([4.0, 1.0])
-    q = np.diag([1.0, 4.0])
-    ms = mean_scale([p, q], kind="intrinsic")
-    np.testing.assert_allclose(ms.m, np.diag([2.0, 2.0]), atol=1e-7)
+@pytest.mark.parametrize("size", [1e-3, 1.0, 1e3])
+def test_mean_scale_is_the_plain_average_bit_for_bit(rng, size):
+    """The power-of-two scaling is exact: ordinary factors average to the
+    bits of np.mean, so model files do not move."""
+    mats = size * rng.standard_normal((30, 2, 2))
+    assert np.array_equal(mean_scale(mats).m, np.mean(mats, axis=0))
 
 
-def test_mean_scale_intrinsic_does_not_depend_on_order(rng):
-    mats = [random_spd(rng).mat for _ in range(25)]
-    a = mean_scale(mats, kind="intrinsic").m
-    b = mean_scale(mats[::-1], kind="intrinsic").m
-    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+@pytest.mark.parametrize("size", [1e160, 6e307])
+def test_mean_scale_of_huge_factors_is_finite_and_exact(rng, size):
+    """Near 1e160 the singularity test's determinant overflowed, and near
+    6e307 the sum of twelve factors did; neither may warn or leave inf."""
+    mats = size * (np.eye(2) + 0.1 * rng.standard_normal((12, 2, 2)))
+    m = mean_scale(mats).m
+    assert np.isfinite(m).all()
+    assert np.array_equal(m, np.mean(mats / 2.0**1000, axis=0) * 2.0**1000)
 
 
-def test_mean_scale_intrinsic_rejects_asymmetric():
-    with pytest.raises(ContractError):
-        mean_scale([np.array([[1.0, 0.5], [0.0, 1.0]])], kind="intrinsic")
+def test_mean_scale_refuses_a_singular_average_of_huge_factors():
+    # p*d - b*c is inf - inf = NaN unless the average is scaled first
+    with pytest.raises(DegenerateGeometryError):
+        mean_scale([[[1e200, 1e200], [1e200, 1e200]]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mean_scale_refuses_a_non_finite_factor(bad):
+    with pytest.raises(ContractError, match="non-finite"):
+        mean_scale([np.eye(2), [[bad, 0.0], [0.0, 1.0]]])
 
 
 # ---------------------------------------------------------------- domain
@@ -405,7 +438,7 @@ def test_domain_of_huge_coordinates_has_an_infinite_radius():
 def test_model_save_load_bit_identical(tmp_path, rng):
     pts, _ = _cloud(rng, count=8)
     model = pga_fit(pts, r=3, epsilon=1e-10)
-    model.mean_scale = MeanScale(np.array([[1.5, 0.1], [0.1, 0.9]]), "extrinsic")
+    model.mean_scale = MeanScale(np.array([[1.5, 0.1], [0.1, 0.9]]))
     p1 = tmp_path / "m1.model"
     p2 = tmp_path / "m2.model"
     save_model(p1, model)
@@ -415,7 +448,7 @@ def test_model_save_load_bit_identical(tmp_path, rng):
     assert np.array_equal(back.basis, model.basis)
     assert np.array_equal(back.coords, model.coords)
     assert np.array_equal(back.mean.rep, model.mean.rep)
-    assert back.mean_scale.kind == "extrinsic"
+    assert np.array_equal(back.mean_scale.m, model.mean_scale.m)
     assert back.domain.radius == model.domain.radius
 
 
