@@ -35,8 +35,8 @@ from .errors import (
     named,
     refuse,
 )
-from .grassmann import (ORTHO_TOL, GrassmannPoint, _exp_raw, _log_raw,
-                        _transport_raw)
+from .grassmann import (GrassmannPoint, _exp_raw, _log_raw, _transport_raw,
+                        check_orthonormal)
 from .linalg import mT, orthogonal_factor, rotation2, sym2_split
 from .shapes import RANK_TOL, LandmarkShape, _standardize_raw, ends_meet
 from .spd import _distance_raw as _spd_distance_raw
@@ -149,10 +149,8 @@ class BladeModel:
     def _rebuild(self):
         """Check the stations; derive schedules and per-interval caches."""
         reps = self.reps
-        drift = np.linalg.norm(mT(reps) @ reps - np.eye(2), axis=(-2, -1))
-        self._check(drift <= ORTHO_TOL, lambda i: ContractError(
-            "representative columns are not orthonormal: ||X.T X - I||_F = "
-            f"{drift[i]:.3e} exceeds {ORTHO_TOL:.0e}"))
+        with named(_station(self.etas)):
+            check_orthonormal(reps, "representative columns")
         self._gr_logs = _log_raw(reps[:-1], reps[1:])
         gaps = np.linalg.norm(self._gr_logs, axis=(-2, -1))
         self.ts = np.concatenate([[0.0], np.cumsum(gaps)])

@@ -183,15 +183,14 @@ def cmd_preprocess(args):
 
 
 def _lift_points(shapes, manifold):
+    """The shapes as one stacked point of the manifold, and their scales."""
     variant = "gl2" if manifold == "grassmann" else "polar"
     with named(lambda k: shapes[k][0]):
         rep, m, _ = _standardize_raw(
             np.stack([shape.x for _, _, shape in shapes]), variant
         )
-    stacks = {"grassmann": rep, "spd": m}
-    points = [_point({c: stacks[c][k] for c in KINDS[manifold]})
-              for k in range(len(shapes))]
-    return points, m
+        stacks = {"grassmann": rep, "spd": m}
+        return _point({c: stacks[c] for c in KINDS[manifold]}), m
 
 
 def cmd_fit(args):
@@ -238,18 +237,6 @@ def _scale_matrix(spec, model):
     raise ContractError(f"unknown scale {spec!r} (use mean or l4:a,b,c,d)")
 
 
-def _sample_to_shape(model, coeffs, scale):
-    """One sample's landmarks; a None ``scale`` takes the sample's SPD part.
-    The samples of a model whose mean closes (``ends_meet``) are closed
-    and repeat their first landmark as their last."""
-    parts = _arrays(generate(model, coeffs))
-    pts = parts["grassmann"] @ (parts["spd"] if scale is None else scale)
-    closed = bool(ends_meet(_arrays(model.mean)["grassmann"]))
-    if closed:
-        pts[-1] = pts[0]
-    return LandmarkShape(pts, closed=closed)
-
-
 def cmd_sample(args):
     model = load_model(args.model)
     if args.coeffs is None and args.sweep is None:
@@ -262,8 +249,8 @@ def cmd_sample(args):
         return _fail("product models carry their own scale; --scale not allowed")
     scale = None if model.kind == "product" else _scale_matrix(args.scale, model)
     if args.coeffs is not None:
-        coeff_rows = [_parse_floats(args.coeffs, expect=model.r,
-                                    what="coefficient list")]
+        coeff_rows = _parse_floats(args.coeffs, expect=model.r,
+                                   what="coefficient list")[None]
     else:
         rng = np.random.default_rng(args.seed)
         lo, hi = model.domain.lo, model.domain.hi
@@ -273,9 +260,16 @@ def cmd_sample(args):
             if not np.array_equal(a, b):
                 break
         s = np.linspace(0.0, 1.0, args.count)[:, None]
-        coeff_rows = list((1.0 - s) * a + s * b)
-    # every sample is formed before --out exists, so a refusal writes nothing
-    shapes = [_sample_to_shape(model, coeffs, scale) for coeffs in coeff_rows]
+        coeff_rows = (1.0 - s) * a + s * b
+    # every sample is formed before --out exists, so a refusal writes nothing;
+    # a None ``scale`` takes each sample's SPD part, and the samples of a
+    # model whose mean closes (``ends_meet``) repeat their first landmark
+    parts = _arrays(generate(model, coeff_rows))
+    pts = parts["grassmann"] @ (parts["spd"] if scale is None else scale)
+    closed = bool(ends_meet(_arrays(model.mean)["grassmann"]))
+    if closed:
+        pts[:, -1] = pts[:, 0]
+    shapes = [LandmarkShape(x, closed=closed) for x in pts]
     os.makedirs(args.out, exist_ok=True)
     entries = []
     guard_rows = ["file,guard"]

@@ -3,10 +3,12 @@
 The hierarchy is intentionally shallow: callers that only want "this input
 was bad" can catch ShapeTensorError; the subclasses exist so tests and the
 CLI can map failures to distinct exit codes and messages.  ``refuse``
-raises the error of the first refused member of a stack, and ``named``
-puts the name of the input it came from in front of a message.
+raises the error of the first refused member of a stack with every
+refused member's own error attached, and ``named`` puts the name of the
+input it came from in front of a message.
 """
 
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,10 +16,13 @@ import numpy as np
 
 class ShapeTensorError(Exception):
     """Base class for all library-specific failures.  A kernel over a
-    stack that refuses one member sets ``index``, that member's position
-    (``()`` when no member is named)."""
+    stack that refuses members sets ``index``, the first one's position
+    (``()`` when no member is named), and ``refused``, a sequence of the
+    errors of every member the same check refused, each with its
+    ``index``."""
 
     index = ()
+    refused = ()
 
 
 class ContractError(ShapeTensorError, ValueError):
@@ -65,10 +70,11 @@ class ExtrapolationError(ShapeTensorError, ValueError):
 
 def without_refused(fn, members):
     """fn(members) with the members fn refuses left out: while fn raises
-    a ShapeTensorError whose ``index`` names a member, drop that member
-    and call fn again.  Returns (positions kept, fn's result on them,
-    {position: error}); fn is not called once every member is refused,
-    and the result is then []."""
+    a ShapeTensorError whose ``index`` names a member, drop every member
+    its ``refused`` names (by the first axis of their positions) and call
+    fn again.  Returns (positions kept, fn's result on them, {position:
+    the first error that refused it}); fn is not called once every member
+    is refused, and the result is then []."""
     kept, refused = list(range(len(members))), {}
     while kept:
         try:
@@ -76,18 +82,43 @@ def without_refused(fn, members):
         except ShapeTensorError as err:
             if not err.index:
                 raise
-            refused[kept.pop(err.index[0])] = err
+            for e in err.refused or [err]:
+                refused.setdefault(kept[e.index[0]], e)
+            kept = [i for i in kept if i not in refused]
     return kept, [], refused
+
+
+class _Refused(Sequence):
+    """make(j), with ``index`` j, for each position j in ``where``, made
+    when asked for: a check over a large stack may refuse many members
+    whose errors no caller reads.  The first is the error raised."""
+
+    def __init__(self, where, make, first):
+        self._where, self._make, self._first = where, make, first
+
+    def __len__(self):
+        return len(self._where)
+
+    def __getitem__(self, k):
+        j = tuple(int(i) for i in self._where[k])
+        if j == self._first.index:
+            return self._first
+        err = self._make(j)
+        err.index = j
+        return err
 
 
 def refuse(bad, make):
     """Raise make(i), with ``index`` i, for the first True entry i of the
     mask ``bad`` in C order (``()`` for a 0-d mask); return if there is
-    none."""
+    none.  Its ``refused`` holds make(j), with ``index`` j, for every
+    True entry j, in C order."""
     if bad.any():
-        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = np.argwhere(bad)
+        index = tuple(int(i) for i in where[0])
         err = make(index)
         err.index = index
+        err.refused = _Refused(where, make, err)
         raise err
 
 

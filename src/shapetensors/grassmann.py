@@ -40,8 +40,6 @@ against an (N, n, 2) stack, and a stack against a stack all go through
 the same code.
 """
 
-import math
-
 import numpy as np
 
 from .errors import ContractError, NormalNeighborhoodError, refuse
@@ -62,46 +60,71 @@ GRAM_S1_MAX = 1e2
 SERIES_MAX = 1e-8
 
 
-def check_orthonormal(a):
-    """Refuse, with a ContractError, a finite matrix whose columns are not
-    orthonormal within ORTHO_TOL."""
+def check_orthonormal(a, what="columns"):
+    """Refuse, with a ContractError, a matrix of an (..., n, k) stack whose
+    columns (``what``) are not orthonormal within ORTHO_TOL; its ``index``
+    names the first such member."""
     # orthonormal columns have entries in [-1, 1]; refusing far larger
     # ones first keeps a.T @ a from overflowing
-    big = np.abs(a).max(initial=0.0)
-    if big > 2.0:
-        raise ContractError(
-            f"columns are not orthonormal: an entry has magnitude {big:.3e}")
-    gap = a.T @ a
-    gap.flat[:: a.shape[1] + 1] -= 1.0  # a.T a - I
-    gap = gap.ravel()
-    drift = math.sqrt(gap @ gap)
-    if drift > ORTHO_TOL:
-        raise ContractError(
-            f"columns are not orthonormal: ||X.T X - I||_F = {drift:.3e} "
-            f"exceeds {ORTHO_TOL:.0e}"
-        )
+    big = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    refuse(big > 2.0, lambda i: ContractError(
+        f"{what} are not orthonormal: an entry has magnitude {big[i]:.3e}"))
+    gap = mT(a) @ a
+    gap = gap.reshape(gap.shape[:-2] + (-1,))
+    gap[..., :: a.shape[-1] + 1] -= 1.0  # a.T a - I
+    drift = np.sqrt((gap * gap).sum(axis=-1))
+    refuse(~(drift <= ORTHO_TOL), lambda i: ContractError(
+        f"{what} are not orthonormal: ||X.T X - I||_F = {drift[i]:.3e} "
+        f"exceeds {ORTHO_TOL:.0e}"))
 
 
-class GrassmannPoint:
-    """A 2-plane in R^n held as an orthonormal (n, 2) representative."""
+class StackedPoint:
+    """Base of the manifold point classes.  A point holds one member or a
+    stack of them along the leading axes ``shape`` of its arrays; len()
+    counts the members along the first axis, and [k] returns member k as
+    a point of the same class, unchecked, as its stack was checked."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        first = getattr(self, self.__slots__[0])  # an array or a point
+        return first.shape if isinstance(first, StackedPoint) else first.shape[:-2]
+
+    def __len__(self):
+        if not self.shape:
+            raise TypeError(f"a single {type(self).__name__} has no len()")
+        return self.shape[0]
+
+    def __getitem__(self, k):
+        len(self)  # a single point has no members
+        member = object.__new__(type(self))
+        for field in self.__slots__:
+            setattr(member, field, getattr(self, field)[k])
+        return member
+
+
+class GrassmannPoint(StackedPoint):
+    """A 2-plane in R^n held as an orthonormal (n, 2) representative, or
+    an (..., n, 2) stack of them, checked in one batched call."""
 
     __slots__ = ("rep",)
 
     def __init__(self, rep):
         rep = np.asarray(rep, dtype=float)
-        if rep.ndim != 2 or rep.shape[1] != 2 or rep.shape[0] < 3:
+        if rep.ndim < 2 or rep.shape[-1] != 2 or rep.shape[-2] < 3:
             raise ContractError(
-                "Grassmann representative must be (n, 2) with n >= 3, got "
+                "Grassmann representative must be (..., n, 2) with n >= 3, got "
                 f"shape {rep.shape}"
             )
-        if not np.isfinite(rep).all():
-            raise ContractError("Grassmann representative has non-finite entries")
+        refuse(~np.isfinite(rep).all(axis=(-2, -1)), lambda i: ContractError(
+            "Grassmann representative has non-finite entries"))
         check_orthonormal(rep)
         self.rep = rep
 
     @property
     def n(self):
-        return self.rep.shape[0]
+        return self.rep.shape[-2]
 
     def __repr__(self):
         return f"GrassmannPoint(n={self.n})"

@@ -59,10 +59,8 @@ def load_model(path):
     # one basis row per entry of a vectorized tangent at the mean
     width = sum(_COMPONENTS[c].vec(a).size for c, a in _arrays(mean).items())
     basis = r.block("basis", rows=width)
-    try:
-        check_orthonormal(basis)
-    except ContractError as err:
-        raise ContractError(f"{path}: basis {err}") from err
+    with named(path):
+        check_orthonormal(basis, "basis columns")
     rank = basis.shape[1]
     eigenvalues = r.vector("eigenvalues", size=rank)
     coords = r.block("coords", cols=rank)

@@ -5,12 +5,14 @@ definite scale.  Statistics act on it componentwise, through the maps of
 each factor in ``stats._COMPONENTS``.
 """
 
-from .grassmann import GrassmannPoint
+from .errors import ContractError
+from .grassmann import GrassmannPoint, StackedPoint
 from .spd import SpdMatrix
 
 
-class ProductPoint:
-    """A point (grass, scale) on G(n, 2) x SPD(2)."""
+class ProductPoint(StackedPoint):
+    """A point (grass, scale) on G(n, 2) x SPD(2), or a stack of them:
+    factors of the same leading shape."""
 
     __slots__ = ("grass", "scale")
 
@@ -19,6 +21,9 @@ class ProductPoint:
             grass = GrassmannPoint(grass)
         if not isinstance(scale, SpdMatrix):
             scale = SpdMatrix(scale)
+        if grass.shape != scale.shape:
+            raise ContractError(f"product factors must share their leading "
+                                f"shape, got {grass.shape} and {scale.shape}")
         self.grass = grass
         self.scale = scale
 

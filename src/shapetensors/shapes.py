@@ -191,8 +191,9 @@ def refine(shapes, cfg):
     """Re-sample shapes at cfg.n landmarks along their fitted paths;
     returns a list in input order.  Members alike in landmark count,
     closedness and whether they repeat their first landmark at the end
-    share one kernel call.  A member that cannot be refined raises, and
-    the error's ``index`` names its position in ``shapes``."""
+    share one kernel call.  A member that cannot be refined raises; the
+    error's ``index`` names its position in ``shapes``, and its
+    ``refused`` every member of its kind that the same check refused."""
     shapes = list(shapes)
     groups = {}
     for i, s in enumerate(shapes):
@@ -208,7 +209,9 @@ def refine(shapes, cfg):
                               cfg.spline)
         except ShapeTensorError as err:
             if err.index:
-                err.index = (members[err.index[0]],)
+                err.refused = list(err.refused or [err])
+                for e in err.refused:
+                    e.index = (members[e.index[0]],)
             raise
         refined = path(xi)
         if closed:  # the path meets its start at s = 1 only to rounding

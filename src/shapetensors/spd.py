@@ -21,48 +21,56 @@ the off-diagonal of a tiny P^(-1/2) S P^(-1/2).
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, refuse
+from .grassmann import StackedPoint
 from .linalg import mT, sym2_exp, sym2_log, sym2_roots, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
 
 
 def _symmetric2(a, what):
-    """``a`` as a symmetrized float array; refuses anything but a finite,
-    symmetric 2x2 whose entries stay below 2**1023 in magnitude, so that
-    a + a.T cannot overflow (``what`` names it in the message)."""
+    """``a`` as a symmetrized float array; refuses anything but finite,
+    symmetric 2x2 matrices, or (..., 2, 2) stacks of them, whose entries
+    stay below 2**1023 in magnitude, so that a + a.T cannot overflow
+    (``what`` names it in the message; ``index`` the first member)."""
     a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
+    if a.shape[-2:] != (2, 2):
         raise ContractError(f"SPD {what} must be 2x2, got {a.shape}")
-    big = np.abs(a).max()
-    if not np.isfinite(big):
-        raise ContractError(f"SPD {what} has non-finite entries")
-    if big >= 2.0**1023:
-        raise ContractError(f"SPD {what} has an entry of magnitude {big:.3e}, "
-                            "2**1023 or more")
-    if abs(a[0, 1] - a[1, 0]) > SYMMETRY_TOL * max(1.0, big):
-        raise ContractError(f"{what} is not symmetric")
-    return 0.5 * (a + a.T)
+    big = np.abs(a).max(axis=(-2, -1))
+    refuse(~np.isfinite(big), lambda i: ContractError(
+        f"SPD {what} has non-finite entries"))
+    refuse(big >= 2.0**1023, lambda i: ContractError(
+        f"SPD {what} has an entry of magnitude {big[i]:.3e}, 2**1023 or more"))
+    refuse(abs(a[..., 0, 1] - a[..., 1, 0]) > SYMMETRY_TOL * np.maximum(1.0, big),
+           lambda i: ContractError(f"{what} is not symmetric"))
+    return 0.5 * (a + mT(a))
 
 
-class SpdMatrix:
-    """A symmetric positive-definite 2x2 matrix."""
+def _det2(a):
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+class SpdMatrix(StackedPoint):
+    """A symmetric positive-definite 2x2 matrix, or an (..., 2, 2) stack
+    of them, checked in one batched call."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
         mat = _symmetric2(mat, "matrix")
-        # Python floats overflow to inf without a warning
-        (p, q), (r, s) = mat.tolist()
-        det = p * s - q * r
-        if det != det:  # inf - inf: take the sign at a largest entry in [0.5, 1)
-            (p, q), (r, s) = np.ldexp(mat, -np.frexp(np.abs(mat).max())[1]).tolist()
-            det = p * s - q * r
-        if det <= 0.0 or p + s <= 0.0:
-            raise ContractError("matrix is not positive definite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = _det2(mat)
+            lost = det != det
+            if lost.any():  # inf - inf: take the sign at a largest entry in [0.5, 1)
+                e = np.frexp(np.abs(mat).max(axis=(-2, -1)))[1]
+                det = np.where(lost, _det2(np.ldexp(mat, -e[..., None, None])), det)
+            refuse((det <= 0.0) | (mat[..., 0, 0] + mat[..., 1, 1] <= 0.0),
+                   lambda i: ContractError("matrix is not positive definite"))
         self.mat = mat
 
     def __repr__(self):
+        if self.shape:
+            return f"SpdMatrix(shape={self.shape})"
         m = self.mat
         return f"SpdMatrix([[{m[0,0]:g}, {m[0,1]:g}], [{m[1,0]:g}, {m[1,1]:g}]])"
 

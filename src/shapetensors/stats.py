@@ -1,5 +1,8 @@
 """Riemannian statistics over the shape manifolds.
 
+An ensemble is one stacked point: a GrassmannPoint, SpdMatrix or
+ProductPoint whose members lie along one leading axis, checked when it
+was built.  A list of points is accepted too and stacked once.
 The Karcher mean is the fixed point of p <- Exp_p(mean_k Log_p(p_k)),
 iterated until the mean tangent drops below epsilon in Frobenius norm.
 The iteration starts near the mean without a log sweep: a Grassmann
@@ -19,7 +22,8 @@ logs (horizontal, for Grassmann) as a full thin SVD's does.  Squared
 singular values are the per-direction variances; the stored per-sample
 coordinates are the unscaled projections t_k = U_r^T vec(Log_mean(p_k)),
 so embedding a training point returns its row of ``coords`` and
-generating from that row returns the point.
+generating from that row returns the point.  ``generate`` maps an (S, r)
+matrix of coordinates to a stacked point of S through one Exp.
 
 All decompositions use the deterministic SVD sign convention, making a
 fit a pure function of its input bytes.
@@ -30,7 +34,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, DegenerateGeometryError
+from .errors import (ContractError, ConvergenceError, DegenerateGeometryError,
+                     refuse)
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
@@ -54,6 +59,7 @@ START_BLOCK = 128
 ZERO_VARIANCE_TOL = 1e-13
 
 _SQRT2 = np.sqrt(2.0)
+_SPD_WEIGHTS = np.array([[1.0, _SQRT2], [_SQRT2, 1.0]])
 
 
 def _chordal_start(reps):
@@ -71,9 +77,9 @@ def _chordal_start(reps):
 
 # Batched maps of one manifold factor on raw arrays.  log(base, stack)
 # and exp(base, tangent) broadcast over leading axes; vec flattens
-# (..., tangent) to (..., width) isometrically and unvec inverts it for one
-# vector; dim(base) is the intrinsic dimension; start(stack) is the point
-# the Karcher iteration starts from.
+# (..., tangent) to (..., width) isometrically and unvec inverts it;
+# dim(base) is the intrinsic dimension; start(stack) is the point the
+# Karcher iteration starts from.
 _Component = namedtuple("_Component", "log exp vec unvec dim start")
 
 # The logs look their kernels up at call time, so a wrapper installed on
@@ -84,7 +90,7 @@ _COMPONENTS = {
         log=lambda x, ys: _log_many(x, ys),
         exp=_gr_exp_raw,
         vec=lambda d: mT(d).reshape(d.shape[:-2] + (-1,)),
-        unvec=lambda v: v.reshape(2, -1).T,
+        unvec=lambda v: mT(v.reshape(v.shape[:-1] + (2, -1))),
         dim=lambda x: 2 * (x.shape[-2] - 2),
         start=_chordal_start,
     ),
@@ -95,7 +101,7 @@ _COMPONENTS = {
         vec=lambda s: np.stack(
             [s[..., 0, 0], _SQRT2 * s[..., 0, 1], s[..., 1, 1]], axis=-1
         ),
-        unvec=lambda v: np.array([[v[0], v[1] / _SQRT2], [v[1] / _SQRT2, v[2]]]),
+        unvec=lambda v: np.stack([v[..., :2], v[..., 1:]], axis=-2) / _SPD_WEIGHTS,
         dim=lambda p: 3,
         # the log-Euclidean mean
         start=lambda ps: sym2_exp(sym2_log(ps).mean(axis=0)),
@@ -108,8 +114,8 @@ KINDS = {"grassmann": ("grassmann",), "spd": ("spd",),
 
 
 def _arrays(point):
-    """{component: raw array} of one manifold point; a product point is
-    its Grassmann part plus its SPD part."""
+    """{component: raw array} of a manifold point or a stacked point; a
+    product point is its Grassmann part plus its SPD part."""
     if isinstance(point, GrassmannPoint):
         return {"grassmann": point.rep}
     if isinstance(point, SpdMatrix):
@@ -129,35 +135,39 @@ def _point(arrays):
     return ProductPoint(grass, spd)
 
 
-def _stacks(points):
-    """{component: (N, ...) stack} of a list of points."""
-    parts = [_arrays(pt) for pt in points]
-    if any(part.keys() != parts[0].keys() for part in parts):
-        raise ContractError("points must all lie on the same kind of manifold")
-    stacks = {}
-    for c in parts[0]:
-        arrays = [part[c] for part in parts]
-        if len({a.shape for a in arrays}) != 1:
-            raise ContractError("all Grassmann points must share the same n")
-        stacks[c] = np.stack(arrays)
+def _members(points):
+    """{component: (N, ...) stack} of a point stacked along one leading
+    axis, or of a list of single points, stacked once: each was checked
+    when it was built."""
+    if isinstance(points, list):
+        parts = [_arrays(pt) for pt in points]
+        if any(part.keys() != parts[0].keys() for part in parts):
+            raise ContractError("points must all lie on the same kind of manifold")
+        stacks = {}
+        for c in parts[0] if parts else ():
+            arrays = [part[c] for part in parts]
+            if len({a.shape for a in arrays}) != 1:
+                raise ContractError("all Grassmann points must share the same n")
+            stacks[c] = np.stack(arrays)
+    else:
+        stacks = _arrays(points)
+    if any(a.ndim != 3 for a in stacks.values()):
+        raise ContractError("points must be stacked along one leading axis "
+                            "or listed one by one")
     return stacks
 
 
-def _dim(point):
-    return sum(_COMPONENTS[c].dim(a) for c, a in _arrays(point).items())
-
-
-def _karcher(points, epsilon, max_iter):
-    """Karcher mean of a list of points and the logs taken at it.
+def _karcher(points, stacks, epsilon, max_iter):
+    """Karcher mean of N points, given with their ``_members`` stacks,
+    and the logs taken at it.
 
     Returns (mean, logs) with logs {component: (N, ...) tangents at the
     mean}: the sweep that certified convergence, ready for PGA.
     """
-    if not points:
+    if not len(points):
         raise ContractError("karcher_mean needs at least one point")
     if not 0.0 < epsilon < math.inf:
         raise ContractError(f"epsilon must be finite and positive, got {epsilon}")
-    stacks = _stacks(points)
     if len(points) == 1:
         mean, base = points[0], {c: a[0] for c, a in stacks.items()}
     else:
@@ -195,7 +205,8 @@ def _karcher(points, epsilon, max_iter):
 
 
 def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
-    """Iterative Karcher (Frechet) mean of a list of manifold points.
+    """Iterative Karcher (Frechet) mean of a stacked point: its members
+    along one leading axis.  A list of points is stacked once.
 
     Starts near the mean without a log sweep: a Grassmann factor at one
     subspace-iteration step of sum_k X_k X_k^T from points[0] (towards
@@ -210,7 +221,7 @@ def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
     trajectory of all of them, if max_iter sweeps do not get there or
     KARCHER_MAX_HALVINGS halvings in a row do not reduce the norm.
     """
-    return _karcher(points, epsilon, max_iter)[0]
+    return _karcher(points, _members(points), epsilon, max_iter)[0]
 
 
 class PgaModel:
@@ -279,22 +290,25 @@ class SampleDomain:
 
 
 def pga_fit(points, r, epsilon=KARCHER_EPSILON):
-    """Fit a PgaModel of rank r to an ensemble of manifold points.
+    """Fit a PgaModel of rank r to an ensemble: a stacked point, or a
+    list of points, which is stacked once.
 
     The basis columns are unit tangent directions at the mean (in
     vectorized form), eigenvalues are the sample variances captured per
     direction, and coords[k] are the normal coordinates of sample k.
     """
-    if len(points) < 2:
-        raise ContractError("PGA needs at least two points")
+    stacks = _members(points)
     n = len(points)
-    limit = min(n - 1, _dim(points[0]))
+    if n < 2:
+        raise ContractError("PGA needs at least two points")
+    limit = min(n - 1, sum(_COMPONENTS[c].dim(a) for c, a in stacks.items()))
     if int(r) != r or not 1 <= r <= limit:
         raise ContractError(
             f"rank r={r} must be an integer in [1, {limit}] "
             f"(N-1 and the manifold dimension both cap it)"
         )
-    mean, logs = _karcher(points, epsilon, KARCHER_MAX_ITER)
+    mean, logs = _karcher(points, stacks, epsilon, KARCHER_MAX_ITER)
+    del stacks  # a stacked list is not held through the decomposition
     # each raw stack is dropped as soon as it is vectorized
     parts = [_COMPONENTS[c].vec(logs.pop(c)) for c in list(logs)]
     data = parts[0] if len(parts) == 1 else np.hstack(parts)
@@ -325,30 +339,38 @@ def embed(model, point):
 
 
 def _tangent(model, coeffs):
-    """({component: tangent at the mean}, its Exp at the mean) of a PGA
-    coefficient vector, which must hold r finite values small enough that
-    the Exp is a point of the manifold."""
+    """({component: tangent at the mean}, its Exp at the mean) of PGA
+    coefficients: one vector of r values, or an (S, r) matrix whose rows
+    give S stacked tangents and one stacked point.  Each row must hold
+    finite values small enough that its Exp is a point of the manifold;
+    the error's ``index`` names the first row refused."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (model.r,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != model.r:
         raise ContractError(
             f"coefficient vector must have length r={model.r}, got {coeffs.shape}"
         )
-    if not np.all(np.isfinite(coeffs)):
-        raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
+    refuse(~np.isfinite(coeffs).all(axis=-1), lambda i: ContractError(
+        f"coefficient vector has non-finite entries: {coeffs[i]}"))
     base = _arrays(model.mean)
     sizes = [_COMPONENTS[c].vec(x).size for c, x in base.items()]
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        parts = np.split(model.basis @ coeffs, np.cumsum(sizes)[:-1])
+        # a matrix-vector product per row keeps each row's bits
+        vecs = (model.basis @ coeffs[..., None])[..., 0]
+        parts = np.split(vecs, np.cumsum(sizes)[:-1], axis=-1)
         tangent = {c: _COMPONENTS[c].unvec(v) for c, v in zip(base, parts)}
         end = {c: _COMPONENTS[c].exp(base[c], t) for c, t in tangent.items()}
     try:
         return tangent, _point(end)
     except ContractError as err:
-        raise ContractError(f"coefficient vector is too large: {err}") from err
+        too_large = ContractError(f"coefficient vector is too large: {err}")
+        too_large.index = err.index
+        raise too_large from err
 
 
 def generate(model, coeffs):
-    """Map normal coordinates back to a manifold point via Exp at the mean."""
+    """Map normal coordinates back to the manifold via Exp at the mean:
+    one point for a vector of r coefficients, a stacked point of S for an
+    (S, r) matrix."""
     return _tangent(model, coeffs)[1]
 
 

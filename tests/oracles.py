@@ -16,8 +16,10 @@ broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
 principal angles, the per-line
 text readers and per-row writers of landmark, block and OBJ files,
 the per-shape refinement through scipy's splines and the CST Bernstein
-basis through scipy's binomials, and the one-airfoil CST sampler and the
-searching SVD sign fix as they stood before CST took stacks.
+basis through scipy's binomials, the one-airfoil CST sampler and the
+searching SVD sign fix as they stood before CST took stacks, and the
+per-row PGA generation as it stood before generate took coefficient
+matrices.
 """
 
 import numpy as np
@@ -757,3 +759,45 @@ def fix_svd_signs(u, vt):
     u *= flip[..., None, :]
     vt *= flip[..., :, None]
     return u, vt
+
+
+def pga_tangent(model, coeffs):
+    """({component: tangent at the mean}, its Exp at the mean) of one PGA
+    coefficient vector: one matrix-vector product and one Exp per row."""
+    from shapetensors.grassmann import GrassmannPoint
+    from shapetensors.grassmann import _exp_raw as gr_exp
+    from shapetensors.product import ProductPoint
+    from shapetensors.spd import SpdMatrix
+    from shapetensors.spd import _exp_raw as spd_exp
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (model.r,):
+        raise ContractError(
+            f"coefficient vector must have length r={model.r}, got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ContractError(f"coefficient vector has non-finite entries: {coeffs}")
+    mean = model.mean
+    base = {"grassmann": getattr(mean, "grass", mean).rep} if model.kind != "spd" else {}
+    if model.kind != "grassmann":
+        base["spd"] = getattr(mean, "scale", mean).mat
+    sizes = [base[c].size if c == "grassmann" else 3 for c in base]
+    r2 = np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.split(model.basis @ coeffs, np.cumsum(sizes)[:-1])
+        tangent = {
+            c: v.reshape(2, -1).T if c == "grassmann"
+            else np.array([[v[0], v[1] / r2], [v[1] / r2, v[2]]])
+            for c, v in zip(base, parts)}
+        end = {c: (gr_exp if c == "grassmann" else spd_exp)(base[c], t)
+               for c, t in tangent.items()}
+    try:
+        if len(end) == 2:
+            return tangent, ProductPoint(end["grassmann"], end["spd"])
+        return tangent, (GrassmannPoint if "grassmann" in end else SpdMatrix)(
+            *end.values())
+    except ContractError as err:
+        raise ContractError(f"coefficient vector is too large: {err}") from err
+
+
+def generate(model, coeffs):
+    return pga_tangent(model, coeffs)[1]

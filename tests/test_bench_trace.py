@@ -35,3 +35,31 @@ def test_tracer_finds_every_wrapped_name_and_restores_it():
         tracer.uninstall()
     assert all(getattr(module, attr, None) is o
                for (module, attr), o in zip(targets, originals))
+
+
+def test_tracer_sees_the_fits_and_samples_of_stacked_points(tmp_path, capsys):
+    """``_kind`` names a fit's span from the first member of its argument,
+    which a stacked point must give as a point of its class."""
+    from shapetensors import cli
+
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        raw, model, pmodel = tmp_path / "raw", tmp_path / "g.txt", tmp_path / "p.txt"
+        for argv in (
+            ["cst-gen", "--count", "12", "--nc", "61", "--seed", "3", "--out", raw],
+            ["fit", "--input", raw / "manifest.txt", "--rank", "3", "--out", model],
+            ["fit", "--input", raw / "manifest.txt", "--manifold", "product",
+             "--rank", "3", "--out", pmodel],
+            ["sample", "--model", model, "--sweep", "corner-to-corner",
+             "--count", "5", "--out", tmp_path / "gs"],
+            ["sample", "--model", pmodel, "--sweep", "corner-to-corner",
+             "--count", "5", "--out", tmp_path / "ps"],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"stats.pga_fit", "stats.pga_fit.product", "stats.generate"} <= names

@@ -208,6 +208,73 @@ def test_preprocess_refines_a_mixed_manifest_as_each_file_alone(tmp_path, capsys
     assert [row.split(",")[0] for row in gauges] == kept
 
 
+def _count_refine_calls(monkeypatch):
+    """The sizes of the lists cli.refine is called with, as they come."""
+    import shapetensors.cli as cli
+
+    calls, real = [], cli.refine
+
+    def counted(shapes, cfg):
+        calls.append(len(shapes))
+        return real(shapes, cfg)
+
+    monkeypatch.setattr(cli, "refine", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [(3,), (0, 4, 7, 11, 19)])
+def test_preprocess_refines_once_more_for_one_kind_of_fault(dataset, tmp_path, capsys,
+                                                            monkeypatch, bad):
+    """Files that repeat a landmark are all refused by one refine call;
+    the second refines the rest, which come out as they do alone."""
+    data = dataset / "data"
+    names = sorted(f for f in os.listdir(data) if f.startswith("airfoil_"))
+    for k, name in enumerate(names):
+        x = read_landmarks(data / name).x
+        if k in bad:  # landmark k + 1 repeated
+            x = np.vstack([x[:k + 2], x[k + 1:]])
+        write_landmarks(tmp_path / name, LandmarkShape(x, closed=True))
+    good = [name for k, name in enumerate(names) if k not in bad]
+    for manifest, listed in (("all.txt", names), ("good.txt", good)):
+        (tmp_path / manifest).write_text("".join(f"{n},x\n" for n in listed))
+    calls = _count_refine_calls(monkeypatch)
+    assert run("preprocess", "--input", tmp_path / "all.txt", "--n", 61,
+               "--out", tmp_path / "out") == 2
+    assert calls == [len(names), len(good)]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / names[k]}: repeated consecutive landmarks "
+                   f"at index {k + 1}: zero-length segment" for k in bad]
+    assert run("preprocess", "--input", tmp_path / "good.txt", "--n", 61,
+               "--out", tmp_path / "alone") == 0
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "alone")
+
+
+def test_preprocess_refines_at_most_twice_more_for_two_kinds_of_fault(
+        dataset, tmp_path, capsys, monkeypatch):
+    """Closed files that repeat a landmark, open files that do too and a
+    file whose chord lengths overflow: every one is named."""
+    data = dataset / "data"
+    names = sorted(f for f in os.listdir(data) if f.startswith("airfoil_"))
+    for k, name in enumerate(names):
+        x = read_landmarks(data / name).x
+        if k % 4 == 1:
+            x = np.vstack([x[:k + 2], x[k + 1:]])
+        write_landmarks(tmp_path / name, LandmarkShape(x if k % 2 else x[:-1]))
+    write_landmarks(tmp_path / "huge.txt", huge_shape())
+    names.append("huge.txt")
+    (tmp_path / "all.txt").write_text("".join(f"{n},x\n" for n in names))
+    calls = _count_refine_calls(monkeypatch)
+    assert run("preprocess", "--input", tmp_path / "all.txt", "--n", 61,
+               "--out", tmp_path / "out") == 2
+    assert len(calls) <= 3
+    err = capsys.readouterr().err
+    for k in range(1, 20, 4):
+        assert (f"error: {tmp_path / names[k]}: repeated consecutive landmarks "
+                f"at index {k + 1}: zero-length segment") in err
+    assert f"error: {tmp_path / 'huge.txt'}: chord lengths overflow" in err
+    assert len(err.splitlines()) == 6
+
+
 def test_preprocess_refuses_a_duplicate_output_name(dataset, tmp_path, capsys):
     """Two manifest entries with one file name would write one output; the
     second is refused and the first still written."""

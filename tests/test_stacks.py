@@ -1,0 +1,269 @@
+"""Manifold points as stacks: one checked array per point class, a single
+point being a batch of one, and the statistics that consume them.
+
+The stacked paths are checked against the code they replaced: a fit of
+a stacked point against the fit of the same points as a list, and
+``generate`` on a coefficient matrix against the per-row generation kept
+in ``oracles``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from shapetensors.cst import cst_airfoils
+from shapetensors.errors import ContractError, refuse, without_refused
+from shapetensors.grassmann import ORTHO_TOL, GrassmannPoint, check_orthonormal
+from shapetensors.product import ProductPoint
+from shapetensors.shapes import _standardize_raw
+from shapetensors.spd import SpdMatrix
+from shapetensors.stats import _tangent, generate, karcher_mean, pga_fit
+
+NOMINAL = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
+                    [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
+
+
+def _airfoils(count, seed, n_c=61):
+    """(gl2 representatives, polar representatives, polar scales) of
+    CST airfoils around a nominal, every coefficient within +-20 %."""
+    rng = np.random.default_rng(seed)
+    coeffs = NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(count, 2, 9)))
+    pts = cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=n_c)
+    return (_standardize_raw(pts, "gl2")[0],) + _standardize_raw(pts, "polar")[:2]
+
+
+@pytest.fixture(scope="module")
+def models():
+    reps, preps, scales = _airfoils(14, seed=5)
+    return {
+        "grassmann": pga_fit(GrassmannPoint(reps), r=4),
+        "product": pga_fit(ProductPoint(preps, scales), r=4),
+    }
+
+
+def _parts(point):
+    if isinstance(point, ProductPoint):
+        return [point.grass.rep, point.scale.mat]
+    return [point.mat if isinstance(point, SpdMatrix) else point.rep]
+
+
+def _rows(model, count, spread, seed):
+    """count coefficient rows in the model's sampling box widened by spread."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.domain.lo, model.domain.hi
+    return spread * (lo + (hi - lo) * rng.uniform(size=(count, model.r)))
+
+
+# ------------------------------------------------------- differential tests
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["grassmann", "product"]),
+       count=st.sampled_from([1, 3, 50]),
+       spread=st.sampled_from([0.0, 1e-9, 0.5, 1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_generate_on_rows_is_the_per_row_oracle_bit_for_bit(models, kind, count,
+                                                            spread, seed):
+    model = models[kind]
+    rows = _rows(model, count, spread, seed)
+    tangents, stacked = _tangent(model, rows)
+    assert stacked.shape == (count,)
+    for k, row in enumerate(rows):
+        want_tangent, want = oracles.pga_tangent(model, row)
+        for got, expect in zip(_parts(stacked[k]), _parts(want)):
+            assert got.tobytes() == expect.tobytes()
+        for c, t in want_tangent.items():
+            assert tangents[c][k].tobytes() == t.tobytes()
+
+
+def test_a_vector_of_coefficients_returns_a_single_point(models):
+    for model in models.values():
+        row = _rows(model, 1, 1.0, seed=3)[0]
+        point = generate(model, row)
+        assert point.shape == ()
+        assert [p.shape for p in _parts(point)] == [p.shape for p in _parts(model.mean)]
+        for got, want in zip(_parts(point), _parts(oracles.generate(model, row))):
+            assert got.tobytes() == want.tobytes()
+        assert len(generate(model, row[None])) == 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(count=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+def test_stacked_and_listed_points_fit_bit_for_bit(count, seed):
+    reps, preps, scales = _airfoils(count, seed)
+    stacks = [GrassmannPoint(reps), ProductPoint(preps, scales), SpdMatrix(scales)]
+    for point in stacks:
+        members = [point[k] for k in range(len(point))]
+        r = min(count - 1, 3)
+        got, want = pga_fit(point, r=r), pga_fit(members, r=r)
+        for a, b in zip(_parts(got.mean) + [got.basis, got.eigenvalues, got.coords],
+                        _parts(want.mean) + [want.basis, want.eigenvalues,
+                                             want.coords]):
+            assert a.tobytes() == b.tobytes()
+        mean, listed = karcher_mean(point), karcher_mean(members)
+        for a, b in zip(_parts(mean), _parts(listed)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_stack_of_one_is_its_own_mean():
+    reps = _airfoils(1, seed=2)[0]
+    mean = karcher_mean(GrassmannPoint(reps))
+    assert mean.shape == () and np.array_equal(mean.rep, reps[0])
+
+
+# -------------------------------------------------------- stack interface
+
+def test_members_share_the_stack_and_keep_their_class():
+    reps, preps, scales = _airfoils(4, seed=1)
+    for point in (GrassmannPoint(reps), SpdMatrix(scales), ProductPoint(preps, scales)):
+        assert len(point) == 4 and point.shape == (4,)
+        member = point[2]
+        assert type(member) is type(point) and member.shape == ()
+        for got, stack in zip(_parts(member), _parts(point)):
+            assert np.shares_memory(got, stack) and np.array_equal(got, stack[2])
+        assert len(point[1:3]) == 2
+        with pytest.raises(TypeError, match="no len"):
+            len(member)
+        with pytest.raises(TypeError, match="no len"):
+            member[0]
+
+
+def test_lists_of_mixed_kinds_and_of_mixed_n_keep_their_messages():
+    grass = GrassmannPoint(_airfoils(2, seed=1)[0])
+    with pytest.raises(ContractError, match="same kind of manifold"):
+        karcher_mean([grass[0], SpdMatrix(np.eye(2))])
+    other_n = GrassmannPoint(_airfoils(1, seed=1, n_c=31)[0][0])
+    with pytest.raises(ContractError, match="share the same n"):
+        pga_fit([grass[0], grass[1], other_n], r=1)
+    with pytest.raises(ContractError, match="one leading axis"):
+        karcher_mean(grass[0])
+
+
+# ---------------------------------------------------------------- refusals
+
+def _refused(err):
+    return [e.index for e in err.refused]
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_grassmann_stack_names_its_drifting_member(k):
+    reps = _airfoils(6, seed=4)[0].copy()
+    reps[k, :, 0] *= np.sqrt(1.0 + 1.5 * ORTHO_TOL)
+    with pytest.raises(ContractError, match=r"\|\|X.T X - I\|\|_F = 1\.\d+e-12 exceeds") as err:
+        GrassmannPoint(reps)
+    assert err.value.index == (k,)
+    with pytest.raises(ContractError) as err:
+        check_orthonormal(reps)
+    assert err.value.index == (k,)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite entries"),
+    (np.inf, "non-finite entries"),
+    (2.5, "an entry has magnitude 2.500e\\+00"),
+])
+def test_grassmann_stack_refuses_bad_entries_by_member(bad, message):
+    reps = _airfoils(5, seed=4)[0].copy()
+    reps[[1, 3], 7, 1] = bad
+    with pytest.raises(ContractError, match=message) as err:
+        GrassmannPoint(reps)
+    assert err.value.index == (1,) and _refused(err.value) == [(1,), (3,)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 0.5], [0.1, 1.0]], "matrix is not symmetric"),
+    ([[1.0, 3.0], [3.0, 1.0]], "not positive definite"),
+    ([[1.0, 0.0], [0.0, -2.0]], "not positive definite"),
+    # p s and q r both overflow: the inf - inf determinant branch
+    ([[1e300, 2e300], [2e300, 1e300]], "not positive definite"),
+    ([[1e300, 1e300], [1e300, 1e300]], "not positive definite"),
+    ([[2.0**1023, 0.0], [0.0, 1.0]], "2\\*\\*1023 or more"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite entries"),
+])
+def test_spd_stack_names_its_refused_member(bad, message):
+    mats = np.stack([np.eye(2), [[1e300, 0.5e300], [0.5e300, 1e300]], bad,
+                     2.0 * np.eye(2)])
+    with pytest.raises(ContractError, match=message) as err:
+        SpdMatrix(mats)
+    assert err.value.index == (2,)
+    with pytest.raises(ContractError, match=message):
+        SpdMatrix(bad)  # the batch of one agrees
+
+
+def test_spd_stack_accepts_what_its_members_accept():
+    mats = np.stack([np.eye(2), [[1e300, 0.5e300], [0.5e300, 1e300]],
+                     [[1e-150, 0.0], [0.0, 1e-150]]])
+    assert np.array_equal(SpdMatrix(mats).mat, mats)
+
+
+def test_product_refuses_factors_of_mismatched_leading_shapes():
+    _, preps, scales = _airfoils(3, seed=2)
+    for grass, spd in ((preps, scales[:2]), (preps[0], scales), (preps, scales[0])):
+        with pytest.raises(ContractError, match="must share their leading shape"):
+            ProductPoint(grass, spd)
+
+
+def _oracle_refuses(model, row):
+    try:
+        oracles.generate(model, row)
+    except ContractError as err:
+        return str(err).startswith("coefficient vector is too large")
+    return False
+
+
+@pytest.mark.parametrize("kind", ["grassmann", "product"])
+def test_generate_refuses_the_first_oversized_row(models, kind):
+    model = models[kind]
+    rows = _rows(model, 6, 1.0, seed=9)
+    rows[[2, 4]] = 1e308
+    want = next(k for k, row in enumerate(rows) if _oracle_refuses(model, row))
+    with pytest.raises(ContractError, match="^coefficient vector is too large") as err:
+        generate(model, rows)
+    assert err.value.index == (want,) == (2,)
+    rows[3, 1] = np.nan
+    with pytest.raises(ContractError, match="non-finite entries") as err:
+        generate(model, rows)
+    assert err.value.index == (3,)
+
+
+# ------------------------------------------------- every refused member
+
+def test_refuse_attaches_every_refused_member_in_order():
+    bad = np.array([[False, True], [True, True]])
+    with pytest.raises(ContractError) as err:
+        refuse(bad, lambda i: ContractError(f"member {i}"))
+    assert err.value.index == (0, 1)
+    assert _refused(err.value) == [(0, 1), (1, 0), (1, 1)]
+    assert [str(e) for e in err.value.refused] == [
+        "member (0, 1)", "member (1, 0)", "member (1, 1)"]
+    assert err.value.refused[0] is err.value
+
+
+def test_refuse_makes_the_other_errors_only_when_asked():
+    made = []
+
+    def make(i):
+        made.append(i)
+        return ContractError(f"member {i}")
+
+    with pytest.raises(ContractError) as err:
+        refuse(np.ones(100_000, bool), make)
+    assert made == [(0,)] and len(err.value.refused) == 100_000
+    assert err.value.refused[-1].index == (99_999,)
+    assert made == [(0,), (99_999,)]
+
+
+def test_without_refused_drops_every_refused_member_in_one_pass():
+    calls = []
+
+    def positive(values):
+        calls.append(list(values))
+        values = np.array(values)
+        refuse(values <= 0, lambda i: ContractError(f"{values[i]} is not positive"))
+        return list(values)
+
+    kept, out, refused = without_refused(positive, [3, -1, 4, 0, 5, -9])
+    assert (kept, out, len(calls)) == ([0, 2, 4], [3, 4, 5], 2)
+    assert {i: str(e) for i, e in refused.items()} == {
+        1: "-1 is not positive", 3: "0 is not positive", 5: "-9 is not positive"}
