@@ -55,7 +55,6 @@ from .errors import (
 )
 from .grassmann import (
     GrassmannPoint,
-    GrassmannTangent,
     gr_distance,
     gr_exp,
     gr_log,
@@ -81,7 +80,6 @@ from .shapes import (
 )
 from .spd import (
     SpdMatrix,
-    SpdTangent,
     spd_distance,
     spd_exp,
     spd_log,

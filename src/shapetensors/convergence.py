@@ -15,7 +15,7 @@ import numpy as np
 
 from .cst import cst_airfoil, random_coefficients
 from .errors import ContractError, DegenerateGeometryError, without_refused
-from .grassmann import principal_angles
+from .grassmann import GrassmannPoint, gr_distance
 from .shapes import PreprocessConfig, _standardize_raw, landmark_gauge, refine
 from .textio import atomic_write_text, fmt
 
@@ -107,10 +107,11 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
     if not kept:
         raise DegenerateGeometryError("every convergence trial was degenerate")
     shapes, dense = [shapes[i] for i in kept], np.stack([dense[i] for i in kept])
+    planes = GrassmannPoint(rep)
     table = np.stack([
         [[landmark_gauge(shape) for shape in trial[1:]] for trial in shapes],
         np.linalg.norm(dense[:, 1:] - dense[:, :1], axis=-1).max(axis=-1),
-        principal_angles(rep[:, 1:], rep[:, :1]).sum(axis=-1),
+        gr_distance(planes[:, 1:], planes[:, :1], metric="angle-sum"),
     ], axis=-1)  # (kept trials, levels, MEASURES)
     rows = []
     for j, n_c in enumerate(nc_list):

@@ -37,7 +37,9 @@ sigma_2 / sigma_1 far below 1e-12.
 
 The raw-array kernels broadcast over leading axes: one pair, one base
 against an (N, n, 2) stack, and a stack against a stack all go through
-the same code.
+the same code, and so do gr_exp, gr_log, gr_transport and gr_distance,
+checked wrappers that call each kernel once.  A tangent is a plain
+(..., n, 2) array, checked to be horizontal at the base it is used at.
 """
 
 import numpy as np
@@ -76,6 +78,38 @@ def check_orthonormal(a, what="columns"):
     refuse(~(drift <= ORTHO_TOL), lambda i: ContractError(
         f"{what} are not orthonormal: ||X.T X - I||_F = {drift[i]:.3e} "
         f"exceeds {ORTHO_TOL:.0e}"))
+
+
+def check_stacks(what, *arrays):
+    """Refuse, with a ContractError, (..., n, k) arrays (``what``) whose
+    trailing (n, k) shapes differ or whose leading shapes do not
+    broadcast."""
+    try:
+        np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
+    except ValueError:
+        pass
+    else:
+        if len({a.shape[-2:] for a in arrays}) == 1:
+            return
+    raise ContractError(f"{what} do not match: shapes "
+                        f"{', '.join(str(a.shape) for a in arrays)}")
+
+
+def _lifts(x, at, **lifts):
+    """The tangents given by name as float arrays of horizontal lifts at
+    the representatives x (named ``at``); refuses, with a ContractError
+    whose ``index`` names the first refused member, stacks that do not
+    match x, and non-finite or non-horizontal members."""
+    lifts = {name: np.asarray(d, dtype=float) for name, d in lifts.items()}
+    check_stacks(f"{at} and {' and '.join(lifts)}", x, *lifts.values())
+    for name, d in lifts.items():
+        refuse(~np.isfinite(d).all(axis=(-2, -1)), lambda i: ContractError(
+            f"{name} has non-finite entries"))
+        drift = np.linalg.norm(mT(x) @ d, axis=(-2, -1))
+        refuse(drift > HORIZONTAL_TOL, lambda i: ContractError(
+            f"{name} is not horizontal at {at}: ||X.T D||_F = {drift[i]:.3e} "
+            f"exceeds {HORIZONTAL_TOL:.0e}"))
+    return lifts.values()
 
 
 class StackedPoint:
@@ -127,38 +161,8 @@ class GrassmannPoint(StackedPoint):
         return self.rep.shape[-2]
 
     def __repr__(self):
-        return f"GrassmannPoint(n={self.n})"
-
-
-class GrassmannTangent:
-    """Horizontal lift of a tangent vector at ``base``."""
-
-    __slots__ = ("delta", "base")
-
-    def __init__(self, delta, base):
-        delta = np.asarray(delta, dtype=float)
-        if not isinstance(base, GrassmannPoint):
-            raise ContractError("tangent base must be a GrassmannPoint")
-        if delta.shape != base.rep.shape:
-            raise ContractError(
-                f"tangent shape {delta.shape} does not match base {base.rep.shape}"
-            )
-        if not np.all(np.isfinite(delta)):
-            raise ContractError("tangent has non-finite entries")
-        drift = np.linalg.norm(base.rep.T @ delta)
-        if drift > HORIZONTAL_TOL:
-            raise ContractError(
-                f"tangent is not horizontal at base: ||X.T D||_F = {drift:.3e} "
-                f"exceeds {HORIZONTAL_TOL:.0e}"
-            )
-        self.delta = delta
-        self.base = base
-
-    def norm(self):
-        return float(np.linalg.norm(self.delta))
-
-    def __repr__(self):
-        return f"GrassmannTangent(n={self.base.n}, norm={self.norm():.3e})"
+        stack = f", shape={self.shape}" if self.shape else ""
+        return f"GrassmannPoint(n={self.n}{stack})"
 
 
 def _gram(a):
@@ -194,11 +198,11 @@ def _exp_raw(x, d):
 
 
 def gr_exp(base, delta):
-    """Geodesic exponential: follow the geodesic with velocity delta for
-    unit time.  Zero tangents return the base point itself."""
-    if delta.base is not base and not np.array_equal(delta.base.rep, base.rep):
-        raise ContractError("tangent is attached to a different base point")
-    return GrassmannPoint(_exp_raw(base.rep, delta.delta))
+    """Geodesic exponential: follow the geodesic with velocity delta, an
+    (..., n, 2) lift horizontal at ``base.rep``, for unit time.  Zero
+    tangents return the base point itself."""
+    d, = _lifts(base.rep, "base", tangent=delta)
+    return GrassmannPoint(_exp_raw(base.rep, d))
 
 
 def _log_raw(x, y):
@@ -249,14 +253,15 @@ def gr_log(base, target):
     gr_exp reaches the same 2-plane as ``target``, though the arriving
     representative may differ from ``target.rep`` by a 2x2 rotation.
     """
-    d = _log_raw(base.rep, target.rep)
-    return GrassmannTangent(d, base)
+    check_stacks("base and target", base.rep, target.rep)
+    return _log_raw(base.rep, target.rep)
 
 
 def principal_angles(x, y):
-    """Principal angles between the spans of two orthonormal (n, 2) matrices.
+    """Principal angles between the spans of orthonormal (n, 2) matrices,
+    broadcast over the leading axes of (..., n, 2) stacks.
 
-    Ascending pair (theta_1, theta_2).  Cosines alone lose half the digits
+    Ascending pairs (theta_1, theta_2).  Cosines alone lose half the digits
     near theta = 0, so the sines are taken from the projection residual
     R = Y - X X.T Y and the two are combined through arctan2 (accurate at
     both ends).  The cosines are the closed-form singular values of X.T Y;
@@ -274,14 +279,18 @@ def gr_distance(a, b, metric="frobenius"):
 
     metric="frobenius" is sqrt(theta_1^2 + theta_2^2) (the quotient-metric
     geodesic distance); metric="angle-sum" is theta_1 + theta_2.  Both are
-    defined for every pair, cut locus included.
+    defined for every pair, cut locus included.  A float for one pair,
+    an array of per-member distances for stacks.
     """
+    check_stacks("points", a.rep, b.rep)
     theta = principal_angles(a.rep, b.rep)
     if metric == "frobenius":
-        return float(np.sqrt(np.sum(theta**2)))
-    if metric == "angle-sum":
-        return float(np.sum(theta))
-    raise ContractError(f"unknown Grassmann metric {metric!r}")
+        dist = np.sqrt(np.sum(theta**2, axis=-1))
+    elif metric == "angle-sum":
+        dist = np.sum(theta, axis=-1)
+    else:
+        raise ContractError(f"unknown Grassmann metric {metric!r}")
+    return dist if dist.ndim else float(dist)
 
 
 def _transport_raw(x, d, t, g):
@@ -299,15 +308,11 @@ def _transport_raw(x, d, t, g):
 def gr_transport(gamma_base, gamma_dir, t, payload):
     """Parallel-transport ``payload`` along t -> Exp(t * gamma_dir).
 
-    Both tangents must be horizontal at ``gamma_base``.  The result is the
-    transported tangent, horizontal at the arrival representative
-    Exp_{gamma_base}(t * gamma_dir); transport is an isometry, so its
-    Frobenius norm equals that of the payload.
+    Both tangents must be horizontal at ``gamma_base.rep``.  The result
+    is the transported tangent, horizontal at the arrival representative
+    gr_exp(gamma_base, t * gamma_dir).rep; transport is an isometry, so
+    its Frobenius norm equals that of the payload.
     """
     x = gamma_base.rep
-    for name, tan in (("gamma_dir", gamma_dir), ("payload", payload)):
-        if np.linalg.norm(x.T @ tan.delta) > HORIZONTAL_TOL:
-            raise ContractError(f"{name} is not horizontal at gamma_base")
-    out = _transport_raw(x, gamma_dir.delta, t, payload.delta)
-    arrival = GrassmannPoint(_exp_raw(x, t * gamma_dir.delta))
-    return GrassmannTangent(out, arrival)
+    d, g = _lifts(x, "gamma_base", gamma_dir=gamma_dir, payload=payload)
+    return _transport_raw(x, d, t, g)

@@ -28,4 +28,5 @@ class ProductPoint(StackedPoint):
         self.scale = scale
 
     def __repr__(self):
-        return f"ProductPoint(n={self.grass.n})"
+        stack = f", shape={self.shape}" if self.shape else ""
+        return f"ProductPoint(n={self.grass.n}{stack})"

@@ -14,15 +14,17 @@ symmetric form E = P^(1/2) (P^(-1/2) D P^(-1/2))^(1/2) P^(-1/2).
 Distances and transports are invariant under congruence by any invertible
 A (P -> A P A.T), which is the property the tests pin down.
 
-The raw-array kernels broadcast over leading (..., 2, 2) axes.  The
-matrix roots, exp and log are the closed forms of ``linalg``, which keep
-the off-diagonal of a tiny P^(-1/2) S P^(-1/2).
+The raw-array kernels broadcast over leading (..., 2, 2) axes, and so
+do the checked maps that call each of them once; a tangent is a plain
+symmetric (..., 2, 2) array.  The matrix roots, exp and log are the
+closed forms of ``linalg``, which keep the off-diagonal of a tiny
+P^(-1/2) S P^(-1/2).
 """
 
 import numpy as np
 
 from .errors import ContractError, refuse
-from .grassmann import StackedPoint
+from .grassmann import StackedPoint, check_stacks
 from .linalg import mT, sym2_exp, sym2_log, sym2_roots, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
@@ -75,21 +77,6 @@ class SpdMatrix(StackedPoint):
         return f"SpdMatrix([[{m[0,0]:g}, {m[0,1]:g}], [{m[1,0]:g}, {m[1,1]:g}]])"
 
 
-class SpdTangent:
-    """A symmetric 2x2 matrix, viewed as a tangent vector."""
-
-    __slots__ = ("sym",)
-
-    def __init__(self, sym):
-        self.sym = _symmetric2(sym, "tangent")
-
-    def norm(self):
-        return float(np.linalg.norm(self.sym))
-
-    def __repr__(self):
-        return f"SpdTangent(norm={self.norm():.3e})"
-
-
 def _sym(a):
     return 0.5 * (a + mT(a))
 
@@ -112,23 +99,24 @@ def _distance_raw(p, d):
 
 def spd_exp(p, s):
     """Exponential map at p; defined for every symmetric s."""
-    return SpdMatrix(_exp_raw(p.mat, s.sym))
+    s = _symmetric2(s, "tangent")
+    check_stacks("base and tangent", p.mat, s)
+    return SpdMatrix(_exp_raw(p.mat, s))
 
 
 def spd_log(p, d):
     """Logarithm at p; defined for every SPD d (the manifold has no cut
     locus under this metric)."""
-    return SpdTangent(_log_raw(p.mat, d.mat))
+    check_stacks("base and target", p.mat, d.mat)
+    return _log_raw(p.mat, d.mat)
 
 
 def spd_distance(p, d):
-    """Affine-invariant geodesic distance."""
-    return float(_distance_raw(p.mat, d.mat))
-
-
-def _transport_factor(p, d):
-    rp, rpi = sym2_roots(p)
-    return rp @ sym2_sqrt(rpi @ d @ rpi) @ rpi
+    """Affine-invariant geodesic distance: a float for one pair, an array
+    of per-member distances for stacks."""
+    check_stacks("points", p.mat, d.mat)
+    dist = _distance_raw(p.mat, d.mat)
+    return dist if dist.ndim else float(dist)
 
 
 def spd_transport(p, d, s):
@@ -137,5 +125,8 @@ def spd_transport(p, d, s):
     An isometry of the affine-invariant metric:
     tr(D^-1 T D^-1 T) = tr(P^-1 S P^-1 S) for T the transported tangent.
     """
-    e = _transport_factor(p.mat, d.mat)
-    return SpdTangent(_sym(e @ s.sym @ e.T))
+    s = _symmetric2(s, "tangent")
+    check_stacks("base, target and tangent", p.mat, d.mat, s)
+    rp, rpi = sym2_roots(p.mat)
+    e = rp @ sym2_sqrt(rpi @ d.mat @ rpi) @ rpi
+    return _sym(e @ s @ mT(e))

@@ -325,17 +325,19 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
 
 
 def embed(model, point):
-    """Normal coordinates of a point in the model's tangent frame."""
+    """Normal coordinates of a point in the model's tangent frame: r
+    values for a single point, an (N, r) matrix of rows for a stack of N."""
     base = _arrays(model.mean)
     target = _arrays(point)
-    if {c: a.shape for c, a in target.items()} != {c: a.shape for c, a in base.items()}:
+    if {c: a.shape[-2:] for c, a in target.items()} != {c: a.shape for c, a in base.items()}:
         raise ContractError(f"{point!r} does not lie on the manifold of the "
                             f"model, whose mean is {model.mean!r}")
     v = np.concatenate([
         _COMPONENTS[c].vec(_COMPONENTS[c].log(base[c], target[c]))
         for c in base
-    ])
-    return model.basis.T @ v
+    ], axis=-1)
+    # a matrix-vector product per row keeps each row's bits
+    return (model.basis.T @ v[..., None])[..., 0]
 
 
 def _tangent(model, coeffs):

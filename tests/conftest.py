@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shapetensors.grassmann import GrassmannPoint, GrassmannTangent
-from shapetensors.spd import SpdMatrix, SpdTangent
+from shapetensors.grassmann import GrassmannPoint
+from shapetensors.spd import SpdMatrix
 
 
 def random_grassmann_point(rng, n=10):
@@ -16,7 +16,7 @@ def random_horizontal(rng, base, scale=1.0):
     d = rng.standard_normal(x.shape)
     d -= x @ (x.T @ d)
     d *= scale / np.linalg.norm(d)
-    return GrassmannTangent(d, base)
+    return d
 
 
 def random_spd(rng, spread=1.0):
@@ -26,7 +26,7 @@ def random_spd(rng, spread=1.0):
 
 def random_sym(rng, scale=1.0):
     a = rng.standard_normal((2, 2)) * scale
-    return SpdTangent(0.5 * (a + a.T))
+    return 0.5 * (a + a.T)
 
 
 @pytest.fixture

@@ -196,6 +196,12 @@ def spd_transport_factor(p, d):
     return rp @ sym2_sqrt(0.5 * (mid + mid.T)) @ rpi
 
 
+def spd_transport_raw(p, d, s):
+    e = spd_transport_factor(p, d)
+    out = e @ s @ e.T
+    return 0.5 * (out + out.T)
+
+
 def spd_distance_raw(p, d):
     rpi = sym2_inv_sqrt(p)
     mid = rpi @ d @ rpi

@@ -53,7 +53,7 @@ from shapetensors.linalg import (
     thin_svd,
 )
 from shapetensors.shapes import _standardize_raw, la_standardize
-from shapetensors.spd import _distance_raw, _transport_factor
+from shapetensors.spd import SpdMatrix, _distance_raw, spd_transport
 from shapetensors.spd import _exp_raw as spd_exp_raw
 from shapetensors.spd import _log_raw as spd_log_raw
 
@@ -345,8 +345,9 @@ def test_spd_exp_log_transport(seed, cases):
            np.stack([oracles.spd_log_raw(p[0], dk) for dk in d]))
     _close(spd_exp_raw(p, s),
            np.stack([oracles.spd_exp_raw(pk, sk) for pk, sk in zip(p, s)]))
-    _close(_transport_factor(p, d),
-           np.stack([oracles.spd_transport_factor(pk, dk) for pk, dk in pairs]))
+    _close(spd_transport(SpdMatrix(p), SpdMatrix(d), s),
+           np.stack([oracles.spd_transport_raw(pk, dk, sk)
+                     for (pk, dk), sk in zip(pairs, s)]))
     _close(_distance_raw(p, d),
            [oracles.spd_distance_raw(pk, dk) for pk, dk in pairs])
 

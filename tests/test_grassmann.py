@@ -5,7 +5,6 @@ from shapetensors.errors import ContractError, NormalNeighborhoodError
 from shapetensors.grassmann import (
     ORTHO_TOL,
     GrassmannPoint,
-    GrassmannTangent,
     check_orthonormal,
     gr_distance,
     gr_exp,
@@ -75,8 +74,8 @@ def test_tangent_rejects_non_horizontal():
     base = _eye_point()
     bad = np.zeros((4, 2))
     bad[0, 0] = 1.0  # parallel to the first basis column
-    with pytest.raises(ContractError):
-        GrassmannTangent(bad, base)
+    with pytest.raises(ContractError, match="tangent is not horizontal at base"):
+        gr_exp(base, bad)
 
 
 # ------------------------------------------------------------------ exp
@@ -86,7 +85,7 @@ def test_exp_rotates_plane_by_quarter_angle():
     base = _eye_point(4)
     d = np.zeros((4, 2))
     d[2, 1] = np.pi / 4
-    out = gr_exp(base, GrassmannTangent(d, base))
+    out = gr_exp(base, d)
     want = np.zeros((4, 2))
     want[0, 0] = 1.0
     want[1, 1] = want[2, 1] = 1.0 / np.sqrt(2.0)
@@ -95,7 +94,7 @@ def test_exp_rotates_plane_by_quarter_angle():
 
 def test_exp_zero_tangent_is_identity():
     base = _eye_point(5)
-    out = gr_exp(base, GrassmannTangent(np.zeros((5, 2)), base))
+    out = gr_exp(base, np.zeros((5, 2)))
     np.testing.assert_allclose(out.rep, base.rep, atol=1e-14)
 
 
@@ -112,7 +111,7 @@ def test_exp_matches_geodesic_ode(rng):
         base = random_grassmann_point(rng, n=n)
         tan = random_horizontal(rng, base, scale=0.9)
         got = gr_exp(base, tan).rep
-        ref = integrate_geodesic(base.rep, tan.delta)
+        ref = integrate_geodesic(base.rep, tan)
         assert subspace_gap(got, ref) < 1e-7
 
 
@@ -125,7 +124,7 @@ def test_log_recovers_velocity(rng):
         tan = random_horizontal(rng, base, scale=scale)
         target = gr_exp(base, tan)
         back = gr_log(base, target)
-        np.testing.assert_allclose(back.delta, tan.delta, atol=1e-10)
+        np.testing.assert_allclose(back, tan, atol=1e-10)
 
 
 def test_exp_log_round_trip_subspace(rng):
@@ -156,7 +155,7 @@ def test_log_refuses_cut_locus():
 def test_log_zero_distance_is_zero_tangent():
     base = _eye_point(6)
     out = gr_log(base, base)
-    assert out.norm() < 1e-14
+    assert np.linalg.norm(out) < 1e-14
 
 
 # ------------------------------------------------------------- distance
@@ -208,8 +207,8 @@ def test_transport_matches_ode_oracle(rng):
         base = random_grassmann_point(rng, n=n)
         gdir = random_horizontal(rng, base, scale=0.8)
         pay = random_horizontal(rng, base, scale=1.3)
-        got = gr_transport(base, gdir, 1.0, pay).delta
-        ref = integrate_transport(base.rep, gdir.delta, pay.delta)
+        got = gr_transport(base, gdir, 1.0, pay)
+        ref = integrate_transport(base.rep, gdir, pay)
         np.testing.assert_allclose(got, ref, atol=1e-7)
 
 
@@ -219,24 +218,24 @@ def test_transport_isometry(rng):
         gdir = random_horizontal(rng, base, scale=1.0)
         pay = random_horizontal(rng, base, scale=2.3)
         out = gr_transport(base, gdir, 1.0, pay)
-        assert abs(out.norm() - pay.norm()) < 1e-10
+        assert abs(np.linalg.norm(out) - np.linalg.norm(pay)) < 1e-10
 
 
 def test_transport_of_velocity_keeps_singular_values(rng):
     base = random_grassmann_point(rng, n=10)
     gdir = random_horizontal(rng, base, scale=0.9)
     out = gr_transport(base, gdir, 1.0, gdir)
-    s_in = np.linalg.svd(gdir.delta, compute_uv=False)
-    s_out = np.linalg.svd(out.delta, compute_uv=False)
+    s_in = np.linalg.svd(gdir, compute_uv=False)
+    s_out = np.linalg.svd(out, compute_uv=False)
     np.testing.assert_allclose(s_out, s_in, atol=1e-10)
 
 
 def test_transport_zero_direction_is_identity(rng):
     base = random_grassmann_point(rng, n=8)
-    zero = GrassmannTangent(np.zeros((8, 2)), base)
+    zero = np.zeros((8, 2))
     pay = random_horizontal(rng, base, scale=0.5)
     out = gr_transport(base, zero, 1.0, pay)
-    np.testing.assert_allclose(out.delta, pay.delta, atol=1e-13)
+    np.testing.assert_allclose(out, pay, atol=1e-13)
 
 
 def test_transport_horizontal_at_arrival(rng):
@@ -245,8 +244,7 @@ def test_transport_horizontal_at_arrival(rng):
     pay = random_horizontal(rng, base, scale=1.0)
     out = gr_transport(base, gdir, 1.0, pay)
     arrival = gr_exp(base, gdir)
-    assert np.linalg.norm(arrival.rep.T @ out.delta) < 1e-10
-    assert subspace_gap(out.base.rep, arrival.rep) < 1e-12
+    assert np.linalg.norm(arrival.rep.T @ out) < 1e-10
 
 
 def test_transport_back_trace(rng):
@@ -255,7 +253,7 @@ def test_transport_back_trace(rng):
     gdir = random_horizontal(rng, base, scale=0.8)
     pay = random_horizontal(rng, base, scale=1.7)
     fwd = gr_transport(base, gdir, 1.0, pay)
-    arrival = fwd.base
+    arrival = gr_exp(base, gdir)
     rdir = gr_log(arrival, base)
     back = gr_transport(arrival, rdir, 1.0, fwd)
-    np.testing.assert_allclose(back.delta, pay.delta, atol=1e-9)
+    np.testing.assert_allclose(back, pay, atol=1e-9)

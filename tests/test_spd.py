@@ -4,7 +4,6 @@ import pytest
 from shapetensors.errors import ContractError
 from shapetensors.spd import (
     SpdMatrix,
-    SpdTangent,
     spd_distance,
     spd_exp,
     spd_log,
@@ -17,7 +16,7 @@ from conftest import random_spd, random_sym
 def _metric(p, s, t):
     """Affine-invariant inner product <s, t>_p."""
     pinv = np.linalg.inv(p.mat)
-    return float(np.trace(pinv @ s.sym @ pinv @ t.sym))
+    return float(np.trace(pinv @ s @ pinv @ t))
 
 
 # ---------------------------------------------------------------- types
@@ -48,26 +47,26 @@ def test_accepts_spd_whose_determinant_overflows():
 
 
 def test_rejects_asymmetric_tangent():
-    with pytest.raises(ContractError):
-        SpdTangent(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ContractError, match="tangent is not symmetric"):
+        spd_exp(SpdMatrix(np.eye(2)), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ----------------------------------------------------- closed-form cases
 
 def test_exp_at_identity_is_matrix_exp():
-    out = spd_exp(SpdMatrix(np.eye(2)), SpdTangent(np.diag([np.log(4.0), 0.0])))
+    out = spd_exp(SpdMatrix(np.eye(2)), np.diag([np.log(4.0), 0.0]))
     np.testing.assert_allclose(out.mat, np.diag([4.0, 1.0]), atol=1e-12)
 
 
 def test_log_at_identity_is_matrix_log():
     out = spd_log(SpdMatrix(np.eye(2)), SpdMatrix(np.diag([4.0, 1.0])))
-    np.testing.assert_allclose(out.sym, np.diag([np.log(4.0), 0.0]), atol=1e-12)
+    np.testing.assert_allclose(out, np.diag([np.log(4.0), 0.0]), atol=1e-12)
 
 
 def test_log_diagonal_base():
     # P = diag(4,1), D = I: P^(1/2) log(P^(-1/2) P^(-1/2)) P^(1/2)
     out = spd_log(SpdMatrix(np.diag([4.0, 1.0])), SpdMatrix(np.eye(2)))
-    np.testing.assert_allclose(out.sym, np.diag([-4.0 * np.log(4.0), 0.0]), atol=1e-12)
+    np.testing.assert_allclose(out, np.diag([-4.0 * np.log(4.0), 0.0]), atol=1e-12)
 
 
 def test_distance_identity_to_diagonal():
@@ -80,9 +79,9 @@ def test_transport_identity_to_diagonal():
     out = spd_transport(
         SpdMatrix(np.eye(2)),
         SpdMatrix(np.diag([4.0, 1.0])),
-        SpdTangent(np.diag([1.0, 0.0])),
+        np.diag([1.0, 0.0]),
     )
-    np.testing.assert_allclose(out.sym, np.diag([4.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(out, np.diag([4.0, 0.0]), atol=1e-12)
 
 
 # ------------------------------------------------------------ round trip
@@ -100,7 +99,7 @@ def test_log_exp_round_trip(rng):
         p = random_spd(rng)
         s = random_sym(rng, scale=0.8)
         back = spd_log(p, spd_exp(p, s))
-        np.testing.assert_allclose(back.sym, s.sym, atol=1e-10)
+        np.testing.assert_allclose(back, s, atol=1e-10)
 
 
 def test_distance_equals_log_norm(rng):
@@ -128,7 +127,7 @@ def test_geodesic_midpoint_from_identity(rng):
     # Exp_I(0.5 Log_I(D)) is the principal square root of D
     d = random_spd(rng)
     half = spd_log(SpdMatrix(np.eye(2)), d)
-    mid = spd_exp(SpdMatrix(np.eye(2)), SpdTangent(0.5 * half.sym))
+    mid = spd_exp(SpdMatrix(np.eye(2)), 0.5 * half)
     np.testing.assert_allclose(mid.mat @ mid.mat, d.mat, atol=1e-10)
 
 
@@ -149,7 +148,7 @@ def test_transport_identity_path(rng):
     p = random_spd(rng)
     s = random_sym(rng)
     out = spd_transport(p, p, s)
-    np.testing.assert_allclose(out.sym, s.sym, atol=1e-12)
+    np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_transport_of_velocity_reverses(rng):
@@ -159,7 +158,7 @@ def test_transport_of_velocity_reverses(rng):
     v = spd_log(p, d)
     out = spd_transport(p, d, v)
     back = spd_log(d, p)
-    np.testing.assert_allclose(out.sym, -back.sym, atol=1e-10)
+    np.testing.assert_allclose(out, -back, atol=1e-10)
 
 
 def test_exp_of_a_tiny_tangent_keeps_its_off_diagonal(rng):
@@ -169,5 +168,5 @@ def test_exp_of_a_tiny_tangent_keeps_its_off_diagonal(rng):
     for scale in (1e-9, 1e-12, 1e-13, 1e-15):
         p, s = random_spd(rng), random_sym(rng, scale)
         moved = spd_exp(p, s).mat - p.mat
-        np.testing.assert_allclose(moved, s.sym, rtol=0.0,
-                                   atol=1e-14 + 1e-6 * np.abs(s.sym).max())
+        np.testing.assert_allclose(moved, s, rtol=0.0,
+                                   atol=1e-14 + 1e-6 * np.abs(s).max())

@@ -4,7 +4,9 @@ point being a batch of one, and the statistics that consume them.
 The stacked paths are checked against the code they replaced: a fit of
 a stacked point against the fit of the same points as a list, and
 ``generate`` on a coefficient matrix against the per-row generation kept
-in ``oracles``.
+in ``oracles``.  The public Exp, Log, transport and distance of both
+manifolds, and ``embed``, are checked member by member against their
+single-point calls, and a single point against the raw kernel's bits.
 """
 
 import numpy as np
@@ -13,13 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shapetensors import grassmann, spd
 from shapetensors.cst import cst_airfoils
 from shapetensors.errors import ContractError, refuse, without_refused
-from shapetensors.grassmann import ORTHO_TOL, GrassmannPoint, check_orthonormal
+from shapetensors.grassmann import (ORTHO_TOL, GrassmannPoint, check_orthonormal,
+                                    gr_distance, gr_exp, gr_log, gr_transport,
+                                    principal_angles)
 from shapetensors.product import ProductPoint
 from shapetensors.shapes import _standardize_raw
-from shapetensors.spd import SpdMatrix
-from shapetensors.stats import _tangent, generate, karcher_mean, pga_fit
+from shapetensors.spd import (SpdMatrix, spd_distance, spd_exp, spd_log,
+                              spd_transport)
+from shapetensors.stats import _tangent, embed, generate, karcher_mean, pga_fit
+from test_broadcast import _close
 
 NOMINAL = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
                     [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
@@ -267,3 +274,211 @@ def test_without_refused_drops_every_refused_member_in_one_pass():
     assert (kept, out, len(calls)) == ([0, 2, 4], [3, 4, 5], 2)
     assert {i: str(e) for i, e in refused.items()} == {
         1: "-1 is not positive", 3: "0 is not positive", 5: "-9 is not positive"}
+
+
+# ------------------------------------------------------ the manifold maps
+
+def _horizontal(rng, x, scale):
+    """(..., n, 2) tangents horizontal at the representatives x, each of
+    Frobenius norm up to ``scale``."""
+    d = rng.standard_normal(x.shape)
+    d -= x @ (np.swapaxes(x, -1, -2) @ d)
+    norms = np.linalg.norm(d, axis=(-2, -1), keepdims=True)
+    return d * (scale * rng.uniform(0.0, 1.0, norms.shape) / norms)
+
+
+def _grassmann_case(count, n, seed):
+    """Bases, targets within the normal neighborhood, directions and
+    payloads, each stacked ``count`` deep."""
+    rng = np.random.default_rng(seed)
+    xs = np.linalg.qr(rng.standard_normal((count, n, 2)))[0]
+    ys = grassmann._exp_raw(xs, _horizontal(rng, xs, 1.2))
+    return (GrassmannPoint(xs), GrassmannPoint(ys), _horizontal(rng, xs, 1.4),
+            _horizontal(rng, xs, 2.0), rng)
+
+
+def _spd_case(count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, count, 2, 2))
+    p, d = a @ np.swapaxes(a, -1, -2) + 0.2 * np.eye(2)
+    s = rng.standard_normal((count, 2, 2))
+    return SpdMatrix(p), SpdMatrix(d), s + np.swapaxes(s, -1, -2), rng
+
+
+def _members_match(stacked, single, count):
+    """stacked() holds ``count`` members, member k equal to single(k), the
+    single-point call, to the tolerance of the broadcasting tests."""
+    out = stacked()
+    assert out.shape[0] == count
+    for k in range(count):
+        _close(out[k], single(k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=st.sampled_from([1, 3, 7]), n=st.integers(3, 12),
+       t=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_grassmann_maps_on_stacks_equal_their_single_point_calls(count, n, t, seed):
+    x, y, d, g, rng = _grassmann_case(count, n, seed)
+    _members_match(lambda: gr_exp(x, d).rep, lambda k: gr_exp(x[k], d[k]).rep, count)
+    _members_match(lambda: gr_log(x, y), lambda k: gr_log(x[k], y[k]), count)
+    _members_match(lambda: gr_transport(x, d, t, g),
+                   lambda k: gr_transport(x[k], d[k], t, g[k]), count)
+    for metric in ("frobenius", "angle-sum"):
+        _members_match(lambda: gr_distance(x, y, metric),
+                       lambda k: gr_distance(x[k], y[k], metric), count)
+    # one base against stacked targets and tangents
+    x0 = x[0]
+    at_x0 = np.broadcast_to(x0.rep, x.rep.shape)
+    d0, g0 = _horizontal(rng, at_x0, 1.4), _horizontal(rng, at_x0, 2.0)
+    y0 = gr_exp(x0, 0.8 * d0)
+    _members_match(lambda: gr_exp(x0, d0).rep, lambda k: gr_exp(x0, d0[k]).rep, count)
+    _members_match(lambda: gr_log(x0, y0), lambda k: gr_log(x0, y0[k]), count)
+    _members_match(lambda: gr_transport(x0, d0, t, g0),
+                   lambda k: gr_transport(x0, d0[k], t, g0[k]), count)
+    _members_match(lambda: gr_distance(x0, y0), lambda k: gr_distance(x0, y0[k]), count)
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=st.sampled_from([1, 3, 7]), seed=st.integers(0, 2**32 - 1))
+def test_spd_maps_on_stacks_equal_their_single_point_calls(count, seed):
+    p, d, s, _ = _spd_case(count, seed)
+    _members_match(lambda: spd_exp(p, s).mat, lambda k: spd_exp(p[k], s[k]).mat, count)
+    _members_match(lambda: spd_log(p, d), lambda k: spd_log(p[k], d[k]), count)
+    _members_match(lambda: spd_transport(p, d, s),
+                   lambda k: spd_transport(p[k], d[k], s[k]), count)
+    _members_match(lambda: spd_distance(p, d), lambda k: spd_distance(p[k], d[k]), count)
+    # one base against stacked targets and tangents
+    p0 = p[0]
+    _members_match(lambda: spd_exp(p0, s).mat, lambda k: spd_exp(p0, s[k]).mat, count)
+    _members_match(lambda: spd_log(p0, d), lambda k: spd_log(p0, d[k]), count)
+    _members_match(lambda: spd_transport(p0, d, s),
+                   lambda k: spd_transport(p0, d[k], s[k]), count)
+    _members_match(lambda: spd_distance(p0, d), lambda k: spd_distance(p0, d[k]), count)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["grassmann", "product"]),
+       count=st.sampled_from([1, 3, 7]), seed=st.integers(0, 2**32 - 1))
+def test_embed_of_a_stack_equals_its_single_point_calls(models, kind, count, seed):
+    model = models[kind]
+    rows = _rows(model, count, 0.8, seed)
+    stack = generate(model, rows)
+    _members_match(lambda: embed(model, stack), lambda k: embed(model, stack[k]), count)
+
+
+def test_single_points_keep_the_bits_of_the_raw_kernels():
+    x, y, d, g, _ = _grassmann_case(1, 9, seed=11)
+    x, y, d, g = x[0], y[0], d[0], g[0]
+    assert gr_exp(x, d).rep.tobytes() == grassmann._exp_raw(x.rep, d).tobytes()
+    assert gr_log(x, y).tobytes() == grassmann._log_raw(x.rep, y.rep).tobytes()
+    assert (gr_transport(x, d, 0.7, g).tobytes()
+            == grassmann._transport_raw(x.rep, d, 0.7, g).tobytes())
+    theta = principal_angles(x.rep, y.rep)
+    assert gr_distance(x, y) == float(np.sqrt(np.sum(theta**2)))
+    assert gr_distance(x, y, "angle-sum") == float(np.sum(theta))
+    p, q, s, _ = _spd_case(1, seed=11)
+    p, q, s = p[0], q[0], s[0]
+    assert spd_exp(p, s).mat.tobytes() == spd._exp_raw(p.mat, s).tobytes()
+    assert spd_log(p, q).tobytes() == spd._log_raw(p.mat, q.mat).tobytes()
+    assert spd_distance(p, q) == float(spd._distance_raw(p.mat, q.mat))
+    assert all(type(f) is float for f in (gr_distance(x, y), spd_distance(p, q)))
+
+
+# ---------------------------------------- the failures of single-point maps
+
+def test_grassmann_distance_of_stacks_is_per_member():
+    x, y, *_ = _grassmann_case(3, 8, seed=1)
+    dist = gr_distance(x, y)
+    assert dist.shape == (3,)
+    assert list(dist) == [gr_distance(x[k], y[k]) for k in range(3)]
+
+
+def test_grassmann_log_and_exp_take_stacks():
+    x, y, *_ = _grassmann_case(3, 8, seed=2)
+    d = gr_log(x, y)
+    assert d.shape == (3, 8, 2)
+    assert np.all(gr_distance(gr_exp(x, d), y) < 1e-12)
+
+
+def test_spd_distance_and_transport_take_stacks():
+    p, d, s, _ = _spd_case(3, seed=3)
+    assert spd_distance(p, d).shape == (3,)
+    moved = spd_transport(p, d, s)
+    assert moved.shape == (3, 2, 2)
+    _close(spd_transport(d, p, moved), s, scale=10.0)
+
+
+def test_embed_takes_the_stack_the_model_was_fitted_on(models):
+    reps, preps, scales = _airfoils(14, seed=5)
+    for kind, point in (("grassmann", GrassmannPoint(reps)),
+                        ("product", ProductPoint(preps, scales))):
+        model = models[kind]
+        np.testing.assert_allclose(embed(model, point), model.coords, atol=1e-10)
+        rows = _rows(model, 5, 1.0, seed=8)
+        np.testing.assert_allclose(embed(model, generate(model, rows)), rows, atol=1e-10)
+        assert embed(model, point[0]).shape == (model.r,)
+
+
+def test_reprs_show_a_stack_and_name_it_in_a_refusal(models):
+    reps, preps, scales = _airfoils(3, seed=6, n_c=31)
+    assert repr(GrassmannPoint(reps[0])) == f"GrassmannPoint(n={reps.shape[1]})"
+    assert repr(GrassmannPoint(reps)) == f"GrassmannPoint(n={reps.shape[1]}, shape=(3,))"
+    assert repr(ProductPoint(preps, scales)).endswith("shape=(3,))")
+    with pytest.raises(ContractError, match=r"GrassmannPoint\(n=31, shape=\(3,\)\) does not lie"):
+        embed(models["grassmann"], GrassmannPoint(reps))
+
+
+# ------------------------------------------- refused members of the maps
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_grassmann_maps_name_the_refused_tangent(k):
+    x, y, d, g, _ = _grassmann_case(5, 7, seed=k)
+    tilted = d.copy()
+    tilted[k] += 1e-6 * x.rep[k]
+    with pytest.raises(ContractError, match="^tangent is not horizontal at base") as err:
+        gr_exp(x, tilted)
+    assert err.value.index == (k,)
+    broken = d.copy()
+    broken[k, 3, 1] = np.nan
+    with pytest.raises(ContractError, match="^tangent has non-finite entries") as err:
+        gr_exp(x, broken)
+    assert err.value.index == (k,)
+    for name, args in (("gamma_dir", (tilted, g)), ("payload", (d, tilted))):
+        with pytest.raises(ContractError,
+                           match=f"^{name} is not horizontal at gamma_base") as err:
+            gr_transport(x, args[0], 0.5, args[1])
+        assert err.value.index == (k,)
+    with pytest.raises(ContractError, match="^payload has non-finite entries") as err:
+        gr_transport(x, d, 0.5, broken)
+    assert err.value.index == (k,)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_spd_maps_name_the_refused_tangent(k):
+    p, d, s, _ = _spd_case(5, seed=k)
+    skew = s.copy()
+    skew[k, 0, 1] += 1e-6
+    for call in (lambda t: spd_exp(p, t), lambda t: spd_transport(p, d, t)):
+        with pytest.raises(ContractError, match="^tangent is not symmetric") as err:
+            call(skew)
+        assert err.value.index == (k,)
+    broken = s.copy()
+    broken[k, 1, 1] = np.inf
+    with pytest.raises(ContractError, match="non-finite entries") as err:
+        spd_exp(p, broken)
+    assert err.value.index == (k,)
+
+
+def test_maps_refuse_stacks_that_do_not_match():
+    x, y, d, g, _ = _grassmann_case(3, 6, seed=7)
+    other = GrassmannPoint(np.linalg.qr(np.ones((4, 5, 2)) + np.eye(5, 2))[0])
+    for call in (lambda: gr_exp(x, d[:2]), lambda: gr_exp(x, d[..., :1]),
+                 lambda: gr_log(x, y[:2]), lambda: gr_log(x, other),
+                 lambda: gr_distance(x, other), lambda: gr_transport(x[0], d, 1.0, g[:2])):
+        with pytest.raises(ContractError, match="do not match"):
+            call()
+    p, q, s, _ = _spd_case(3, seed=7)
+    for call in (lambda: spd_exp(p, s[:2]), lambda: spd_log(p, q[:2]),
+                 lambda: spd_distance(p[:2], q), lambda: spd_transport(p[0], q, s[:2])):
+        with pytest.raises(ContractError, match="do not match"):
+            call()
