@@ -40,7 +40,6 @@ from .cst import (
     cst_airfoil,
     cst_airfoils,
     generate_airfoils,
-    is_valid_airfoil,
     perturb_coefficients,
     random_coefficients,
     read_coefficients,

@@ -11,13 +11,14 @@ lower surface -> trailing edge as a single closed polyline with zero
 trailing-edge thickness; the first and last landmarks coincide at (1, 0).
 """
 
+import numbers
 from math import comb
 
 import numpy as np
 
-from .errors import ContractError, DegenerateGeometryError, refuse
+from .errors import ContractError, DegenerateGeometryError, refuse, without_refused
 from .intersect import self_intersects
-from .shapes import MAX_LANDMARKS, LandmarkShape, la_standardize
+from .shapes import MAX_LANDMARKS, LandmarkShape, _standardize_raw
 
 CLASS_N1 = 0.5
 CLASS_N2 = 1.0
@@ -55,12 +56,9 @@ def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
     "uniform" in chordwise x.  The x grid, the class function and the
     Bernstein basis are formed once per call, and the surfaces share the
     basis when k = k'.  A member whose coefficients are all zero is
-    refused, and the error's ``index`` names it.
-
-    A pair of 1-d vectors goes through numpy's vector-matrix product; a
-    stack goes through a matrix product, which sums in another order, so
-    its members differ from their batch-of-one result by up to about
-    7e-17.
+    refused, and the error's ``index`` names it.  Each surface of each
+    member is one vector-matrix product, so a member has the bits of its
+    batch-of-one call.
     """
     upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -92,7 +90,8 @@ def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
     basis = _bernstein_basis(x, upper.shape[-1])
     lower_basis = (basis if lower.shape[-1] == upper.shape[-1]
                    else _bernstein_basis(x, lower.shape[-1]))
-    y = np.where(zeta <= np.pi, cls * (upper @ basis), -cls * (lower @ lower_basis))
+    y = np.where(zeta <= np.pi, cls * (upper[..., None, :] @ basis)[..., 0, :],
+                 -cls * (lower[..., None, :] @ lower_basis)[..., 0, :])
     pts = np.empty(y.shape + (2,))
     pts[..., 0] = x
     pts[..., 1] = y
@@ -110,61 +109,62 @@ def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
     return LandmarkShape(cst_airfoils(upper, lower, n_c, sampling), closed=True)
 
 
-def is_valid_airfoil(shape):
-    """Validity guard used by the generator: full rank and simple."""
-    try:
-        la_standardize(shape)
-    except DegenerateGeometryError:
-        return False
-    return not self_intersects(shape)
-
-
 def random_coefficients(rng, lo=COEFF_LO, hi=COEFF_HI):
     """One (upper, lower) draw, each coefficient uniform over [lo, hi]."""
     return rng.uniform(lo, hi, size=N_COEFF), rng.uniform(lo, hi, size=N_COEFF)
 
 
 def perturb_coefficients(rng, upper, lower, percent=20.0):
-    """Multiplicative perturbation by up to +-percent of each nominal value."""
+    """Multiplicative perturbation by up to +-percent of each nominal value.
+    The factors of upper (..., k) and lower (..., k') are one (..., k + k')
+    draw, so a stack draws what one call per member, in turn, would."""
     if not 0.0 <= percent < np.inf:
         raise ContractError(f"perturbation percentage must be finite and "
                             f"non-negative, got {percent}")
+    upper, lower = np.asarray(upper), np.asarray(lower)
     frac = percent / 100.0
-    fu = 1.0 + rng.uniform(-frac, frac, size=np.shape(upper))
-    fl = 1.0 + rng.uniform(-frac, frac, size=np.shape(lower))
-    return np.asarray(upper) * fu, np.asarray(lower) * fl
+    lead = np.broadcast_shapes(upper.shape[:-1], lower.shape[:-1])
+    f = 1.0 + rng.uniform(-frac, frac, size=lead + (upper.shape[-1] + lower.shape[-1],))
+    return upper * f[..., :upper.shape[-1]], lower * f[..., upper.shape[-1]:]
 
 
 def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
                       percent=20.0, lo=COEFF_LO, hi=COEFF_HI):
-    """Draw ``count`` valid airfoils, resampling invalid draws.
+    """Draw ``count`` valid (full-rank, simple) airfoils, resampling invalid draws.
 
     With ``nominal`` (an (upper, lower) pair) the draws perturb the
     nominal coefficients by up to +-percent and, unlike earlier versions,
     are always clamped into [lo, hi]; otherwise coefficients are uniform
     over [lo, hi].  Returns (shapes, coefficient_rows, resample_count);
-    coefficient_rows holds the 18 accepted coefficients per shape.
+    coefficient_rows holds the 18 accepted coefficients per shape.  Each
+    pass draws the rows still missing in one call, the same numbers as
+    that many single draws, and samples them in one ``cst_airfoils`` call.
     """
-    shapes = []
-    rows = []
-    rejected = 0
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ContractError(f"count must be an integer >= 0, got {count!r}")
+    k_u, k_l = (N_COEFF, N_COEFF) if nominal is None else map(np.size, nominal)
+    shapes, rows, drawn = [], [], 0
     while len(shapes) < count:
+        m = count - len(shapes)
+        drawn += m
         if nominal is None:
-            upper, lower = random_coefficients(rng, lo=lo, hi=hi)
+            coeffs = rng.uniform(lo, hi, size=(m, k_u + k_l))
         else:
-            upper, lower = perturb_coefficients(rng, nominal[0], nominal[1], percent)
-            upper, lower = np.clip(upper, lo, hi), np.clip(lower, lo, hi)
-        shape = cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
-        if is_valid_airfoil(shape):
-            shapes.append(shape)
-            rows.append(np.concatenate([upper, lower]))
-        else:
-            rejected += 1
-            if rejected > MAX_RESAMPLES:
-                raise DegenerateGeometryError(
-                    f"exceeded {MAX_RESAMPLES} resamples while drawing valid shapes"
-                )
-    return shapes, np.array(rows), rejected
+            stack = [np.broadcast_to(c, (m, np.size(c))) for c in nominal]
+            coeffs = np.clip(np.concatenate(
+                perturb_coefficients(rng, *stack, percent), axis=1), lo, hi)
+        pts = cst_airfoils(coeffs[:, :k_u], coeffs[:, k_u:], n_c, sampling)
+        full_rank, _, _ = without_refused(
+            lambda group: _standardize_raw(np.stack(group), "gl2"), pts)
+        for i in full_rank:
+            shape = LandmarkShape(pts[i], closed=True)
+            if not self_intersects(shape):
+                shapes.append(shape)
+                rows.append(coeffs[i])
+        if drawn - len(shapes) > MAX_RESAMPLES:
+            raise DegenerateGeometryError(f"exceeded {MAX_RESAMPLES} resamples "
+                                          "while drawing valid shapes")
+    return shapes, np.reshape(rows, (count, k_u + k_l)), drawn - count
 
 
 def read_coefficients(path):

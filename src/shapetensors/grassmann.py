@@ -311,8 +311,11 @@ def gr_transport(gamma_base, gamma_dir, t, payload):
     Both tangents must be horizontal at ``gamma_base.rep``.  The result
     is the transported tangent, horizontal at the arrival representative
     gr_exp(gamma_base, t * gamma_dir).rep; transport is an isometry, so
-    its Frobenius norm equals that of the payload.
+    its Frobenius norm equals that of the payload.  The time t is one
+    finite real scalar for every member of a stack.
     """
+    if np.ndim(t) or np.asarray(t).dtype.kind not in "iuf" or not np.isfinite(t):
+        raise ContractError(f"transport time must be a finite real scalar, got {t!r}")
     x = gamma_base.rep
     d, g = _lifts(x, "gamma_base", gamma_dir=gamma_dir, payload=payload)
     return _transport_raw(x, d, t, g)

@@ -17,9 +17,10 @@ principal angles, the per-line
 text readers and per-row writers of landmark, block and OBJ files,
 the per-shape refinement through scipy's splines and the CST Bernstein
 basis through scipy's binomials, the one-airfoil CST sampler and the
-searching SVD sign fix as they stood before CST took stacks, and the
+searching SVD sign fix as they stood before CST took stacks, the
 per-row PGA generation as it stood before generate took coefficient
-matrices.
+matrices, and the airfoil generator that drew, sampled and guarded one
+airfoil at a time.
 """
 
 import numpy as np
@@ -754,6 +755,51 @@ def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
     pts[0] = pts[-1] = (1.0, 0.0)
     return LandmarkShape(pts, closed=True)
 
+
+
+def is_valid_airfoil(shape):
+    from shapetensors.errors import DegenerateGeometryError
+    from shapetensors.intersect import self_intersects
+    from shapetensors.shapes import la_standardize
+
+    try:
+        la_standardize(shape)
+    except DegenerateGeometryError:
+        return False
+    return not self_intersects(shape)
+
+
+def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
+                      percent=20.0, lo=0.0, hi=0.45):
+    """One draw, one sampled airfoil and one guard call at a time; the
+    resample limit is read from ``shapetensors.cst`` when it is called."""
+    from shapetensors import cst
+    from shapetensors.errors import DegenerateGeometryError
+
+    shapes = []
+    rows = []
+    rejected = 0
+    while len(shapes) < count:
+        if nominal is None:
+            upper, lower = rng.uniform(lo, hi, size=9), rng.uniform(lo, hi, size=9)
+        else:
+            frac = percent / 100.0
+            upper = np.asarray(nominal[0]) * (
+                1.0 + rng.uniform(-frac, frac, size=np.shape(nominal[0])))
+            lower = np.asarray(nominal[1]) * (
+                1.0 + rng.uniform(-frac, frac, size=np.shape(nominal[1])))
+            upper, lower = np.clip(upper, lo, hi), np.clip(lower, lo, hi)
+        shape = cst.cst_airfoil(upper, lower, n_c=n_c, sampling=sampling)
+        if is_valid_airfoil(shape):
+            shapes.append(shape)
+            rows.append(np.concatenate([upper, lower]))
+        else:
+            rejected += 1
+            if rejected > cst.MAX_RESAMPLES:
+                raise DegenerateGeometryError(
+                    f"exceeded {cst.MAX_RESAMPLES} resamples while drawing valid shapes"
+                )
+    return shapes, np.array(rows), rejected
 
 def fix_svd_signs(u, vt):
     from shapetensors.linalg import SIGN_TOL

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shapetensors import cst
 from shapetensors.cst import (
     cst_airfoil,
     cst_airfoils,
     generate_airfoils,
-    is_valid_airfoil,
     perturb_coefficients,
-    random_coefficients,
 )
 from shapetensors.errors import ContractError, DegenerateGeometryError
 from shapetensors.intersect import self_intersects
@@ -34,9 +33,13 @@ def test_traversal_and_te_closure():
 
 
 def test_all_quarter_coefficients_is_valid():
-    shape = cst_airfoil(np.full(9, 0.25), np.full(9, 0.25), n_c=201)
-    assert is_valid_airfoil(shape)
-    assert not self_intersects(shape)
+    quarter = (np.full(9, 0.25), np.full(9, 0.25))
+    shapes, rows, rejected = generate_airfoils(np.random.default_rng(0), 1, n_c=201,
+                                               nominal=quarter, percent=0.0)
+    assert rejected == 0
+    assert rows.tobytes() == np.full((1, 18), 0.25).tobytes()
+    assert shapes[0].x.tobytes() == cst_airfoil(*quarter, n_c=201).x.tobytes()
+    assert not self_intersects(shapes[0])
 
 
 def test_equal_coefficients_symmetric_about_chord():
@@ -52,13 +55,9 @@ def test_zero_coefficients_degenerate():
 
 
 def test_random_draws_mostly_valid():
-    rng = np.random.default_rng(77)
-    valid = 0
-    for _ in range(100):
-        u, l = random_coefficients(rng)
-        if is_valid_airfoil(cst_airfoil(u, l, n_c=201)):
-            valid += 1
-    assert valid >= 99
+    shapes, _, rejected = generate_airfoils(np.random.default_rng(77), 100, n_c=201)
+    assert len(shapes) == 100
+    assert rejected <= 1
 
 
 def test_uniform_sampling_variant():
@@ -140,9 +139,7 @@ def test_cst_airfoils_members_match_the_per_airfoil_oracle(seed, lead, ku, kl, n
     assert got.shape == lead + (n_c, 2)
     for k in np.ndindex(lead):
         want = oracles.cst_airfoil(upper[k], lower[k], n_c=n_c, sampling=sampling)
-        np.testing.assert_array_equal(got[k][:, 0], want.x[:, 0])
-        np.testing.assert_allclose(got[k], want.x, rtol=0.0, atol=1e-15)
-        np.testing.assert_array_equal(got[k][[0, -1]], [[1.0, 0.0], [1.0, 0.0]])
+        assert got[k].tobytes() == want.x.tobytes()
 
 
 @pytest.mark.parametrize("lead, member", [((5,), (3,)), ((5,), (0,)), ((2, 3), (1, 2))])
@@ -194,3 +191,106 @@ def test_cst_airfoils_refuses_landmark_counts_out_of_range(n_c):
 
 def test_cst_airfoils_of_an_empty_stack_is_empty():
     assert cst_airfoils(np.zeros((0, 9)), np.zeros((0, 9)), n_c=11).shape == (0, 11, 2)
+
+
+NOMINAL = (np.array([0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17]),
+           np.array([0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]))
+BOXES = ((0.0, 0.45), (-0.3, 0.45))
+
+
+def _generated(generate, seed, count, **kwargs):
+    """generate's shapes, rows and resample count, and the state its rng
+    was left in."""
+    rng = np.random.default_rng(seed)
+    return generate(rng, count, **kwargs), rng.bit_generator.state
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 60),
+       n_c=st.sampled_from((61, 201)), sampling=st.sampled_from(SAMPLINGS),
+       box=st.sampled_from(BOXES), nominal=st.sampled_from((None, NOMINAL)),
+       percent=st.sampled_from((20.0, 150.0)))
+def test_generate_airfoils_matches_the_per_draw_oracle_bit_for_bit(
+        seed, count, n_c, sampling, box, nominal, percent):
+    kwargs = dict(n_c=n_c, sampling=sampling, nominal=nominal, percent=percent,
+                  lo=box[0], hi=box[1])
+    (shapes, rows, rejected), state = _generated(generate_airfoils, seed, count,
+                                                 **kwargs)
+    (want, want_rows, want_rejected), want_state = _generated(
+        oracles.generate_airfoils, seed, count, **kwargs)
+    assert [s.x.tobytes() for s in shapes] == [s.x.tobytes() for s in want]
+    assert all(s.closed for s in shapes)
+    assert rows.shape == (count, 18)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert rejected == want_rejected
+    assert state == want_state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("nominal", [None, NOMINAL])
+def test_generate_airfoils_keeps_the_resample_limit(monkeypatch, seed, nominal):
+    # in the wide box, 40 airfoils take 27 or more redraws at these seeds
+    monkeypatch.setattr(cst, "MAX_RESAMPLES", 3)
+    for generate in (generate_airfoils, oracles.generate_airfoils):
+        with pytest.raises(DegenerateGeometryError,
+                           match="^exceeded 3 resamples while drawing valid shapes$"):
+            generate(np.random.default_rng(seed), 40, n_c=61, nominal=nominal,
+                     percent=300.0, lo=-0.3, hi=0.45)
+
+
+def test_generate_airfoils_refuses_an_all_zero_nominal():
+    zero = (np.zeros(9), np.zeros(9))
+    for generate in (generate_airfoils, oracles.generate_airfoils):
+        with pytest.raises(DegenerateGeometryError,
+                           match="^all-zero coefficients give a rank-deficient"):
+            generate(np.random.default_rng(0), 5, n_c=61, nominal=zero)
+
+
+@pytest.mark.parametrize("count", [2.5, -1, 3.0, "3", None, np.nan])
+def test_generate_airfoils_refuses_a_count_that_is_not_a_non_negative_integer(count):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ContractError, match="count must be an integer >= 0"):
+        generate_airfoils(rng, count)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("nominal, width", [(None, 18), (NOMINAL, 18),
+                                            ((np.full(5, 0.2), np.full(3, 0.1)), 8)])
+def test_generate_airfoils_of_no_airfoils_draws_nothing(nominal, width):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    shapes, rows, rejected = generate_airfoils(rng, np.int64(0), nominal=nominal)
+    assert shapes == [] and rejected == 0
+    assert rows.shape == (0, width)
+    assert rng.bit_generator.state == state
+
+
+def test_generate_airfoils_checks_each_pass_as_one_stack(monkeypatch):
+    """One cst_airfoils call per pass and at most two _standardize_raw
+    calls, and no point object on the way: every third member of a pass,
+    from the second on, is flattened and so refused by the rank check."""
+    from shapetensors import shapes
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("generation built a point object")
+
+    for name in ("SeparableShape", "AffineFactor", "GrassmannPoint"):
+        monkeypatch.setattr(shapes, name, unbuilt)
+    passes, sample, standardize = [], cst.cst_airfoils, cst._standardize_raw
+
+    def flattening(*args):
+        pts = sample(*args)
+        pts[1::3, :, 1] = 0.0
+        passes.append([len(pts), 0])
+        return pts
+
+    def counted(pts, variant):
+        passes[-1][1] += 1
+        return standardize(pts, variant)
+
+    monkeypatch.setattr(cst, "cst_airfoils", flattening)
+    monkeypatch.setattr(cst, "_standardize_raw", counted)
+    airfoils, rows, rejected = generate_airfoils(np.random.default_rng(5), 12, n_c=61)
+    assert passes == [[12, 2], [4, 2], [1, 1]]
+    assert (len(airfoils), rows.shape, rejected) == (12, (12, 18), 5)

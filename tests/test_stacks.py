@@ -338,6 +338,21 @@ def test_grassmann_maps_on_stacks_equal_their_single_point_calls(count, n, t, se
     _members_match(lambda: gr_distance(x0, y0), lambda k: gr_distance(x0, y0[k]), count)
 
 
+@pytest.mark.parametrize("t", [np.array([0.3, 0.9]), np.array([0.3]), np.nan, np.inf,
+                               -np.inf, 0.3j, True, "0.3", None])
+def test_gr_transport_refuses_a_time_that_is_not_a_finite_real_scalar(t):
+    # an array time would broadcast along the eigenvalue axis of the Gram
+    x, _, d, g, _ = _grassmann_case(2, 6, seed=3)
+    with pytest.raises(ContractError, match="transport time must be a finite real scalar"):
+        gr_transport(x, d, t, g)
+
+
+def test_gr_transport_takes_any_real_scalar_time():
+    x, _, d, g, _ = _grassmann_case(2, 6, seed=3)
+    for t, same in ((np.float64(0.3), 0.3), (np.array(0.3), 0.3), (1, 1.0)):
+        assert gr_transport(x, d, t, g).tobytes() == gr_transport(x, d, same, g).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(count=st.sampled_from([1, 3, 7]), seed=st.integers(0, 2**32 - 1))
 def test_spd_maps_on_stacks_equal_their_single_point_calls(count, seed):
