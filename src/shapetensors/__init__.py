@@ -41,7 +41,6 @@ from .cst import (
     cst_airfoils,
     generate_airfoils,
     perturb_coefficients,
-    random_coefficients,
     read_coefficients,
 )
 from .errors import (

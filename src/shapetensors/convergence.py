@@ -9,14 +9,15 @@ errors should shrink at roughly second order: the trailing-edge corner
 limits the interior O(h^4) spline rate.
 """
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
 
-from .cst import cst_airfoil, random_coefficients
+from .cst import COEFF_HI, COEFF_LO, N_COEFF, cst_airfoils
 from .errors import ContractError, DegenerateGeometryError, without_refused
 from .grassmann import GrassmannPoint, gr_distance
-from .shapes import PreprocessConfig, _standardize_raw, landmark_gauge, refine
+from .shapes import PreprocessConfig, _refine_stack, _standardize_raw, landmark_gauge
 from .textio import atomic_write_text, fmt
 
 DEFAULT_NC = (20, 40, 80, 160, 320)
@@ -78,41 +79,28 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
     honest: both sides are compared at matched arclength fractions.  A
     trial whose truth or any coarse sampling is degenerate is dropped.
     """
-    if n_trials < 1:
-        raise ContractError(f"need at least one trial, got {n_trials}")
+    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+        raise ContractError(f"need a whole count, at least one trial, got {n_trials!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+    draws = np.random.default_rng(seed).uniform(
+        COEFF_LO, COEFF_HI, size=(n_trials, 2 * N_COEFF))
+    return _report(draws, n_ref, nc_list, seed)
+
+
+def _report(draws, n_ref, nc_list, seed):
+    """run_convergence on the (trials, 18) coefficient rows ``draws``."""
     try:  # through str, so that 40.5 is refused rather than truncated
         nc_list = tuple(int(str(n)) for n in nc_list)
     except (TypeError, ValueError) as err:
         raise ContractError(f"coarse landmark counts must be integers: {err}") from err
     if len(set(nc_list)) < 2:
         raise ContractError("need at least two distinct coarse landmark counts")
-    rng = np.random.default_rng(seed)
     cfg = PreprocessConfig(n=n_ref, sampling="uniform-arclength")
-    shapes = []  # each kept trial's truth, then its coarse samplings
-    for _ in range(n_trials):
-        upper, lower = random_coefficients(rng)
-        try:
-            shapes.append([cst_airfoil(upper, lower, n_c=n_c)
-                           for n_c in (n_ref,) + nc_list])
-        except DegenerateGeometryError:
-            continue
-    dense = [[] for _ in shapes]
-    for level in range(len(nc_list) + 1):  # one refine call per level
-        kept, refined, _ = without_refused(lambda group: refine(group, cfg),
-                                           [trial[level] for trial in shapes])
-        shapes = [shapes[i] for i in kept]
-        dense = [dense[i] + [r.x] for i, r in zip(kept, refined)]
-    kept, rep, _ = without_refused(
-        lambda trials: _standardize_raw(np.stack(trials), "gl2")[0], dense)
+    kept, table, _ = without_refused(
+        lambda group: _measure(np.array(group), nc_list, cfg), draws)
     if not kept:
         raise DegenerateGeometryError("every convergence trial was degenerate")
-    shapes, dense = [shapes[i] for i in kept], np.stack([dense[i] for i in kept])
-    planes = GrassmannPoint(rep)
-    table = np.stack([
-        [[landmark_gauge(shape) for shape in trial[1:]] for trial in shapes],
-        np.linalg.norm(dense[:, 1:] - dense[:, :1], axis=-1).max(axis=-1),
-        gr_distance(planes[:, 1:], planes[:, :1], metric="angle-sum"),
-    ], axis=-1)  # (kept trials, levels, MEASURES)
     rows = []
     for j, n_c in enumerate(nc_list):
         values = []
@@ -121,8 +109,22 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
             trials = table[:, j, MEASURES[measure]]
             values.append(float(STATISTICS[statistic](trials)))
         rows.append(ConvergenceRow(n_c, *values))
-    return ConvergenceReport(rows, n_trials, n_ref, seed,
-                             skipped=n_trials - len(table))
+    return ConvergenceReport(rows, len(draws), n_ref, seed,
+                             skipped=len(draws) - len(kept))
+
+
+def _measure(draws, nc_list, cfg):
+    """The (trials, coarse counts, MEASURES) table of the coefficient rows
+    ``draws``; a refused member's error names its trial by ``index[0]``."""
+    coarse = [cst_airfoils(draws[:, :N_COEFF], draws[:, N_COEFF:], n_c=n_c)
+              for n_c in (cfg.n,) + nc_list]
+    dense = np.stack([_refine_stack(pts, True, cfg) for pts in coarse], axis=1)
+    planes = GrassmannPoint(_standardize_raw(dense, "gl2")[0])
+    return np.stack([
+        np.stack([landmark_gauge(pts) for pts in coarse[1:]], axis=-1),
+        np.linalg.norm(dense[:, 1:] - dense[:, :1], axis=-1).max(axis=-1),
+        gr_distance(planes[:, 1:], planes[:, :1], metric="angle-sum"),
+    ], axis=-1)
 
 
 def write_convergence_csv(path, report):

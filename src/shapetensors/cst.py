@@ -109,11 +109,6 @@ def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
     return LandmarkShape(cst_airfoils(upper, lower, n_c, sampling), closed=True)
 
 
-def random_coefficients(rng, lo=COEFF_LO, hi=COEFF_HI):
-    """One (upper, lower) draw, each coefficient uniform over [lo, hi]."""
-    return rng.uniform(lo, hi, size=N_COEFF), rng.uniform(lo, hi, size=N_COEFF)
-
-
 def perturb_coefficients(rng, upper, lower, percent=20.0):
     """Multiplicative perturbation by up to +-percent of each nominal value.
     The factors of upper (..., k) and lower (..., k') are one (..., k + k')
@@ -153,7 +148,11 @@ def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
             stack = [np.broadcast_to(c, (m, np.size(c))) for c in nominal]
             coeffs = np.clip(np.concatenate(
                 perturb_coefficients(rng, *stack, percent), axis=1), lo, hi)
-        pts = cst_airfoils(coeffs[:, :k_u], coeffs[:, k_u:], n_c, sampling)
+        try:
+            pts = cst_airfoils(coeffs[:, :k_u], coeffs[:, k_u:], n_c, sampling)
+        except DegenerateGeometryError as err:
+            err.index = err.refused = ()  # this pass's rows are not the caller's
+            raise
         full_rank, _, _ = without_refused(
             lambda group: _standardize_raw(np.stack(group), "gl2"), pts)
         for i in full_rank:

@@ -156,26 +156,36 @@ def _chord_params(pts):
 
 
 def landmark_gauge(shape):
-    """The gauge h_n: the largest Euclidean gap between consecutive landmarks."""
-    pts = _as_points(shape)
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).max())
+    """The gauge h_n: the largest Euclidean gap between consecutive
+    landmarks.  A float for one shape, an array of per-member gauges for
+    an (..., n, 2) stack; each member has the bits of its own call."""
+    pts = shape.x if isinstance(shape, LandmarkShape) else np.asarray(shape, dtype=float)
+    if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[-2] < 2:
+        raise ContractError(f"the gauge needs (..., n >= 2, 2) points, got {pts.shape}")
+    gauge = np.linalg.norm(np.diff(pts, axis=-2), axis=-1).max(axis=-1)
+    return gauge if gauge.ndim else float(gauge)
 
 
-def _fit_paths(pts, closed, kind):
-    """Interpolate the coordinates of each member of an (..., n, 2) stack
-    over its cumulative lengths: a callable c(s) on [0, 1].  The members
-    are all open, or all closed and alike in whether they repeat their
-    first landmark at the end; those that do not get it repeated.  Closed
-    shapes get a periodic cubic, open shapes a natural cubic; "pchip" is
-    the shape-preserving alternative for either."""
+def _refine_stack(pts, closed, cfg):
+    """refine's kernel: each member of an (..., n, 2) stack re-sampled at
+    cfg.n landmarks along a spline over its cumulative lengths (periodic
+    if closed, natural if open, or "pchip").  The members are all open,
+    or all closed and alike in whether they repeat their first landmark
+    at the end, which the others gain; a closed member's last landmark
+    is its first, bit for bit.  ``index`` names a refused member."""
     if closed and not np.array_equal(pts[..., 0, :], pts[..., -1, :]):
         pts = np.concatenate([pts, pts[..., :1, :]], axis=-2)
     s = _chord_params(pts)
-    if kind == "cubic-natural":
-        return cubic.spline(s, pts, "periodic" if closed else "natural")
-    if kind == "pchip":
-        return cubic.pchip(s, pts)
-    raise ContractError(f"spline must be one of {SPLINE_KINDS}, got {kind!r}")
+    if cfg.spline == "cubic-natural":
+        path = cubic.spline(s, pts, "periodic" if closed else "natural")
+    elif cfg.spline == "pchip":
+        path = cubic.pchip(s, pts)
+    else:
+        raise ContractError(f"spline must be one of {SPLINE_KINDS}, got {cfg.spline!r}")
+    refined = path(sampling_positions(cfg.n, cfg.sampling))
+    if closed:  # the path meets its start at s = 1 only to rounding
+        refined[..., -1, :] = refined[..., 0, :]
+    return refined
 
 
 def sampling_positions(n, sampling="uniform-arclength"):
@@ -201,21 +211,17 @@ def refine(shapes, cfg):
         # landmark already, so the two kinds are splined apart
         repeats = s.closed and np.array_equal(s.x[0], s.x[-1])
         groups.setdefault((s.n, s.closed, repeats), []).append(i)
-    xi = sampling_positions(cfg.n, cfg.sampling)
     out = [None] * len(shapes)
     for (_, closed, _), members in groups.items():
         try:
-            path = _fit_paths(np.stack([shapes[i].x for i in members]), closed,
-                              cfg.spline)
+            refined = _refine_stack(np.stack([shapes[i].x for i in members]),
+                                    closed, cfg)
         except ShapeTensorError as err:
             if err.index:
                 err.refused = list(err.refused or [err])
                 for e in err.refused:
                     e.index = (members[e.index[0]],)
             raise
-        refined = path(xi)
-        if closed:  # the path meets its start at s = 1 only to rounding
-            refined[:, -1] = refined[:, 0]
         for i, pts in zip(members, refined):
             out[i] = LandmarkShape(pts, closed=closed, name=shapes[i].name)
     return out

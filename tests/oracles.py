@@ -19,8 +19,9 @@ the per-shape refinement through scipy's splines and the CST Bernstein
 basis through scipy's binomials, the one-airfoil CST sampler and the
 searching SVD sign fix as they stood before CST took stacks, the
 per-row PGA generation as it stood before generate took coefficient
-matrices, and the airfoil generator that drew, sampled and guarded one
-airfoil at a time.
+matrices, the airfoil generator that drew, sampled and guarded one
+airfoil at a time, and the convergence experiment that drew and sampled
+one trial at a time.
 """
 
 import numpy as np
@@ -853,3 +854,66 @@ def pga_tangent(model, coeffs):
 
 def generate(model, coeffs):
     return pga_tangent(model, coeffs)[1]
+
+
+# ---------------------------------------------------------------------------
+# The convergence experiment as it stood before it took stacks: two draws,
+# one cst_airfoil call per level and a LandmarkShape per sampling of each
+# trial, a try/except per trial, and one refine call per level over the
+# trials still kept.
+
+
+def random_coefficients(rng):
+    """One trial's (upper, lower) draw."""
+    from shapetensors.cst import COEFF_HI, COEFF_LO, N_COEFF
+
+    return (rng.uniform(COEFF_LO, COEFF_HI, size=N_COEFF),
+            rng.uniform(COEFF_LO, COEFF_HI, size=N_COEFF))
+
+
+def run_convergence(draws, n_ref, nc_list, seed):
+    """The ConvergenceReport of the (upper, lower) pairs ``draws``, one
+    trial each; ``nc_list`` holds two or more distinct integers."""
+    from shapetensors.convergence import (MEASURES, STATISTICS,
+                                          ConvergenceReport, ConvergenceRow)
+    from shapetensors.cst import cst_airfoil
+    from shapetensors.errors import DegenerateGeometryError, without_refused
+    from shapetensors.grassmann import GrassmannPoint, gr_distance
+    from shapetensors.shapes import (PreprocessConfig, _standardize_raw,
+                                     landmark_gauge, refine)
+
+    nc_list = tuple(nc_list)
+    cfg = PreprocessConfig(n=n_ref, sampling="uniform-arclength")
+    shapes = []  # each kept trial's truth, then its coarse samplings
+    for upper, lower in draws:
+        try:
+            shapes.append([cst_airfoil(upper, lower, n_c=n_c)
+                           for n_c in (n_ref,) + nc_list])
+        except DegenerateGeometryError:
+            continue
+    dense = [[] for _ in shapes]
+    for level in range(len(nc_list) + 1):
+        kept, refined, _ = without_refused(lambda group: refine(group, cfg),
+                                           [trial[level] for trial in shapes])
+        shapes = [shapes[i] for i in kept]
+        dense = [dense[i] + [r.x] for i, r in zip(kept, refined)]
+    kept, rep, _ = without_refused(
+        lambda trials: _standardize_raw(np.stack(trials), "gl2")[0], dense)
+    if not kept:
+        raise DegenerateGeometryError("every convergence trial was degenerate")
+    shapes, dense = [shapes[i] for i in kept], np.stack([dense[i] for i in kept])
+    planes = GrassmannPoint(rep)
+    table = np.stack([
+        [[landmark_gauge(shape) for shape in trial[1:]] for trial in shapes],
+        np.linalg.norm(dense[:, 1:] - dense[:, :1], axis=-1).max(axis=-1),
+        gr_distance(planes[:, 1:], planes[:, :1], metric="angle-sum"),
+    ], axis=-1)
+    rows = []
+    for j, n_c in enumerate(nc_list):
+        values = []
+        for column in ConvergenceRow._fields[1:]:
+            measure, statistic = column.split("_")
+            values.append(float(STATISTICS[statistic](table[:, j, MEASURES[measure]])))
+        rows.append(ConvergenceRow(n_c, *values))
+    return ConvergenceReport(rows, len(draws), n_ref, seed,
+                             skipped=len(draws) - len(table))

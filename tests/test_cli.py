@@ -1144,6 +1144,16 @@ def test_bad_counts_and_ranges_exit_2(blade_setup, dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cst_gen_refuses_an_all_zero_nominal(tmp_path, capsys):
+    nominal = tmp_path / "zero.txt"
+    nominal.write_text(" ".join(["0"] * 18) + "\n")
+    assert run("cst-gen", "--nominal", nominal, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "error: all-zero coefficients give a rank-deficient" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, words", [
     (["preprocess", "--input", "{manifest}", "--n", "999999999999"],
      "refinement count must be an integer in [3, 10000000], got 999999999999"),
@@ -1177,6 +1187,26 @@ def test_console_script_help():
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     assert_help([sys.executable, "-m", "shapetensors", "--help"], env=env)
+
+
+def test_convergence_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Fresh processes under one and two OpenBLAS threads write the same
+    CSV and SVG."""
+    package_root = os.path.dirname(os.path.dirname(shapetensors.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "shapetensors", "convergence", "--trials", "6",
+             "--n-ref", "400", "--out-csv", out.with_suffix(".csv"),
+             "--out-svg", out.with_suffix(".svg")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([out.with_suffix(s).read_bytes() for s in (".csv", ".svg")])
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_mapping():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shapetensors import convergence
 from shapetensors.convergence import (
     CSV_COLUMNS,
@@ -9,8 +12,9 @@ from shapetensors.convergence import (
     write_convergence_csv,
     write_convergence_svg,
 )
+from shapetensors.cst import COEFF_HI, COEFF_LO, N_COEFF, cst_airfoils
 from shapetensors.errors import ContractError, DegenerateGeometryError
-from shapetensors.shapes import PreprocessConfig
+from shapetensors.shapes import PreprocessConfig, _refine_stack
 
 
 @pytest.fixture(scope="module")
@@ -65,44 +69,57 @@ def test_counts_must_be_two_distinct_integers(nc_list):
         run_convergence(n_trials=2, nc_list=nc_list)
 
 
-def test_a_degenerate_draw_drops_its_trial_whole(monkeypatch):
+@pytest.mark.parametrize("n_trials", [2.5, 3.0, "3", None, -1])
+def test_trials_must_be_a_positive_integer(n_trials):
+    with pytest.raises(ContractError, match="at least one trial"):
+        run_convergence(n_trials=n_trials, n_ref=300, nc_list=(20, 40))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ContractError, match="seed must be an integer >= 0"):
+        run_convergence(n_trials=2, n_ref=300, nc_list=(20, 40), seed=seed)
+
+
+def _draws(count):
+    """The coefficient rows run_convergence(count, seed=2) draws."""
+    return np.random.default_rng(2).uniform(COEFF_LO, COEFF_HI,
+                                            size=(count, 2 * N_COEFF))
+
+
+def _report(draws):
+    return convergence._report(draws, 300, (20, 40), 0)
+
+
+def test_a_degenerate_draw_drops_its_trial_whole():
     """A flat draw is skipped: the report is that of the other draws."""
-    rng = np.random.default_rng(2)
-    draws = [convergence.random_coefficients(rng) for _ in range(3)]
-    flat = (np.zeros(9), np.zeros(9))
-
-    def report(sequence):
-        feed = iter(sequence)
-        monkeypatch.setattr(convergence, "random_coefficients",
-                            lambda rng: next(feed))
-        return run_convergence(n_trials=len(sequence), n_ref=300,
-                               nc_list=(20, 40))
-
-    skipping = report([draws[0], flat, draws[1], draws[2]])
-    reference = report(draws)
+    draws = _draws(3)
+    skipping = _report(np.insert(draws, 1, 0.0, axis=0))
+    reference = _report(draws)
     assert (skipping.skipped, reference.skipped) == (1, 0)
     assert skipping.rows == reference.rows
     assert skipping.slopes == reference.slopes
 
 
-@pytest.mark.parametrize("step", ["_standardize_raw", "cst_airfoil", "refine"])
+@pytest.mark.parametrize("step", ["_standardize_raw", "cst_airfoils",
+                                  "_refine_stack"])
 def test_a_degenerate_level_drops_its_trial_whole(monkeypatch, step):
     """The truth is valid but coarse level 20 of one draw fails in ``step``,
-    which refines and standardizes each level as one stack: that trial
-    alone is skipped."""
-    rng = np.random.default_rng(2)
-    draws = [convergence.random_coefficients(rng) for _ in range(4)]
+    which samples, refines or standardizes each level as one stack of
+    trials: that trial alone is skipped."""
+    draws = _draws(4)
     bad = draws[1]
-    coarse = convergence.cst_airfoil(*bad, n_c=20)
-    cfg = PreprocessConfig(n=300, sampling="uniform-arclength")
-    dense = convergence.refine([coarse], cfg)[0].x
+    coarse = cst_airfoils(bad[:N_COEFF], bad[N_COEFF:], n_c=20)
+    dense = _refine_stack(coarse, True, PreprocessConfig(n=300))
     # where the call holds the bad draw's level 20: its index, else None
     find = {
-        "cst_airfoil": lambda args, kwargs: (
-            () if args[0] is bad[0] and kwargs["n_c"] == 20 else None),
-        "refine": lambda args, kwargs: next(
-            ((i,) for i, shape in enumerate(args[0])
-             if shape.n == 20 and np.array_equal(shape.x, coarse.x)), None),
+        "cst_airfoils": lambda args, kwargs: next(
+            ((i,) for i, upper in enumerate(args[0])
+             if kwargs["n_c"] == 20 and np.array_equal(upper, bad[:N_COEFF])),
+            None),
+        "_refine_stack": lambda args, kwargs: next(
+            ((i,) for i, pts in enumerate(args[0])
+             if np.array_equal(pts, coarse)), None),
         "_standardize_raw": lambda args, kwargs: next(
             ((i, 1) for i, trial in enumerate(args[0])
              if np.array_equal(trial[1], dense)), None),
@@ -119,20 +136,36 @@ def test_a_degenerate_level_drops_its_trial_whole(monkeypatch, step):
             raise err
         return original(*args, **kwargs)
 
-    def report(sequence):
-        feed = iter(sequence)
-        monkeypatch.setattr(convergence, "random_coefficients",
-                            lambda rng: next(feed))
-        return run_convergence(n_trials=len(sequence), n_ref=300,
-                               nc_list=(20, 40))
-
     monkeypatch.setattr(convergence, step, failing)
-    skipping = report(draws)
-    reference = report([draws[0], draws[2], draws[3]])
+    skipping = _report(draws)
+    reference = _report(draws[[0, 2, 3]])
     assert raised == [step]
     assert (skipping.skipped, reference.skipped) == (1, 0)
     assert skipping.rows == reference.rows
     assert skipping.slopes == reference.slopes
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trials=st.integers(1, 25),
+       n_ref=st.integers(130, 300),  # above every coarse count: no zero error
+       nc_list=st.lists(st.integers(5, 120), min_size=2, max_size=4, unique=True),
+       flat=st.lists(st.integers(0, 25), max_size=3))
+def test_matches_the_per_trial_experiment(seed, n_trials, n_ref, nc_list, flat):
+    """Drawn, sampled and refined as stacks, the report equals the one
+    drawn and sampled one trial at a time, with flat draws at ``flat``."""
+    rng = np.random.default_rng(seed)
+    draws = [oracles.random_coefficients(rng) for _ in range(n_trials)]
+    if flat:
+        for k in flat:
+            draws.insert(min(k, len(draws)), (np.zeros(N_COEFF), np.zeros(N_COEFF)))
+        got = convergence._report(np.array([np.concatenate(d) for d in draws]),
+                                  n_ref, nc_list, seed)
+    else:
+        got = run_convergence(n_trials, n_ref, nc_list, seed)
+    want = oracles.run_convergence(draws, n_ref, nc_list, seed)
+    assert got.rows == want.rows
+    assert got.slopes == want.slopes
+    assert (got.skipped, got.n_trials) == (want.skipped, want.n_trials)
 
 
 def test_csv_round_trip(tmp_path, small_report):

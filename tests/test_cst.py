@@ -239,11 +239,16 @@ def test_generate_airfoils_keeps_the_resample_limit(monkeypatch, seed, nominal):
 
 
 def test_generate_airfoils_refuses_an_all_zero_nominal():
+    """The refusal names no member: the rows of a pass are not the
+    caller's."""
     zero = (np.zeros(9), np.zeros(9))
     for generate in (generate_airfoils, oracles.generate_airfoils):
         with pytest.raises(DegenerateGeometryError,
-                           match="^all-zero coefficients give a rank-deficient"):
+                           match="^all-zero coefficients give a rank-deficient") as err:
             generate(np.random.default_rng(0), 5, n_c=61, nominal=zero)
+    with pytest.raises(DegenerateGeometryError) as err:
+        generate_airfoils(np.random.default_rng(0), 5, n_c=61, nominal=zero)
+    assert (err.value.index, err.value.refused) == ((), ())
 
 
 @pytest.mark.parametrize("count", [2.5, -1, 3.0, "3", None, np.nan])

@@ -59,6 +59,23 @@ def test_landmark_gauge_is_max_gap():
     assert landmark_gauge(shape) == pytest.approx(2.0)
 
 
+def test_landmark_gauge_of_a_stack_is_each_members_own():
+    pts = np.random.default_rng(5).standard_normal((2, 3, 7, 2))
+    gauges = landmark_gauge(pts)
+    assert gauges.shape == (2, 3)
+    for k in np.ndindex(2, 3):
+        alone = landmark_gauge(pts[k])
+        assert type(alone) is float
+        assert gauges[k].tobytes() == np.float64(alone).tobytes()
+
+
+@pytest.mark.parametrize("pts", [np.zeros((1, 2)), np.zeros((4, 1, 2)),
+                                 np.zeros((0, 2)), np.zeros(2), np.zeros((3, 3))])
+def test_landmark_gauge_needs_two_planar_landmarks(pts):
+    with pytest.raises(ContractError):
+        landmark_gauge(pts)
+
+
 # --------------------------------------------------------------- refine
 
 def test_refine_reproduces_knots_at_same_parameters():
