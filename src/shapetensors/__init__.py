@@ -97,4 +97,5 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and type(value).__name__ != "module"]

@@ -32,6 +32,8 @@ from .errors import (
     DegenerateGeometryError,
     ExtrapolationError,
     NormalNeighborhoodError,
+    _entry,
+    check_stacks,
     named,
     refuse,
 )
@@ -54,8 +56,8 @@ def procrustes_rotation(a, b, allow_reflection=True):
     factor of b^T a, restricted to SO(2) with allow_reflection=False.
     Broadcasts over leading axes of (..., n, 2) inputs.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _entry(a, ("...", "n", 2), "a"), _entry(b, ("...", "n", 2), "b")
+    check_stacks("a and b", a, b)
     return orthogonal_factor(mT(b) @ a, proper=not allow_reflection)
 
 
@@ -67,7 +69,8 @@ def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True
     k = N..2; root-to-tip is the mirror image.  rotations[k] is the total
     rotation applied to station k (identity at the anchor).
     """
-    mats = np.asarray([getattr(r, "rep", r) for r in reps], dtype=float)
+    mats = _entry([getattr(r, "rep", r) for r in reps], ("N >= 1", "n", 2),
+                  "the chain of representatives")
     step = {"tip-to-root": -1, "root-to-tip": 1}.get(direction)
     if step is None:
         raise ContractError(f"unknown clustering direction {direction!r}")
@@ -111,20 +114,18 @@ class BladeModel:
                  has_reflection=False, span_length=1.0, bend=None):
         if variant not in VARIANTS:
             raise ContractError(f"variant must be one of {VARIANTS}")
-        etas = np.asarray(etas, dtype=float)
-        if etas.size < 2:
-            raise ContractError("a blade needs at least two stations")
+        etas = _entry(etas, ("N >= 2",), "station etas")
         if np.any(np.diff(etas) <= 0.0):
             raise ContractError("station etas must be strictly increasing")
         self.variant = variant
         self.etas = etas
-        self.reps = np.asarray(reps, dtype=float)  # (N, n, 2), aligned
-        self.affine_m = np.asarray(affine_m, dtype=float)  # (N, 2, 2)
-        self.affine_b = np.asarray(affine_b, dtype=float)  # (N, 2)
+        self.reps = _entry(reps, (etas.size, "n >= 3", 2), "representatives", finite=False)
+        self.affine_m = _entry(affine_m, (etas.size, 2, 2), "station scales")
+        self.affine_b = _entry(affine_b, (etas.size, 2), "station offsets")
         self.closed = bool(closed)
         self.has_reflection = bool(has_reflection)
         self.span_length = float(span_length)
-        self.bend = None if bend is None else np.asarray(bend, dtype=float)
+        self.bend = None if bend is None else _entry(bend, ("K", 4), "bend curve")
         if bend is not None and not (
                 len(bend) >= 2 and np.all(np.diff(self.bend[:, 0]) > 0.0)):
             raise ContractError("a bend curve needs two or more knots at "
@@ -223,7 +224,7 @@ def _sections(model, etas):
     """Cross-section landmarks at each of ``etas``: (len(etas), n, 2).
     The sections of a closed blade whose station representatives close
     (``ends_meet``) repeat their first landmark as their last."""
-    etas = np.asarray(etas, dtype=float)
+    etas = _entry(etas, ("N",), "etas", finite=False)  # the span refuses NaN
     k = model._interval(etas)
     m = model._scale_at(etas, k)
     out = model._rep_at(etas, k) @ m + model._b_spline(etas)[:, None, :]
@@ -234,12 +235,13 @@ def _sections(model, etas):
 
 def evaluate_blade(model, eta):
     """The cross-section at spanwise position eta (interpolation only)."""
-    return LandmarkShape(_sections(model, [float(eta)])[0], closed=model.closed)
+    eta = _entry(eta, (), "eta", finite=False)  # the span refuses NaN
+    return LandmarkShape(_sections(model, eta[None])[0], closed=model.closed)
 
 
 def evaluate_representative(model, eta):
     """The undulation component alone at eta, before scale and offset."""
-    etas = np.array([float(eta)])
+    etas = _entry(eta, (), "eta", finite=False)[None]  # the span refuses NaN
     return GrassmannPoint(model._rep_at(etas, model._interval(etas))[0])
 
 
@@ -252,9 +254,7 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
     offset of every station with explicit (m, b) pairs -- the usual way
     a design defines chord, twist and stacking along the span.
     """
-    if len(stations) < 2:
-        raise ContractError("a blade needs at least two stations")
-    etas = np.array([float(e) for e, _ in stations])
+    etas = _entry([e for e, _ in stations], ("N >= 2",), "station etas")
     shapes = [s for _, s in stations]
     ns = {s.n for s in shapes}
     if len(ns) != 1:
@@ -284,7 +284,7 @@ def _assemble(variant, etas, reps, ms, bs, closed, direction,
         reps, direction, allow_reflection=variant == "gl2-schedule")
     # the rotation moved into the representative comes out of the scale:
     # (X R)(R^T m) reproduces X m
-    ms = mT(rotations) @ np.asarray(ms, dtype=float)
+    ms = mT(rotations) @ _entry(ms, (len(etas), 2, 2), "station scales")
     return BladeModel(
         variant, etas, aligned, ms, bs, closed=closed,
         has_reflection=bool(np.any(np.linalg.det(rotations) < 0.0)),
@@ -309,6 +309,7 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError(
             "consistent deformation needs a Grassmann PGA model"
         )
+    coeffs = _entry(coeffs, (pga.r,), f"coefficient vector of length r={pga.r}")
     delta = _tangent(pga, coeffs)[0]["grassmann"]
     radius = float(np.linalg.norm(coeffs))
     if radius > pga.domain.radius:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blade import BladeModel, _sections, build_blade
 from .blade import evaluate_blade  # noqa: F401  (bench/spans.py traces this name)
-from .errors import ContractError, named, refuse
+from .errors import ContractError, _entry, named, refuse
 from .linalg import mT
 from .shapes import (
     LandmarkShape,
@@ -227,7 +227,7 @@ def _placed_sections(model, etas):
 def _section_etas(model, etas, count):
     if etas is None:
         etas = np.linspace(model.etas[0], model.etas[-1], count)
-    return np.asarray(etas, dtype=float)
+    return _entry(etas, ("N",), "etas", finite=False)  # the span refuses NaN
 
 
 def wireframe_sections(model, etas=None, count=25):
@@ -266,12 +266,7 @@ def write_wireframe(out_dir, model, etas=None, count=25):
 
 def write_obj(path, sections3d):
     """Loft the placed sections into a quad-mesh Wavefront OBJ file."""
-    counts = {s.shape[0] for s in sections3d}
-    if len(sections3d) < 2 or len(counts) != 1:
-        raise ContractError(
-            "an OBJ loft needs at least two sections of equal size"
-        )
-    pts = np.asarray(sections3d, dtype=float)
+    pts = _entry(sections3d, ("sections >= 2", "n", 3), "an OBJ loft")
     m, n = pts.shape[:2]
     a = (np.arange(m - 1)[:, None] * n + np.arange(1, n)).ravel()  # 1-based
     faces = np.stack([a, a + 1, a + n + 1, a + n], axis=1)

@@ -73,11 +73,12 @@ def run_convergence(n_trials=100, n_ref=2000, nc_list=DEFAULT_NC, seed=0):
     """Run the experiment and return a ConvergenceReport.
 
     Every trial draws one coefficient pair, takes the n_ref-point
-    sampling as truth, and for each coarse count refines the coarse
-    polygon back to n_ref landmarks at uniform arclength.  Refining the
-    truth through the same resampler keeps the landmark correspondence
-    honest: both sides are compared at matched arclength fractions.  A
-    trial whose truth or any coarse sampling is degenerate is dropped.
+    sampling as truth, and for each coarse count, all below n_ref,
+    refines the coarse polygon back to n_ref landmarks at uniform
+    arclength.  Refining the truth through the same resampler keeps the
+    landmark correspondence honest: both sides are compared at matched
+    arclength fractions.  A trial whose truth or any coarse sampling is
+    degenerate is dropped.
     """
     if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
         raise ContractError(f"need a whole count, at least one trial, got {n_trials!r}")
@@ -97,6 +98,9 @@ def _report(draws, n_ref, nc_list, seed):
     if len(set(nc_list)) < 2:
         raise ContractError("need at least two distinct coarse landmark counts")
     cfg = PreprocessConfig(n=n_ref, sampling="uniform-arclength")
+    if max(nc_list) >= cfg.n:  # refined to the truth itself, with zero error
+        raise ContractError(f"coarse landmark counts must be below n_ref={cfg.n}, "
+                            f"got {max(nc_list)}")
     kept, table, _ = without_refused(
         lambda group: _measure(np.array(group), nc_list, cfg), draws)
     if not kept:

@@ -16,7 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import ContractError, DegenerateGeometryError, refuse, without_refused
+from .errors import (ContractError, DegenerateGeometryError, _entry, refuse,
+                     without_refused)
 from .intersect import self_intersects
 from .shapes import MAX_LANDMARKS, LandmarkShape, _standardize_raw
 
@@ -42,9 +43,10 @@ def _bernstein_basis(x, k):
 
 
 def bernstein_shape(x, coeff):
-    """Shape function: sum_i w_i C(deg, i) x^i (1 - x)^(deg - i)."""
-    coeff = np.asarray(coeff, dtype=float)
-    return coeff @ _bernstein_basis(x, coeff.size)
+    """Shape function: sum_i w_i C(deg, i) x^i (1 - x)^(deg - i) at the
+    points x (m,), for a coefficient vector w (k,) or an (..., k) stack."""
+    coeff = _entry(coeff, ("...", "k >= 1"), "coefficients")
+    return coeff @ _bernstein_basis(_entry(x, ("m",), "x"), coeff.shape[-1])
 
 
 def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
@@ -60,16 +62,13 @@ def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
     member is one vector-matrix product, so a member has the bits of its
     batch-of-one call.
     """
-    upper = np.asarray(upper, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    if upper.ndim < 1 or lower.ndim < 1 or not upper.shape[-1] or not lower.shape[-1]:
-        raise ContractError("coefficient stacks need a non-empty last axis")
+    what = "coefficients, vectors along a non-empty last axis,"
+    upper = _entry(upper, ("...", "k >= 1"), f"upper {what}", "coefficients must be finite")
+    lower = _entry(lower, ("...", "k >= 1"), f"lower {what}", "coefficients must be finite")
     if upper.shape[:-1] != lower.shape[:-1]:
         raise ContractError(
             f"upper and lower coefficient stacks differ in leading shape: "
             f"{upper.shape[:-1]} and {lower.shape[:-1]}")
-    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-        raise ContractError("coefficients must be finite")
     refuse(~(upper.any(axis=-1) | lower.any(axis=-1)),
            lambda i: DegenerateGeometryError(
                "all-zero coefficients give a rank-deficient (flat) shape"))
@@ -101,11 +100,7 @@ def cst_airfoils(upper, lower, n_c=401, sampling="cosine"):
 
 def cst_airfoil(upper, lower, n_c=401, sampling="cosine"):
     """Sample a CST airfoil as a closed LandmarkShape: ``cst_airfoils``
-    of one pair of 1-d coefficient vectors (conventionally 9 each)."""
-    upper = np.asarray(upper, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    if upper.ndim != 1 or lower.ndim != 1 or upper.size < 1 or lower.size < 1:
-        raise ContractError("coefficient vectors must be non-empty 1-d arrays")
+    of one pair of 1-d coefficient vectors (conventionally 9 each), not a stack."""
     return LandmarkShape(cst_airfoils(upper, lower, n_c, sampling), closed=True)
 
 
@@ -116,7 +111,8 @@ def perturb_coefficients(rng, upper, lower, percent=20.0):
     if not 0.0 <= percent < np.inf:
         raise ContractError(f"perturbation percentage must be finite and "
                             f"non-negative, got {percent}")
-    upper, lower = np.asarray(upper), np.asarray(lower)
+    upper = _entry(upper, ("...", "k >= 1"), "upper coefficients")
+    lower = _entry(lower, ("...", "k >= 1"), "lower coefficients")
     frac = percent / 100.0
     lead = np.broadcast_shapes(upper.shape[:-1], lower.shape[:-1])
     f = 1.0 + rng.uniform(-frac, frac, size=lead + (upper.shape[-1] + lower.shape[-1],))
@@ -137,6 +133,8 @@ def generate_airfoils(rng, count, n_c=401, sampling="cosine", nominal=None,
     """
     if not isinstance(count, numbers.Integral) or count < 0:
         raise ContractError(f"count must be an integer >= 0, got {count!r}")
+    if nominal is not None:
+        nominal = [_entry(c, ("k >= 1",), "nominal coefficients") for c in nominal]
     k_u, k_l = (N_COEFF, N_COEFF) if nominal is None else map(np.size, nominal)
     shapes, rows, drawn = [], [], 0
     while len(shapes) < count:

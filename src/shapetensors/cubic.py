@@ -34,7 +34,7 @@ with ContractError; its ``index`` is the first such member of the stack.
 
 import numpy as np
 
-from .errors import ContractError, refuse
+from .errors import ContractError, _entry, refuse
 
 SPLINE_ENDS = ("natural", "not-a-knot", "periodic")
 
@@ -91,15 +91,14 @@ class Cubic:
 def _stack(x, y):
     """Checked (B, n) knots, knot-major (n, B, d) values, stack and value
     shapes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim < 1 or x.shape[-1] < 2 or y.shape[:x.ndim] != x.shape:
-        raise ContractError(f"need knots (..., n >= 2) and values sharing "
-                            f"their shape, got {x.shape} and {y.shape}")
+    x = _entry(x, ("...", "n >= 2"), "spline knots", finite=False)
+    y = _entry(y, ("...",), "spline values", finite=False)
+    if y.shape[:x.ndim] != x.shape:
+        raise ContractError(f"spline values {y.shape} must lead with knots {x.shape}")
     n = x.shape[-1]
     batch, values = x.shape[:-1], y.shape[x.ndim:]
     xb = x.reshape(-1, n)
-    yt = np.moveaxis(y.reshape(xb.shape[0], n, -1), 1, 0)
+    yt = np.moveaxis(y.reshape(xb.shape[0], n, int(np.prod(values))), 1, 0)
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(xb).all(axis=-1) & (np.diff(xb, axis=-1) > 0.0).all(axis=-1)
     refuse(~ok.reshape(batch), lambda _: ContractError(

@@ -5,9 +5,12 @@ was bad" can catch ShapeTensorError; the subclasses exist so tests and the
 CLI can map failures to distinct exit codes and messages.  ``refuse``
 raises the error of the first refused member of a stack with every
 refused member's own error attached, and ``named`` puts the name of the
-input it came from in front of a message.
+input it came from in front of a message.  ``_entry`` and
+``check_stacks`` hold the input contract of the public entry points.
 """
 
+import functools
+import numbers
 from collections.abc import Sequence
 from contextlib import contextmanager
 
@@ -113,7 +116,8 @@ def refuse(bad, make):
     mask ``bad`` in C order (``()`` for a 0-d mask); return if there is
     none.  Its ``refused`` holds make(j), with ``index`` j, for every
     True entry j, in C order."""
-    if bad.any():
+    # any() of a 0-d mask costs microseconds, and a point is often one member
+    if np.count_nonzero(bad) if bad.ndim else bad:
         where = np.argwhere(bad)
         index = tuple(int(i) for i in where[0])
         err = make(index)
@@ -136,3 +140,62 @@ def named(where):
                 raise
             where = where(*err.index)
         raise type(err)(f"{where}: {err}") from err
+
+
+@functools.cache  # "n" -> 0, "n >= 3" -> 3; _entry is given a few such names
+def _least(axis):
+    return int(axis.partition(">=")[2] or 0)
+
+
+def _entry(a, shape, what, finite=None):
+    """``a`` as a float array of ``shape``: the input contract of the
+    library's entry points.
+
+    ``shape`` spells the axes: a length (an int), any length ("n") or at
+    least some ("n >= 3"), after a leading "..." where any leading axes
+    may hold a stack of members, zero of them included.  Refuses, with a
+    ContractError, values that are not real numbers (complex, strings,
+    objects that are not numbers), another shape, and each member with a
+    non-finite entry, ``index`` naming the first; ``finite`` words that
+    refusal ("``what`` has non-finite entries" by default), and False
+    leaves it to the caller.
+    """
+    arr = a
+    if type(a) is not np.ndarray or a.dtype != float:
+        try:
+            arr = np.asarray(a)
+            if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
+                arr = arr.astype(float)  # numbers held as objects, ints past 2**63
+        except (ValueError, OverflowError) as err:  # ragged nests; ints past the floats
+            raise ContractError(f"{what} is not an array of real numbers: {err}") from None
+        if arr.dtype.kind not in "biuf":
+            raise ContractError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
+    stack = shape[:1] == ("...",)
+    dims = shape[1:] if stack else shape
+    lead = arr.ndim - len(dims)
+    bad = lead < 0 or lead and not stack
+    for got, want in zip(arr.shape[lead:], dims):
+        bad |= got != want if type(want) is int else got < _least(want)
+    if bad:
+        raise ContractError(f"{what} must be ({', '.join(map(str, shape))}), "
+                            f"got shape {arr.shape}")
+    if finite is not False and np.count_nonzero(np.isfinite(arr)) < arr.size:
+        refuse(~np.isfinite(arr).all(axis=tuple(range(lead, arr.ndim))),
+               lambda i: ContractError(finite or f"{what} has non-finite entries"))
+    return arr
+
+
+def check_stacks(what, *arrays):
+    """Refuse, with a ContractError, (..., n, k) arrays (``what``) whose
+    trailing (n, k) shapes differ or whose leading shapes do not
+    broadcast."""
+    try:
+        np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
+    except ValueError:
+        pass
+    else:
+        if len({a.shape[-2:] for a in arrays}) == 1:
+            return
+    raise ContractError(f"{what} do not match: shapes "
+                        f"{', '.join(str(a.shape) for a in arrays)}")

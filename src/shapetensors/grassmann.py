@@ -44,7 +44,8 @@ checked wrappers that call each kernel once.  A tangent is a plain
 
 import numpy as np
 
-from .errors import ContractError, NormalNeighborhoodError, refuse
+from .errors import (ContractError, NormalNeighborhoodError, _entry,
+                     check_stacks, refuse)
 from .linalg import (inv2, mT, polar_orthonormalize, rotation2, sv2, sym2_join,
                      sym2_split)
 
@@ -64,15 +65,16 @@ SERIES_MAX = 1e-8
 
 def check_orthonormal(a, what="columns"):
     """Refuse, with a ContractError, a matrix of an (..., n, k) stack whose
-    columns (``what``) are not orthonormal within ORTHO_TOL; its ``index``
-    names the first such member."""
-    # orthonormal columns have entries in [-1, 1]; refusing far larger
-    # ones first keeps a.T @ a from overflowing
+    columns (``what``) are not finite and orthonormal within ORTHO_TOL; its
+    ``index`` names the first such member."""
+    # orthonormal columns have entries in [-1, 1]; refusing far larger (or
+    # non-finite) ones first keeps a.T @ a from overflowing
     big = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    refuse(big > 2.0, lambda i: ContractError(
-        f"{what} are not orthonormal: an entry has magnitude {big[i]:.3e}"))
+    refuse(~(big <= 2.0), lambda i: ContractError(
+        f"{what} are not orthonormal: an entry has magnitude {big[i]:.3e}"
+        if np.isfinite(big[i]) else f"{what} have non-finite entries"))
     gap = mT(a) @ a
-    gap = gap.reshape(gap.shape[:-2] + (-1,))
+    gap = gap.reshape(gap.shape[:-2] + (gap.shape[-1] ** 2,))
     gap[..., :: a.shape[-1] + 1] -= 1.0  # a.T a - I
     drift = np.sqrt((gap * gap).sum(axis=-1))
     refuse(~(drift <= ORTHO_TOL), lambda i: ContractError(
@@ -80,31 +82,14 @@ def check_orthonormal(a, what="columns"):
         f"exceeds {ORTHO_TOL:.0e}"))
 
 
-def check_stacks(what, *arrays):
-    """Refuse, with a ContractError, (..., n, k) arrays (``what``) whose
-    trailing (n, k) shapes differ or whose leading shapes do not
-    broadcast."""
-    try:
-        np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
-    except ValueError:
-        pass
-    else:
-        if len({a.shape[-2:] for a in arrays}) == 1:
-            return
-    raise ContractError(f"{what} do not match: shapes "
-                        f"{', '.join(str(a.shape) for a in arrays)}")
-
-
 def _lifts(x, at, **lifts):
     """The tangents given by name as float arrays of horizontal lifts at
     the representatives x (named ``at``); refuses, with a ContractError
     whose ``index`` names the first refused member, stacks that do not
     match x, and non-finite or non-horizontal members."""
-    lifts = {name: np.asarray(d, dtype=float) for name, d in lifts.items()}
+    lifts = {name: _entry(d, ("...", "n", "k"), name) for name, d in lifts.items()}
     check_stacks(f"{at} and {' and '.join(lifts)}", x, *lifts.values())
     for name, d in lifts.items():
-        refuse(~np.isfinite(d).all(axis=(-2, -1)), lambda i: ContractError(
-            f"{name} has non-finite entries"))
         drift = np.linalg.norm(mT(x) @ d, axis=(-2, -1))
         refuse(drift > HORIZONTAL_TOL, lambda i: ContractError(
             f"{name} is not horizontal at {at}: ||X.T D||_F = {drift[i]:.3e} "
@@ -145,15 +130,8 @@ class GrassmannPoint(StackedPoint):
     __slots__ = ("rep",)
 
     def __init__(self, rep):
-        rep = np.asarray(rep, dtype=float)
-        if rep.ndim < 2 or rep.shape[-1] != 2 or rep.shape[-2] < 3:
-            raise ContractError(
-                "Grassmann representative must be (..., n, 2) with n >= 3, got "
-                f"shape {rep.shape}"
-            )
-        refuse(~np.isfinite(rep).all(axis=(-2, -1)), lambda i: ContractError(
-            "Grassmann representative has non-finite entries"))
-        check_orthonormal(rep)
+        rep = _entry(rep, ("...", "n >= 3", 2), "Grassmann representative", finite=False)
+        check_orthonormal(rep)  # refuses non-finite members too
         self.rep = rep
 
     @property
@@ -267,6 +245,8 @@ def principal_angles(x, y):
     both ends).  The cosines are the closed-form singular values of X.T Y;
     the sines are the column norms of R V, V the eigenvectors of R.T R.
     """
+    x, y = _entry(x, ("...", "n", 2), "x"), _entry(y, ("...", "n", 2), "y")
+    check_stacks("x and y", x, y)
     q = mT(x) @ y
     r = y - x @ q
     cos = np.clip(sv2(q), 0.0, 1.0)  # descending
@@ -282,7 +262,6 @@ def gr_distance(a, b, metric="frobenius"):
     defined for every pair, cut locus included.  A float for one pair,
     an array of per-member distances for stacks.
     """
-    check_stacks("points", a.rep, b.rep)
     theta = principal_angles(a.rep, b.rep)
     if metric == "frobenius":
         dist = np.sqrt(np.sum(theta**2, axis=-1))

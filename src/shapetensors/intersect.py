@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError
 from .shapes import LandmarkShape, _as_points
 
 # Shewchuk's orient2d A-filter constant for doubles.
@@ -117,8 +116,6 @@ def self_intersects(shape):
     landmarks raise ContractError.
     """
     pts = _as_points(shape)
-    if not np.all(np.isfinite(pts)):
-        raise ContractError("self-intersection test needs finite landmarks")
     closed = isinstance(shape, LandmarkShape) and shape.closed
     if closed and np.all(pts[0] == pts[-1]):
         pts = pts[:-1]

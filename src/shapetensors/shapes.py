@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cubic
 from .errors import (ContractError, DegenerateGeometryError, ShapeTensorError,
-                     named, refuse)
+                     _entry, named, refuse)
 from .grassmann import ORTHO_TOL, GrassmannPoint
 from .linalg import mT, rotation2, thin_svd
 from .textio import atomic_write_text, data_lines, fmt_rows, parse_rows
@@ -47,14 +47,7 @@ class LandmarkShape:
     __slots__ = ("x", "closed", "name")
 
     def __init__(self, x, closed=False, name=None):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 2:
-            raise ContractError(f"landmarks must be (n, 2), got {x.shape}")
-        if x.shape[0] < 3:
-            raise ContractError(f"need at least 3 landmarks, got {x.shape[0]}")
-        if not np.isfinite(x).all():
-            raise ContractError("landmarks contain non-finite values")
-        self.x = x
+        self.x = _entry(x, ("n >= 3", 2), "landmarks", "landmarks contain non-finite values")
         self.closed = bool(closed)
         self.name = name
 
@@ -72,12 +65,8 @@ class AffineFactor:
     __slots__ = ("m", "b")
 
     def __init__(self, m, b):
-        m = np.asarray(m, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if m.shape != (2, 2) or b.shape != (2,):
-            raise ContractError("affine factor needs a 2x2 m and a 2-vector b")
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
-            raise ContractError("affine factor has non-finite entries")
+        m = _entry(m, (2, 2), "affine factor m")
+        b = _entry(b, (2,), "affine factor b")
         (p, q), (r, s) = m.tolist()  # Python floats overflow without a warning
         if p * s - q * r == 0.0:
             raise DegenerateGeometryError("affine scale matrix is singular")
@@ -117,13 +106,12 @@ class PreprocessConfig:
         self.sampling = sampling
 
 
-def _as_points(shape):
+def _as_points(shape, n="n"):
+    """The (n, 2) landmarks of a LandmarkShape, or an array of them with
+    at least as many as ``n`` spells ("n >= 3")."""
     if isinstance(shape, LandmarkShape):
         return shape.x
-    pts = np.asarray(shape, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ContractError(f"expected (n, 2) points, got {pts.shape}")
-    return pts
+    return _entry(shape, (n, 2), "landmarks", "landmarks contain non-finite values")
 
 
 def cumulative_lengths(shape):
@@ -133,10 +121,7 @@ def cumulative_lengths(shape):
     landmarks; a zero-length segment raises DegenerateGeometryError, and
     a total length that overflows raises ContractError.
     """
-    pts = _as_points(shape)
-    if pts.shape[0] < 2:
-        raise ContractError("cumulative lengths need at least 2 landmarks")
-    return _chord_params(pts)
+    return _chord_params(_as_points(shape, "n >= 2"))
 
 
 def _chord_params(pts):
@@ -159,9 +144,8 @@ def landmark_gauge(shape):
     """The gauge h_n: the largest Euclidean gap between consecutive
     landmarks.  A float for one shape, an array of per-member gauges for
     an (..., n, 2) stack; each member has the bits of its own call."""
-    pts = shape.x if isinstance(shape, LandmarkShape) else np.asarray(shape, dtype=float)
-    if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[-2] < 2:
-        raise ContractError(f"the gauge needs (..., n >= 2, 2) points, got {pts.shape}")
+    pts = (shape.x if isinstance(shape, LandmarkShape) else
+           _entry(shape, ("...", "n >= 2", 2), "landmarks"))
     gauge = np.linalg.norm(np.diff(pts, axis=-2), axis=-1).max(axis=-1)
     return gauge if gauge.ndim else float(gauge)
 
@@ -272,10 +256,7 @@ def la_standardize(shape, variant="gl2"):
     The representative has orthonormal, zero-mean columns; scaling or
     translating the input changes only the affine factor.
     """
-    pts = _as_points(shape)
-    if pts.shape[0] < 3:
-        raise ContractError("standardization needs at least 3 landmarks")
-    rep, m, b = _standardize_raw(pts, variant)
+    rep, m, b = _standardize_raw(_as_points(shape, "n >= 3"), variant)
     closed = shape.closed if isinstance(shape, LandmarkShape) else False
     name = shape.name if isinstance(shape, LandmarkShape) else None
     return SeparableShape(
@@ -296,11 +277,7 @@ def l4_matrix(l):
     gives [[0, 1], [-1, 0]].  A zero in l1*l2*l3 would collapse the
     frame and raises a degeneracy error.
     """
-    l = np.asarray(l, dtype=float)
-    if l.shape != (4,):
-        raise ContractError(f"l4 parameter must be a 4-vector, got shape {l.shape}")
-    if not np.all(np.isfinite(l)):
-        raise ContractError("l4 parameter has non-finite entries")
+    l = _entry(l, (4,), "l4 parameter")
     if l[0] * l[1] * l[2] == 0.0:
         raise DegenerateGeometryError(
             "l1*l2*l3 = 0 makes the affine family singular"

@@ -23,8 +23,8 @@ P^(-1/2) S P^(-1/2).
 
 import numpy as np
 
-from .errors import ContractError, refuse
-from .grassmann import StackedPoint, check_stacks
+from .errors import ContractError, _entry, check_stacks, refuse
+from .grassmann import StackedPoint
 from .linalg import mT, sym2_exp, sym2_log, sym2_roots, sym2_sqrt
 
 SYMMETRY_TOL = 1e-14
@@ -35,14 +35,11 @@ def _symmetric2(a, what):
     symmetric 2x2 matrices, or (..., 2, 2) stacks of them, whose entries
     stay below 2**1023 in magnitude, so that a + a.T cannot overflow
     (``what`` names it in the message; ``index`` the first member)."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-2:] != (2, 2):
-        raise ContractError(f"SPD {what} must be 2x2, got {a.shape}")
+    a = _entry(a, ("...", 2, 2), f"SPD {what}", finite=False)
     big = np.abs(a).max(axis=(-2, -1))
-    refuse(~np.isfinite(big), lambda i: ContractError(
-        f"SPD {what} has non-finite entries"))
-    refuse(big >= 2.0**1023, lambda i: ContractError(
-        f"SPD {what} has an entry of magnitude {big[i]:.3e}, 2**1023 or more"))
+    refuse(~(big < 2.0**1023), lambda i: ContractError(
+        f"SPD {what} has an entry of magnitude {big[i]:.3e}, 2**1023 or more"
+        if np.isfinite(big[i]) else f"SPD {what} has non-finite entries"))
     refuse(abs(a[..., 0, 1] - a[..., 1, 0]) > SYMMETRY_TOL * np.maximum(1.0, big),
            lambda i: ContractError(f"{what} is not symmetric"))
     return 0.5 * (a + mT(a))

@@ -35,7 +35,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (ContractError, ConvergenceError, DegenerateGeometryError,
-                     refuse)
+                     _entry)
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
@@ -89,8 +89,8 @@ _COMPONENTS = {
     "grassmann": _Component(
         log=lambda x, ys: _log_many(x, ys),
         exp=_gr_exp_raw,
-        vec=lambda d: mT(d).reshape(d.shape[:-2] + (-1,)),
-        unvec=lambda v: mT(v.reshape(v.shape[:-1] + (2, -1))),
+        vec=lambda d: mT(d).reshape(d.shape[:-2] + (2 * d.shape[-2],)),
+        unvec=lambda v: mT(v.reshape(v.shape[:-1] + (2, v.shape[-1] // 2))),
         dim=lambda x: 2 * (x.shape[-2] - 2),
         start=_chordal_start,
     ),
@@ -240,9 +240,9 @@ class PgaModel:
     def __init__(self, mean, basis, eigenvalues, coords, epsilon,
                  mean_scale=None):
         self.mean = mean
-        self.basis = np.asarray(basis, dtype=float)
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.coords = np.asarray(coords, dtype=float)
+        self.basis = _entry(basis, ("width", "r >= 1"), "PGA basis")
+        self.eigenvalues = _entry(eigenvalues, (self.r,), "PGA eigenvalues")
+        self.coords = _entry(coords, ("N", self.r), "PGA coordinates")
         self.epsilon = float(epsilon)
         self.mean_scale = mean_scale
         self.domain = sample_domain(self)
@@ -271,10 +271,7 @@ class MeanScale:
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ContractError("mean scale must be 2x2")
-        self.m = m
+        self.m = _entry(m, (2, 2), "mean scale")
 
 
 class SampleDomain:
@@ -284,8 +281,8 @@ class SampleDomain:
     __slots__ = ("lo", "hi", "radius")
 
     def __init__(self, lo, hi, radius):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        self.lo = _entry(lo, ("r",), "lower corner")
+        self.hi = _entry(hi, self.lo.shape, "upper corner")
         self.radius = float(radius)
 
 
@@ -342,17 +339,11 @@ def embed(model, point):
 
 def _tangent(model, coeffs):
     """({component: tangent at the mean}, its Exp at the mean) of PGA
-    coefficients: one vector of r values, or an (S, r) matrix whose rows
-    give S stacked tangents and one stacked point.  Each row must hold
-    finite values small enough that its Exp is a point of the manifold;
-    the error's ``index`` names the first row refused."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != model.r:
-        raise ContractError(
-            f"coefficient vector must have length r={model.r}, got {coeffs.shape}"
-        )
-    refuse(~np.isfinite(coeffs).all(axis=-1), lambda i: ContractError(
-        f"coefficient vector has non-finite entries: {coeffs[i]}"))
+    coefficients: one vector of r values, or an (..., r) stack of them
+    that gives stacked tangents and one stacked point.  Each vector must
+    hold finite values small enough that its Exp is a point of the
+    manifold; the error's ``index`` names the first vector refused."""
+    coeffs = _entry(coeffs, ("...", model.r), f"coefficient vector of length r={model.r}")
     base = _arrays(model.mean)
     sizes = [_COMPONENTS[c].vec(x).size for c, x in base.items()]
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -372,7 +363,7 @@ def _tangent(model, coeffs):
 def generate(model, coeffs):
     """Map normal coordinates back to the manifold via Exp at the mean:
     one point for a vector of r coefficients, a stacked point of S for an
-    (S, r) matrix."""
+    (S, r) matrix, and of shape L for an (L..., r) stack."""
     return _tangent(model, coeffs)[1]
 
 
@@ -384,14 +375,9 @@ def mean_scale(factors):
     average and its singularity test are formed on a copy scaled by a
     power of two, which is exact and cannot overflow.
     """
-    if len(factors) == 0:
-        raise ContractError("mean_scale needs at least one factor")
-    mats = np.array([f.m if isinstance(f, AffineFactor) else f for f in factors],
-                    dtype=float)
-    big = np.abs(mats).max()
-    if not np.isfinite(big):
-        raise ContractError("a scale factor has non-finite entries")
-    e = np.frexp(big)[1]
+    mats = _entry([f.m if isinstance(f, AffineFactor) else f for f in factors],
+                  ("N >= 1", 2, 2), "the stack of scale factors")
+    e = np.frexp(np.abs(mats).max())[1]
     avg = np.mean(np.ldexp(mats, -e), axis=0)
     s = sv2(avg)  # s[1] = |det| / s[0], and 0 for a zero average
     if s[1] <= 1e-12 * s[0]:

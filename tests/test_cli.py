@@ -1127,6 +1127,8 @@ def test_convergence_cli(tmp_path, capsys):
     ["sample", "--model", "{model}", "--sweep", "corner-to-corner",
      "--seed", "-1", "--out"],
     ["convergence", "--seed", "-1", "--out-csv"],
+    ["convergence", "--n-ref", "300", "--nc-list", "20,300", "--out-csv"],
+    ["convergence", "--n-ref", "100", "--out-csv"],
     ["sample", "--model", "{model}", "--coeffs=0,0,0", "--sweep",
      "corner-to-corner", "--out"],
 ], ids=" ".join)

@@ -11,8 +11,9 @@ appended, the first line replaced (a wrong magic), two adjacent lines
 swapped (reordered blocks), every two-number row put on the line y = x
 (collinear landmarks), a file name pointed at the n = 41 airfoil or at
 the collinear one -- and runs every command that reads that artifact.
-The second test gives the numeric options of the commands those same
-values.  Each run must exit 0, 2, 3 or 4 and print no traceback.
+The second test gives the numeric options of the commands, the counts
+of a short ``convergence`` run among them, those same values and a few
+counts.  Each run must exit 0, 2, 3 or 4 and print no traceback.
 """
 
 import contextlib
@@ -227,12 +228,17 @@ NUMERIC_ARGV = [
      "{root}/grassmann.model", "--coeffs={v},{v},{v}", "--out", "{out}"],
     ["blade", "wireframe", "--blade", "{root}/spd.blade", "--sections", "{v}",
      "--out", "{out}"],
+    # few trials at a small reference count keep each run short
+    ["convergence", "--trials", "{v}", "--n-ref", "120", "--nc-list", "{v},{v}",
+     "--out-csv", "{out}"],
+    ["convergence", "--trials", "2", "--n-ref", "{v}", "--nc-list", "20,{v}",
+     "--out-csv", "{out}"],
 ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(argv=st.sampled_from(NUMERIC_ARGV),
-       values=st.lists(st.sampled_from(TOKENS + ("3", "0.5", "1e-3")),
+       values=st.lists(st.sampled_from(TOKENS + ("3", "40", "0.5", "1e-3")),
                        min_size=3, max_size=3))
 def test_fuzzed_numeric_options_exit_with_a_documented_code(corpus, argv, values):
     values = iter(values)

@@ -81,6 +81,14 @@ def test_seed_must_be_a_non_negative_integer(seed):
         run_convergence(n_trials=2, n_ref=300, nc_list=(20, 40), seed=seed)
 
 
+@pytest.mark.parametrize("nc_list", [(20, 300), (20, 400), (300, 20)])
+def test_coarse_counts_must_be_below_the_reference_count(nc_list):
+    """A count at n_ref refines to the truth itself: its zero error would
+    give the slope fit log(0)."""
+    with pytest.raises(ContractError, match="below n_ref=300"):
+        run_convergence(n_trials=2, n_ref=300, nc_list=nc_list)
+
+
 def _draws(count):
     """The coefficient rows run_convergence(count, seed=2) draws."""
     return np.random.default_rng(2).uniform(COEFF_LO, COEFF_HI,
