@@ -124,7 +124,7 @@ class BladeModel:
         self.affine_b = _entry(affine_b, (etas.size, 2), "station offsets")
         self.closed = bool(closed)
         self.has_reflection = bool(has_reflection)
-        self.span_length = float(span_length)
+        self.span_length = float(_entry(span_length, (), "span length"))
         self.bend = None if bend is None else _entry(bend, ("K", 4), "bend curve")
         if bend is not None and not (
                 len(bend) >= 2 and np.all(np.diff(self.bend[:, 0]) > 0.0)):

@@ -55,7 +55,7 @@ class BladeDefinition:
         if len(stations) < 2:
             raise ContractError("a blade definition needs at least two stations")
         self.stations = stations  # list of (eta, path, m-or-None, b-or-None)
-        self.span_length = float(span_length)
+        self.span_length = float(_entry(span_length, (), "span length"))
         self.bend = bend
 
 

@@ -15,7 +15,8 @@ the mean of f at the two eigenvalues times I plus their half-difference
 times e (Higham, Functions of Matrices, 2008), each half-difference taken
 free of cancellation, so tiny and nearly double matrices keep their
 off-diagonal.  2x2 singular values and orthogonal polar factors are closed
-form too; ``thin_svd`` is the one LAPACK SVD.  The 2x2 kernels broadcast
+form too; ``thin_svd`` is the one LAPACK SVD, of the whole matrix or of
+its projection on a certified Krylov basis.  The 2x2 kernels broadcast
 over leading axes.
 """
 
@@ -24,6 +25,13 @@ import numpy as np
 # Components smaller than this are treated as zero when picking the sign
 # anchor of a singular vector.
 SIGN_TOL = 1e-12
+# The block Krylov probe of ``thin_svd``: the seed of its Gaussian start,
+# the columns it draws beyond r, the blocks it forms, and the residual,
+# relative to s_1, below which its result is certified.
+PROBE_SEED = 20110617
+PROBE_OVERSAMPLE = 4
+PROBE_BLOCKS = 3
+CERTIFY_TOL = 1e-12
 
 
 def fix_svd_signs(u, vt):
@@ -51,29 +59,76 @@ def thin_svd(a, r=None):
 
     With ``r`` (1 <= r <= min(m, N) for an (..., m, N) input) only the r
     leading triplets are formed: u is (..., m, r), s (..., r) and vt
-    (..., r, N).  The top-r eigenvectors V of the smaller Gram matrix
-    (a a^T if m <= N, else a^T a) seed a range basis Q = qr(a M), with
-    M = a^T V on the m side and M = V on the N side, and the SVD of the
-    r x N matrix Q^T a finishes it (a Rayleigh-Ritz step): u = Q W.  The
-    pass through ``a`` keeps u inside the span of a's columns to rounding,
-    where the Gram's eigenvectors alone stray by about eps (s_1 / s_r)^2,
-    and s matches the full SVD's to rounding relative to s_1.  A leading
-    subspace whose gap s_r - s_r+1 is tiny next to s_1 is less sharp than
-    the full SVD's.
+    (..., r, N).  A block Krylov probe (Musco and Musco, 2015) gives a
+    range basis Q: b = r + PROBE_OVERSAMPLE Gaussian columns Omega from a
+    generator seeded with PROBE_SEED (the global random state is not
+    touched), the blocks a Omega, a a^T Q1 and a a^T Q2, each
+    orthonormalized, and one QR of all 3b columns.  The SVD of Q^T a
+    finishes it (a Rayleigh-Ritz step): u = Q W stays in the span of a's
+    columns, and a^T u = v s by construction.  The result is kept when
+    ||a v - u s||_2 <= CERTIFY_TOL s_1 and s_r > s_r+1 + tau, where tau is
+    ||(I - Q Q^T) a||_F, from ||a||_F^2 - ||Q^T a||_F^2 plus that
+    difference's rounding (eps ||a||_F^2 per column of Q): s_r+1 + tau
+    bounds the true s_r+1 from above (Weyl), and the sine of the angle
+    between the leading subspaces is at most the residual over the gap
+    (Wedin).  A member whose s_r does not stand clear of the rest
+    (repeated values at r, graded below rounding, rank deficient, zero)
+    or whose range is wider than the Krylov space fails, and its whole
+    stack then takes the Gram probe: the top-r eigenvectors V of the
+    smaller Gram matrix (a a^T if m <= N, else a^T a) seed Q = qr(a M),
+    M = a^T V on the m side and V on the N side, before the same
+    Rayleigh-Ritz step.  Either way s matches the full SVD's to rounding
+    relative to s_1; a leading subspace whose gap s_r - s_r+1 is tiny
+    next to s_1 is less sharp than the full SVD's.
     """
     if r is None:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     else:
-        at = mT(a)
-        if a.shape[-2] <= a.shape[-1]:
-            probe = at @ np.linalg.eigh(a @ at)[1][..., -r:]
-        else:
-            probe = np.linalg.eigh(at @ a)[1][..., -r:]
-        q = np.linalg.qr(a @ probe)[0]
-        w, s, vt = np.linalg.svd(mT(q) @ a, full_matrices=False)
-        u = q @ w
+        u, s, vt = _krylov_top(a, r) or _ritz(a, _gram_basis(a, r), r)
+        s = s[..., :r]
     fix_svd_signs(u, vt)
     return u, s, vt
+
+
+def _ritz(a, q, r):
+    """(u, s, vt) of the Rayleigh-Ritz step of a in the range of q: u and
+    vt for the r leading Ritz values, s for all of them."""
+    w, s, vt = np.linalg.svd(mT(q) @ a, full_matrices=False)
+    return q @ w[..., :r], s, vt[..., :r, :]
+
+
+def _gram_basis(a, r):
+    """Orthonormal (..., m, r) basis of a M, M from the top-r eigenvectors
+    of the smaller Gram matrix."""
+    at = mT(a)
+    if a.shape[-2] <= a.shape[-1]:
+        probe = at @ np.linalg.eigh(a @ at)[1][..., -r:]
+    else:
+        probe = np.linalg.eigh(at @ a)[1][..., -r:]
+    return np.linalg.qr(a @ probe)[0]
+
+
+def _krylov_top(a, r):
+    """The Rayleigh-Ritz triplets of a in its block Krylov space (see
+    ``thin_svd``), or None when a member fails the certificate."""
+    omega = np.random.default_rng(PROBE_SEED).standard_normal(
+        (a.shape[-1], r + PROBE_OVERSAMPLE))
+    blocks = [np.linalg.qr(a @ omega)[0]]
+    for _ in range(PROBE_BLOCKS - 1):
+        blocks.append(np.linalg.qr(a @ (mT(a) @ blocks[-1]))[0])
+    q = np.linalg.qr(np.concatenate(blocks, axis=-1))[0]
+    u, s, vt = _ritz(a, q, r)
+    # einsum reads a (a transposed view, in a fit) without a temporary copy
+    norm2 = np.einsum("...ij,...ij->...", a, a)
+    tau = np.sqrt(np.maximum(norm2 - (s * s).sum(axis=-1), 0.0)
+                  + q.shape[-1] * np.finfo(float).eps * norm2)
+    after = s[..., r] if s.shape[-1] > r else 0.0
+    residual = np.linalg.norm(a @ mT(vt) - u * s[..., None, :r], ord=2,
+                              axis=(-2, -1))
+    if np.all((residual <= CERTIFY_TOL * s[..., 0])
+              & (s[..., r - 1] - (after + tau) > 0.0)):
+        return u, s, vt
+    return None
 
 
 def mT(a):

@@ -275,14 +275,21 @@ def l4_matrix(l):
 
     R is the [[cos, sin], [-sin, cos]] convention, so l = (1, 1, 1, pi/2)
     gives [[0, 1], [-1, 0]].  A zero in l1*l2*l3 would collapse the
-    frame and raises a degeneracy error.
+    frame and raises a degeneracy error; a matrix whose entries overflow
+    is refused.
     """
     l = _entry(l, (4,), "l4 parameter")
-    if l[0] * l[1] * l[2] == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        m = l[0] * np.diag([l[1], l[2]]) @ rotation2(l[3])
+    # row i is l1 * l(i+2) times a unit vector: a zero row is a zero (or
+    # underflowed) scale, found without forming l1*l2*l3, which may overflow
+    if not m.any(axis=1).all():
         raise DegenerateGeometryError(
             "l1*l2*l3 = 0 makes the affine family singular"
         )
-    return l[0] * np.diag([l[1], l[2]]) @ rotation2(l[3])
+    if not np.isfinite(m).all():
+        raise ContractError(f"l4 parameters {l.tolist()} overflow the affine matrix")
+    return m
 
 
 # ----------------------------------------------------------------- files

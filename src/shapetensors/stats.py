@@ -14,16 +14,19 @@ iteration with an error.  Principal geodesic analysis then works in
 the tangent space at the mean: the logs are vectorized isometrically
 (Grassmann lifts stack their columns; SPD tangents keep their three
 unique entries with the off-diagonal weighted by sqrt(2)), scaled by
-1/sqrt(N-1), and only the r leading singular pairs are formed: the top-r
-eigenvectors of the smaller Gram matrix (width x width or N x N) seed a
-range basis through the data, and a Rayleigh-Ritz step (the SVD of the
-r x N projected data) finishes it, so the basis stays in the span of the
-logs (horizontal, for Grassmann) as a full thin SVD's does.  Squared
-singular values are the per-direction variances; the stored per-sample
-coordinates are the unscaled projections t_k = U_r^T vec(Log_mean(p_k)),
-so embedding a training point returns its row of ``coords`` and
-generating from that row returns the point.  ``generate`` maps an (S, r)
-matrix of coordinates to a stacked point of S through one Exp.
+1/sqrt(N-1), and only the r leading singular pairs are formed
+(``linalg.thin_svd``): a fixed-seed block Krylov probe of 3 (r + 4)
+columns gives a range basis, and a Rayleigh-Ritz step (the SVD of the
+projected data) finishes it, kept when its residual and spectral gap
+certify it; otherwise the top-r eigenvectors of the smaller Gram matrix
+(width x width or N x N) seed the basis instead.  Either way the basis
+stays in the span of the logs (horizontal, for Grassmann) as a full thin
+SVD's does.  Squared singular values are the per-direction variances;
+the stored per-sample coordinates are the unscaled projections
+t_k = U_r^T vec(Log_mean(p_k)), so embedding a training point returns
+its row of ``coords`` and generating from that row returns the point.
+``generate`` maps an (S, r) matrix of coordinates to a stacked point of
+S through one Exp.
 
 All decompositions use the deterministic SVD sign convention, making a
 fit a pure function of its input bytes.
@@ -243,7 +246,7 @@ class PgaModel:
         self.basis = _entry(basis, ("width", "r >= 1"), "PGA basis")
         self.eigenvalues = _entry(eigenvalues, (self.r,), "PGA eigenvalues")
         self.coords = _entry(coords, ("N", self.r), "PGA coordinates")
-        self.epsilon = float(epsilon)
+        self.epsilon = float(_entry(epsilon, (), "epsilon"))
         self.mean_scale = mean_scale
         self.domain = sample_domain(self)
 
@@ -283,7 +286,8 @@ class SampleDomain:
     def __init__(self, lo, hi, radius):
         self.lo = _entry(lo, ("r",), "lower corner")
         self.hi = _entry(hi, self.lo.shape, "upper corner")
-        self.radius = float(radius)
+        # an overflowing norm of finite coordinates reads inf
+        self.radius = float(_entry(radius, (), "sampling radius", finite=False))
 
 
 def pga_fit(points, r, epsilon=KARCHER_EPSILON):
@@ -375,8 +379,12 @@ def mean_scale(factors):
     average and its singularity test are formed on a copy scaled by a
     power of two, which is exact and cannot overflow.
     """
-    mats = _entry([f.m if isinstance(f, AffineFactor) else f for f in factors],
-                  ("N >= 1", 2, 2), "the stack of scale factors")
+    try:
+        mats = [f.m if isinstance(f, AffineFactor) else f for f in factors]
+    except TypeError:  # not iterable
+        raise ContractError(f"the scale factors must be a stack or a sequence, "
+                            f"got {type(factors).__name__}") from None
+    mats = _entry(mats, ("N >= 1", 2, 2), "the stack of scale factors")
     e = np.frexp(np.abs(mats).max())[1]
     avg = np.mean(np.ldexp(mats, -e), axis=0)
     s = sv2(avg)  # s[1] = |det| / s[0], and 0 for a zero average

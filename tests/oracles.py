@@ -11,7 +11,7 @@ Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
 the SVD form of Procrustes and the square-root form of the polar split,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
-all-pairs self-intersection guard, the per-element row writer, the
+Gram probe of the rank-r thin SVD, the all-pairs self-intersection guard, the per-element row writer, the
 broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
 principal angles, the per-line
 text readers and per-row writers of landmark, block and OBJ files,
@@ -360,6 +360,24 @@ def polar_split(m):
 def truncated_svd(a, r):
     u, s, vt = thin_svd(a)
     return u[..., :r], s[..., :r], vt[..., :r, :]
+
+
+def gram_thin_svd(a, r):
+    """The rank-r thin SVD as it stood before the block Krylov probe: the
+    top-r eigenvectors of the smaller Gram matrix seed the range basis of
+    the Rayleigh-Ritz step.  The probe falls back to these bytes."""
+    from shapetensors.linalg import fix_svd_signs
+
+    at = mT(a)
+    if a.shape[-2] <= a.shape[-1]:
+        probe = at @ np.linalg.eigh(a @ at)[1][..., -r:]
+    else:
+        probe = np.linalg.eigh(at @ a)[1][..., -r:]
+    q = np.linalg.qr(a @ probe)[0]
+    w, s, vt = np.linalg.svd(mT(q) @ a, full_matrices=False)
+    u = q @ w
+    fix_svd_signs(u, vt)
+    return u, s, vt
 
 
 # ---------------------------------------------------------------------------

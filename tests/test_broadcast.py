@@ -17,7 +17,9 @@ strongly anisotropic matrices.  The 2x2 matrix functions are
 checked against scipy's expm, sqrtm and logm, on matrices down to 1e-13.
 The rank-r thin SVD is checked against the full one truncated, on
 matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
-rank-deficient or zero, and with repeated singular values.
+rank-deficient or zero, and with repeated singular values; on matrices
+wider than its Krylov probe's space, a low-rank one certifies and every
+other kind falls back to the bytes of the Gram probe it replaced.
 """
 
 import numpy as np
@@ -40,7 +42,9 @@ from shapetensors.grassmann import (
     principal_angles,
 )
 from shapetensors.linalg import (
+    PROBE_OVERSAMPLE,
     SIGN_TOL,
+    _krylov_top,
     fix_svd_signs,
     mT,
     orthogonal_factor,
@@ -152,12 +156,12 @@ def _spectrum(rng, k, r, case):
     return top * s
 
 
-def _matrix(rng, m, n, r, case):
+def _matrix(rng, m, n, r, case, spectrum=_spectrum):
     """An m x n matrix U diag(s) V^T with random orthonormal U and V."""
     k = min(m, n)
     u = np.linalg.qr(rng.standard_normal((m, k)))[0]
     v = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    return (u * _spectrum(rng, k, r, case)) @ v.T
+    return (u * spectrum(rng, k, r, case)) @ v.T
 
 
 def _chain(rng, n, count, reflect):
@@ -448,26 +452,87 @@ def test_rank_r_svd_equals_truncated_full_svd(seed, side, small, extra, r, cases
     assert (u.shape, s.shape, vt.shape) == ((len(cases), m, r),
                                             (len(cases), r), (len(cases), r, n))
     for k, ak in enumerate(a):
-        uk, sk, vk = u[k], s[k], vt[k]
-        full = np.linalg.svd(ak, compute_uv=False)
-        uo, so, vo = oracles.truncated_svd(ak, r)
-        tol = 1e-12 * full[0]
-        np.testing.assert_allclose(sk, so, rtol=0.0, atol=tol)
-        assert np.all(np.diff(sk) <= 0.0) and np.all(sk >= 0.0)
-        np.testing.assert_allclose(mT(uk) @ uk, np.eye(r), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(vk @ mT(vk), np.eye(r), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(mT(uk) @ ak, sk[:, None] * vk, rtol=0.0, atol=tol)
-        # the rank-r reconstruction is as close to a as the truncated one
-        assert (np.linalg.norm(ak - (uk * sk) @ vk)
-                <= np.linalg.norm(ak - (uo * so) @ vo) + tol)
-        # leading subspaces agree where the gap after them defines them
-        # (repeated values leave the vectors inside a run free)
-        gaps = full[:r] - np.append(full[1:], 0.0)[:r]
-        for j in np.flatnonzero(gaps > 1e-3 * full[0]) + 1:
-            assert oracles.subspace_gap(uk[:, :j], uo[:, :j]) <= tol / gaps[j - 1]
-        # the sign convention: first component above SIGN_TOL is positive
-        anchor = (np.abs(uk) > SIGN_TOL).argmax(axis=0)
-        assert np.all(uk[anchor, np.arange(r)] > 0.0)
+        _check_rank_r(ak, u[k], s[k], vt[k], r)
+
+
+def _check_rank_r(ak, uk, sk, vk, r):
+    """(uk, sk, vk) are r leading singular triplets of ak, as accurate as
+    the truncated full SVD's, in the sign convention."""
+    full = np.linalg.svd(ak, compute_uv=False)
+    uo, so, vo = oracles.truncated_svd(ak, r)
+    tol = 1e-12 * full[0]
+    np.testing.assert_allclose(sk, so, rtol=0.0, atol=tol)
+    assert np.all(np.diff(sk) <= 0.0) and np.all(sk >= 0.0)
+    np.testing.assert_allclose(mT(uk) @ uk, np.eye(r), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(vk @ mT(vk), np.eye(r), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(mT(uk) @ ak, sk[:, None] * vk, rtol=0.0, atol=tol)
+    # the rank-r reconstruction is as close to a as the truncated one
+    assert (np.linalg.norm(ak - (uk * sk) @ vk)
+            <= np.linalg.norm(ak - (uo * so) @ vo) + tol)
+    # leading subspaces agree where the gap after them defines them
+    # (repeated values leave the vectors inside a run free)
+    gaps = full[:r] - np.append(full[1:], 0.0)[:r]
+    for j in np.flatnonzero(gaps > 1e-3 * full[0]) + 1:
+        assert oracles.subspace_gap(uk[:, :j], uo[:, :j]) <= tol / gaps[j - 1]
+    # the sign convention: first component above SIGN_TOL is positive
+    anchor = (np.abs(uk) > SIGN_TOL).argmax(axis=0)
+    assert np.all(uk[anchor, np.arange(r)] > 0.0)
+
+
+def _probe_spectrum(rng, k, r, case):
+    """k descending singular values, k more than 8 past the 3 (r + 4)
+    columns of the Krylov probe.  "low-rank" has a rank the probe's space
+    holds and s_r >= 1.5 s_r+1; every other kind fails its certificate:
+    "slow" and "repeated" (values from three levels) keep every value
+    above s_1 / 2, so the part of a outside the probe's space outweighs
+    s_r; "graded" puts s_r below 1e-10 s_1 and "rank-deficient" has a
+    rank below r, under the rounding the certificate allows for."""
+    top = 10.0 ** rng.uniform(-3.0, 3.0)
+    s = np.zeros(k)
+    if case == "low-rank":
+        rank = rng.integers(r + 1, 3 * (r + PROBE_OVERSAMPLE) + 1)
+        s[:r] = rng.uniform(0.6, 1.0, r)
+        s[r:rank] = rng.uniform(0.01, 0.4, rank - r)
+    elif case == "slow":
+        s = rng.uniform(0.5, 1.0, k)
+    elif case == "repeated":
+        s = rng.choice(rng.uniform(0.5, 1.0, 3), size=k)
+    elif case == "graded":  # s_r / s_1 = 10**-e, the tail below s_r
+        head = 10.0 ** -np.linspace(0.0, rng.uniform(10.0, 14.0), r)
+        s = np.concatenate([head, head[-1] * 10.0 ** -rng.uniform(0.1, 3.0, k - r)])
+    elif case == "rank-deficient":
+        rank = rng.integers(0, r)
+        s[:rank] = rng.uniform(0.01, 1.0, rank)
+    return top * np.sort(s)[::-1]
+
+
+FALLBACK_CASES = ("slow", "repeated", "graded", "rank-deficient", "zero")
+
+
+@PROPERTY
+@given(seed=seeds, wide=st.booleans(), extra=st.integers(0, 8),
+       longer=st.integers(0, 40), r=st.integers(1, 4),
+       cases=st.lists(st.sampled_from(("low-rank",) + FALLBACK_CASES), min_size=1,
+                      max_size=3))
+def test_krylov_probe_certifies_or_falls_back_to_the_gram_probe(
+        seed, wide, extra, longer, r, cases):
+    rng = np.random.default_rng(seed)
+    small = 3 * (r + PROBE_OVERSAMPLE) + 9 + extra
+    m, n = (small, small + longer) if wide else (small + longer, small)
+    a = np.stack([_matrix(rng, m, n, r, c, _probe_spectrum) for c in cases])
+    state = np.random.get_state()
+    u, s, vt = thin_svd(a, r)  # one stacked call
+    assert all(np.array_equal(x, y) for x, y in zip(np.random.get_state(), state))
+    for got, again in zip((u, s, vt), thin_svd(a, r)):
+        _same_bits(got, again)
+    certified = [_krylov_top(ak, r) is not None for ak in a]
+    assert certified == [c == "low-rank" for c in cases]
+    if all(certified):
+        for k, ak in enumerate(a):
+            _check_rank_r(ak, u[k], s[k], vt[k], r)
+    else:  # one member that fails takes the whole stack to the Gram probe
+        for got, want in zip((u, s, vt), oracles.gram_thin_svd(a, r)):
+            _same_bits(got, want)
 
 
 # row-0 entries of a left singular-vector matrix: the sign search falls

@@ -461,3 +461,66 @@ def test_a_map_over_zero_members_returns_zero_results(name):
     case = CASES[name]
     out = _run(case, case.build(np.random.default_rng(0), (0,)))
     assert all(np.asarray(p).shape[:1] == (0,) for p in _parts(out))
+
+
+# ------------------------------------------ scalar options, huge values
+
+def _option(name, value):
+    """The scalar option ``name`` set to ``value``, as the object stores it."""
+    model, blade = _fixtures()
+    return {
+        "PgaModel epsilon": lambda: PgaModel(model.mean, model.basis, model.eigenvalues,
+                                             model.coords, value).epsilon,
+        "SampleDomain radius": lambda: SampleDomain([-1.0], [1.0], value).radius,
+        "BladeModel span_length": lambda: BladeModel(
+            "gl2-schedule", blade.etas, blade.reps, blade.affine_m, blade.affine_b,
+            span_length=value).span_length,
+        "BladeDefinition span_length": lambda: lib.BladeDefinition(
+            [(0.0, "a", None, None), (1.0, "b", None, None)],
+            span_length=value).span_length,
+    }[name]()
+
+
+OPTIONS = ["PgaModel epsilon", "SampleDomain radius", "BladeModel span_length",
+           "BladeDefinition span_length"]
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+@pytest.mark.parametrize("value", [np.complex128(2), 2j, "2.0", None, np.ones(2), [2.0]])
+def test_a_scalar_option_takes_one_real_number(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError):
+            _option(name, value)
+        for fine in (2, np.int64(2), np.float32(2.0), np.array(2.0)):
+            got = _option(name, fine)
+            assert type(got) is float and got == 2.0
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_a_scalar_option_is_finite_but_a_radius_may_have_overflowed(name):
+    if name == "SampleDomain radius":  # sample_domain's norm overflows to inf
+        assert _option(name, np.inf) == np.inf
+        return
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError):
+            _option(name, value)
+
+
+@pytest.mark.parametrize("factors", [5, 2.5, np.float64(1.0), np.array(1.0)])
+def test_mean_scale_refuses_what_is_not_a_stack(factors):
+    with pytest.raises(ContractError):
+        lib.mean_scale(factors)
+
+
+@pytest.mark.parametrize("l,error", [
+    ([1e200, 1e200, 1e200, 0.0], ContractError),  # the matrix overflows
+    ([1e200, -1e200, 1e200, 0.3], ContractError),
+    ([1e200, 1e200, 0.0, 0.0], lib.DegenerateGeometryError),
+    ([1e-200, 1e-200, 1.0, 0.0], lib.DegenerateGeometryError),  # a row underflows
+])
+def test_l4_matrix_refuses_huge_and_vanishing_scales_without_warning(l, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            lib.l4_matrix(l)

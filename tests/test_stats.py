@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from shapetensors import stats
-from shapetensors.cst import cst_airfoil
+from shapetensors import linalg, stats
+from shapetensors.cst import cst_airfoil, cst_airfoils
 from shapetensors.errors import ContractError, ConvergenceError, DegenerateGeometryError
 from shapetensors.grassmann import GrassmannPoint, gr_distance, gr_exp
 from shapetensors.linalg import mT, rotation2, sym2_exp
 from shapetensors.model_io import load_model, save_model
 from shapetensors.product import ProductPoint
-from shapetensors.shapes import AffineFactor, la_standardize
+from shapetensors.shapes import AffineFactor, _standardize_raw, la_standardize
 from shapetensors.spd import SpdMatrix, spd_distance
 from shapetensors.spd import _exp_raw as spd_exp_raw
 from shapetensors.spd import _log_raw as spd_log_raw
@@ -306,6 +306,29 @@ def test_pga_fit_matches_full_svd_decomposition(rng, monkeypatch, kind, count, r
     np.testing.assert_allclose(model.basis, want.basis, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(model.coords, want.coords, rtol=0.0,
                                atol=1e-10 * np.abs(want.coords).max())
+
+
+def test_pga_fit_of_cst_airfoils_takes_the_certified_krylov_probe(rng, monkeypatch):
+    """CST airfoils of 18 coefficients have logs of rank 17, and 20 with the
+    SPD factor: the probe's 24-column Krylov space holds them, so both
+    fits certify without the Gram probe and agree with the full SVD."""
+    nominal = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
+                        [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
+    coeffs = nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(300, 2, 9)))
+    rep, m, _ = _standardize_raw(cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=101),
+                                 "polar")
+    for pts in (GrassmannPoint(rep), ProductPoint(GrassmannPoint(rep), SpdMatrix(m))):
+        def no_gram(a, r):
+            raise AssertionError("the Krylov probe was not certified")
+
+        monkeypatch.setattr(linalg, "_gram_basis", no_gram)
+        model = pga_fit(pts, r=4)
+        monkeypatch.undo()
+        monkeypatch.setattr(stats, "thin_svd", lambda a, r: truncated_svd(a, r))
+        want = pga_fit(pts, r=4)
+        monkeypatch.undo()
+        np.testing.assert_allclose(model.eigenvalues, want.eigenvalues, rtol=1e-12)
+        np.testing.assert_allclose(model.basis, want.basis, rtol=0.0, atol=1e-10)
 
 
 def test_pga_zero_variance_error(rng):
