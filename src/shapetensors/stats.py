@@ -10,13 +10,17 @@ factor at one subspace-iteration step of sum_k X_k X_k^T from the first
 sample (towards the chordal mean, the dominant 2-plane of that sum), an
 SPD factor at the log-Euclidean mean.  A step that does not reduce the
 gradient norm is halved, and a bounded number of halvings ends the
-iteration with an error.  Principal geodesic analysis then works in
-the tangent space at the mean: the logs are vectorized isometrically
+iteration with an error.  Each sweep takes the logs BLOCK members at a
+time and keeps only their sum.  Principal geodesic analysis then works
+in the tangent space at the mean: the logs are vectorized isometrically
 (Grassmann lifts stack their columns; SPD tangents keep their three
-unique entries with the off-diagonal weighted by sqrt(2)), scaled by
-1/sqrt(N-1), and only the r leading singular pairs are formed
-(``linalg.thin_svd``): a fixed-seed block Krylov probe of 3 (r + 4)
-columns gives a range basis, and a Rayleigh-Ritz step (the SVD of the
+unique entries with the off-diagonal weighted by sqrt(2)) into one
+(N, width) data matrix, which a fit's sweeps write block by block, so
+the sweep that certifies the mean leaves it in place.  Only the r
+leading singular pairs of its transpose, a view with no copy, are formed
+(``linalg.thin_svd``), and the singular values are divided by sqrt(N-1)
+afterwards.  A fixed-seed block Krylov probe of 3 (r + 4) columns gives
+a range basis, and a Rayleigh-Ritz step (the SVD of the
 projected data) finishes it, kept when its residual and spectral gap
 certify it; otherwise the top-r eigenvectors of the smaller Gram matrix
 (width x width or N x N) seed the basis instead.  Either way the basis
@@ -38,7 +42,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (ContractError, ConvergenceError, DegenerateGeometryError,
-                     _entry)
+                     ShapeTensorError, _entry)
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
@@ -54,9 +58,9 @@ KARCHER_EPSILON = 1e-8
 # Consecutive halvings of one Karcher step before the iteration is
 # declared stalled.
 KARCHER_MAX_HALVINGS = 10
-# Points per block of the chordal start, which bounds its (block, n, 2)
-# temporary.
-START_BLOCK = 128
+# Members per block of the chordal start and of each log sweep, which
+# bounds their (block, n, 2) temporaries.
+BLOCK = 128
 # Largest singular value of the scaled data matrix below which the
 # ensemble is treated as having no variance at all.
 ZERO_VARIANCE_TOL = 1e-13
@@ -71,8 +75,8 @@ def _chordal_start(reps):
     of that sum), taken block by block with matmul."""
     x0 = reps[0]
     m = np.zeros_like(x0)
-    for i in range(0, len(reps), START_BLOCK):
-        block = reps[i:i + START_BLOCK]
+    for i in range(0, len(reps), BLOCK):
+        block = reps[i:i + BLOCK]
         m += (block @ (mT(block) @ x0)).sum(axis=0)
     # the k = 0 term alone makes X_0^T m >= I, so m has full rank
     return polar_orthonormalize(m / len(reps))
@@ -160,13 +164,37 @@ def _members(points):
     return stacks
 
 
-def _karcher(points, stacks, epsilon, max_iter):
-    """Karcher mean of N points, given with their ``_members`` stacks,
-    and the logs taken at it.
+def _sweep(base, stacks, data=None):
+    """{component: mean of the logs at ``base`` of the ``_members``
+    stacks}, taken and summed BLOCK members at a time; each block's
+    vectorized logs go into its rows of ``data`` when it is given.  A
+    refusal names members as one log over the whole stack does."""
+    n = len(next(iter(stacks.values())))
+    total = {c: np.zeros_like(b) for c, b in base.items()}
+    for i in range(0, n, BLOCK):
+        col = 0
+        for c, a in stacks.items():
+            try:
+                logs = _COMPONENTS[c].log(base[c], a[i:i + BLOCK])
+            except ShapeTensorError:
+                # the logs of the whole stacks raise the same refusal with
+                # every refused member's index in the stack
+                for c2, a2 in stacks.items():
+                    _COMPONENTS[c2].log(base[c2], a2)
+                raise
+            total[c] += logs.sum(axis=0)
+            if data is not None:
+                v = _COMPONENTS[c].vec(logs)
+                data[i:i + BLOCK, col:col + v.shape[-1]] = v
+                col += v.shape[-1]
+    return {c: t / n for c, t in total.items()}
 
-    Returns (mean, logs) with logs {component: (N, ...) tangents at the
-    mean}: the sweep that certified convergence, ready for PGA.
-    """
+
+def _karcher(points, stacks, epsilon, max_iter, data=None):
+    """Karcher mean of N points, given with their ``_members`` stacks.
+    With ``data``, an (N, width) matrix, each sweep (``_sweep``) writes
+    its vectorized logs into it, so it ends holding those of the sweep
+    that certified convergence, ready for PGA."""
     if not len(points):
         raise ContractError("karcher_mean needs at least one point")
     if not 0.0 < epsilon < math.inf:
@@ -178,13 +206,11 @@ def _karcher(points, stacks, epsilon, max_iter):
         mean = _point(base)
     trajectory, accepted, halvings = [], math.inf, 0
     for _ in range(max_iter):
-        logs = {c: _COMPONENTS[c].log(base[c], stacks[c]) for c in stacks}
-        grad = {c: l.mean(axis=0) for c, l in logs.items()}
+        grad = _sweep(base, stacks, data)
         gnorm = math.hypot(*(np.linalg.norm(v) for v in grad.values()))
         trajectory.append(gnorm)
         if gnorm < epsilon:
-            return mean, logs
-        del logs
+            return mean
         if gnorm < accepted:
             accepted, prev, step, halvings = gnorm, base, grad, 0
         else:
@@ -224,7 +250,7 @@ def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
     trajectory of all of them, if max_iter sweeps do not get there or
     KARCHER_MAX_HALVINGS halvings in a row do not reduce the norm.
     """
-    return _karcher(points, _members(points), epsilon, max_iter)[0]
+    return _karcher(points, _members(points), epsilon, max_iter)
 
 
 class PgaModel:
@@ -308,14 +334,11 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
             f"rank r={r} must be an integer in [1, {limit}] "
             f"(N-1 and the manifold dimension both cap it)"
         )
-    mean, logs = _karcher(points, stacks, epsilon, KARCHER_MAX_ITER)
+    data = np.empty((n, sum(_COMPONENTS[c].vec(a[0]).size for c, a in stacks.items())))
+    mean = _karcher(points, stacks, epsilon, KARCHER_MAX_ITER, data)
     del stacks  # a stacked list is not held through the decomposition
-    # each raw stack is dropped as soon as it is vectorized
-    parts = [_COMPONENTS[c].vec(logs.pop(c)) for c in list(logs)]
-    data = parts[0] if len(parts) == 1 else np.hstack(parts)
-    del parts
-    scaled = data.T / np.sqrt(n - 1.0)  # columns are samples
-    basis, s, _ = thin_svd(scaled, r)
+    basis, s, _ = thin_svd(data.T, r)  # columns are samples; a view, no copy
+    s = s / np.sqrt(n - 1.0)
     if s[0] <= ZERO_VARIANCE_TOL:
         raise DegenerateGeometryError(
             "ensemble has zero variance: all points coincide with the mean"

@@ -20,8 +20,9 @@ basis through scipy's binomials, the one-airfoil CST sampler and the
 searching SVD sign fix as they stood before CST took stacks, the
 per-row PGA generation as it stood before generate took coefficient
 matrices, the airfoil generator that drew, sampled and guarded one
-airfoil at a time, and the convergence experiment that drew and sampled
-one trial at a time.
+airfoil at a time, the convergence experiment that drew and sampled
+one trial at a time, and the Karcher mean and PGA fit whose sweeps took
+the logs of the whole ensemble at once.
 """
 
 import numpy as np
@@ -935,3 +936,91 @@ def run_convergence(draws, n_ref, nc_list, seed):
         rows.append(ConvergenceRow(n_c, *values))
     return ConvergenceReport(rows, len(draws), n_ref, seed,
                              skipped=len(draws) - len(table))
+
+
+# ---------------------------------------------------------------------------
+# The Karcher mean and PGA fit as they stood before the sweeps ran in
+# blocks: each sweep takes the logs of the whole stack at once and
+# averages them, and the fit vectorizes the last sweep's logs, scales a
+# copy by 1/sqrt(N-1) and decomposes that.
+
+
+def karcher(points, stacks, epsilon, max_iter):
+    """(mean, {component: (N, ...) logs at the mean}) of N points, given
+    with their ``stats._members`` stacks."""
+    import math
+
+    from shapetensors import stats
+    from shapetensors.errors import ConvergenceError
+
+    if not len(points):
+        raise ContractError("karcher_mean needs at least one point")
+    if not 0.0 < epsilon < math.inf:
+        raise ContractError(f"epsilon must be finite and positive, got {epsilon}")
+    if len(points) == 1:
+        mean, base = points[0], {c: a[0] for c, a in stacks.items()}
+    else:
+        base = {c: stats._COMPONENTS[c].start(a) for c, a in stacks.items()}
+        mean = stats._point(base)
+    trajectory, accepted, halvings = [], math.inf, 0
+    for _ in range(max_iter):
+        logs = {c: stats._COMPONENTS[c].log(base[c], stacks[c]) for c in stacks}
+        grad = {c: l.mean(axis=0) for c, l in logs.items()}
+        gnorm = math.hypot(*(np.linalg.norm(v) for v in grad.values()))
+        trajectory.append(gnorm)
+        if gnorm < epsilon:
+            return mean, logs
+        del logs
+        if gnorm < accepted:
+            accepted, prev, step, halvings = gnorm, base, grad, 0
+        else:
+            halvings += 1
+            if halvings > stats.KARCHER_MAX_HALVINGS:
+                raise ConvergenceError(
+                    f"Karcher mean stalled: the step and {stats.KARCHER_MAX_HALVINGS} "
+                    f"halvings of it did not reduce the gradient norm "
+                    f"{accepted:.3e}",
+                    gradient_norm=gnorm, trajectory=trajectory,
+                )
+            step = {c: 0.5 * v for c, v in step.items()}
+        base = {c: stats._COMPONENTS[c].exp(prev[c], step[c]) for c in stacks}
+        mean = stats._point(base)
+    raise ConvergenceError(
+        f"Karcher mean did not converge in {max_iter} iterations "
+        f"(last gradient norm {gnorm:.3e})",
+        gradient_norm=gnorm, trajectory=trajectory,
+    )
+
+
+def karcher_mean(points, epsilon=1e-8, max_iter=200):
+    from shapetensors import stats
+
+    return karcher(points, stats._members(points), epsilon, max_iter)[0]
+
+
+def pga_fit(points, r, epsilon=1e-8):
+    from shapetensors import stats
+    from shapetensors.errors import DegenerateGeometryError
+
+    stacks = stats._members(points)
+    n = len(points)
+    if n < 2:
+        raise ContractError("PGA needs at least two points")
+    limit = min(n - 1, sum(stats._COMPONENTS[c].dim(a) for c, a in stacks.items()))
+    if int(r) != r or not 1 <= r <= limit:
+        raise ContractError(
+            f"rank r={r} must be an integer in [1, {limit}] "
+            f"(N-1 and the manifold dimension both cap it)"
+        )
+    mean, logs = karcher(points, stacks, epsilon, stats.KARCHER_MAX_ITER)
+    del stacks
+    parts = [stats._COMPONENTS[c].vec(logs.pop(c)) for c in list(logs)]
+    data = parts[0] if len(parts) == 1 else np.hstack(parts)
+    del parts
+    scaled = data.T / np.sqrt(n - 1.0)
+    basis, s, _ = stats.thin_svd(scaled, r)
+    if s[0] <= stats.ZERO_VARIANCE_TOL:
+        raise DegenerateGeometryError(
+            "ensemble has zero variance: all points coincide with the mean"
+        )
+    return stats.PgaModel(mean, basis, s**2, data @ basis, epsilon)

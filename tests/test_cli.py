@@ -1211,6 +1211,37 @@ def test_convergence_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_fit_under_one_and_two_blas_threads_agrees_to_tolerance(tmp_path):
+    """Fresh processes under one and two OpenBLAS threads fit the same
+    mean, byte for byte; the decomposition's last bits may differ (README),
+    but eigenvalues, basis and coords agree within the acceptance
+    tolerances: 1e-9 relative for eigenvalues, 1e-8 for the rest."""
+    package_root = os.path.dirname(os.path.dirname(shapetensors.__file__))
+    assert run("cst-gen", "--count", "300", "--nc", "401", "--seed", "3",
+               "--out", tmp_path / "raw") == 0
+    for manifold in ("grassmann", "product"):
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (package_root, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"{manifold}{threads}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "shapetensors", "fit", "--input",
+                 tmp_path / "raw" / "manifest.txt", "--rank", "4",
+                 "--manifold", manifold, "--out", out],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            files.append(out)
+        means = [t[:t.index("\nbasis ")] for t in (f.read_text() for f in files)]
+        assert means[0] == means[1]  # the header and the mean blocks
+        one, two = (load_model(f) for f in files)
+        np.testing.assert_allclose(two.eigenvalues, one.eigenvalues, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(two.basis, one.basis, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(two.coords, one.coords, rtol=0,
+                                   atol=1e-8 * np.abs(one.coords).max())
+
+
 def test_console_script_mapping():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

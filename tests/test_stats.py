@@ -1,11 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapetensors import linalg, stats
 from shapetensors.cst import cst_airfoil, cst_airfoils
-from shapetensors.errors import ContractError, ConvergenceError, DegenerateGeometryError
+from shapetensors.errors import (ContractError, ConvergenceError, DegenerateGeometryError,
+                                 NormalNeighborhoodError, without_refused)
 from shapetensors.grassmann import GrassmannPoint, gr_distance, gr_exp
 from shapetensors.linalg import mT, rotation2, sym2_exp
 from shapetensors.model_io import load_model, save_model
@@ -25,6 +29,7 @@ from shapetensors.stats import (
     sample_domain,
 )
 
+import oracles
 from conftest import random_grassmann_point, random_horizontal, random_spd
 from oracles import truncated_svd
 
@@ -148,33 +153,42 @@ def test_karcher_rejects_mixed_manifolds(rng):
 
 # ------------------------------------------------------------------- pga
 
+# CST coefficients of a nominal airfoil, upper surface then lower
+_NOMINAL = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
+                     [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
+
 def _cst_ensemble(count, n_c, seed):
     """Grassmann points of CST airfoils, every coefficient of a nominal
     perturbed by up to +-20 %."""
-    nominal = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
-                        [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
     rng = np.random.default_rng(seed)
-    coeffs = nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(count, 2, 9)))
+    coeffs = _NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(count, 2, 9)))
     return [la_standardize(cst_airfoil(c[0], c[1], n_c=n_c)).grass for c in coeffs]
 
 
 def test_pga_fit_takes_at_most_three_log_sweeps(monkeypatch):
-    # the benchmark wraps stats._log_many the same way
+    # the benchmark wraps stats._log_many the same way; a sweep calls it
+    # once per block, so a sweep is a run of calls at one base
     pts = _cst_ensemble(300, 201, seed=0)
-    bases = []
+    calls = []
     real = stats._log_many
 
     def counted(x, ys):
-        bases.append(x)
+        calls.append((x, len(ys)))
         return real(x, ys)
 
     monkeypatch.setattr(stats, "_log_many", counted)
     stats._COMPONENTS["grassmann"].start(np.stack([p.rep for p in pts]))
-    assert bases == []  # the chordal start takes no log sweep
+    assert calls == []  # the chordal start takes no log sweep
     model = pga_fit(pts, r=4, epsilon=1e-8)
-    assert 1 <= len(bases) <= 3
-    assert np.array_equal(bases[-1], model.mean.rep)
-
+    sweeps = []
+    for x, size in calls:
+        if sweeps and np.array_equal(sweeps[-1][0], x):
+            sweeps[-1][1] += size
+        else:
+            sweeps.append([x, size])
+    assert 1 <= len(sweeps) <= 3
+    assert [size for _, size in sweeps] == [len(pts)] * len(sweeps)
+    assert np.array_equal(sweeps[-1][0], model.mean.rep)
 
 
 def test_pga_single_geodesic_has_one_mode(rng):
@@ -312,9 +326,7 @@ def test_pga_fit_of_cst_airfoils_takes_the_certified_krylov_probe(rng, monkeypat
     """CST airfoils of 18 coefficients have logs of rank 17, and 20 with the
     SPD factor: the probe's 24-column Krylov space holds them, so both
     fits certify without the Gram probe and agree with the full SVD."""
-    nominal = np.array([[0.20, 0.18, 0.22, 0.17, 0.21, 0.19, 0.20, 0.18, 0.17],
-                        [0.12, 0.10, 0.13, 0.09, 0.11, 0.10, 0.12, 0.11, 0.10]])
-    coeffs = nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(300, 2, 9)))
+    coeffs = _NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(300, 2, 9)))
     rep, m, _ = _standardize_raw(cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=101),
                                  "polar")
     for pts in (GrassmannPoint(rep), ProductPoint(GrassmannPoint(rep), SpdMatrix(m))):
@@ -376,6 +388,165 @@ def test_pga_deterministic(rng):
 
 
 # ------------------------------------------------------------ mean scale
+
+# --------------------------------------------------------- blocked sweeps
+
+# Members per sweep block in the tests below: two members are one block
+# less one, three and four are one block and one block plus one, and
+# eleven are three blocks and a remainder.
+SMALL_BLOCK = 3
+COUNTS = (2, 3, 4, 11)
+
+
+def _draw(rng, kind, count, spread):
+    """``count`` members of one manifold kind around a random center."""
+    if kind == "spd":
+        return [random_spd(rng, spread=spread) for _ in range(count)]
+    pts, _ = _cloud(rng, n=6, count=count, spread=spread)
+    if kind == "grassmann":
+        return pts
+    return [ProductPoint(p, random_spd(rng, spread=spread)) for p in pts]
+
+
+def _halving(rng, kind):
+    """``_overshooting_pair``, whose first Karcher step is halved, with a
+    Grassmann pair beside it for the product kind."""
+    pair = _overshooting_pair()
+    if kind == "spd":
+        return pair
+    return [ProductPoint(p, q) for p, q in zip(_draw(rng, "grassmann", 2, 0.5), pair)]
+
+
+def _scaled_data(model, pts):
+    """The vectorized logs at the model's mean over sqrt(N - 1)."""
+    base, stacks = stats._arrays(model.mean), stats._members(pts)
+    v = np.concatenate([
+        stats._COMPONENTS[c].vec(stats._COMPONENTS[c].log(base[c], stacks[c]))
+        for c in base], axis=-1)
+    return v / np.sqrt(len(v) - 1.0)
+
+
+def _assert_same_fit(model, want, pts):
+    """Mean, eigenvalues, basis and coords agree to rounding; a basis
+    column and its coords to rounding over the gap between its squared
+    singular value and the others."""
+    for c, a in stats._arrays(want.mean).items():
+        np.testing.assert_allclose(stats._arrays(model.mean)[c], a, rtol=0, atol=1e-12)
+    lam = want.eigenvalues
+    np.testing.assert_allclose(model.eigenvalues, lam, rtol=0, atol=1e-12 * lam[0])
+    scaled = _scaled_data(want, pts)
+    s2 = np.linalg.svd(scaled, compute_uv=False) ** 2
+    s2 = np.append(s2, np.zeros(model.basis.shape[0] - len(s2)))
+    rows = np.linalg.norm(scaled, axis=1).max() * np.sqrt(len(pts) - 1.0)
+    # both bases went through fix_svd_signs, so their columns compare as they are
+    for k in range(want.r):
+        gap = np.min(np.abs(np.delete(s2, k) - s2[k]))
+        tol = 1e-12 * s2[0] / gap if gap else np.inf
+        np.testing.assert_allclose(model.basis[:, k], want.basis[:, k], rtol=0, atol=tol)
+        np.testing.assert_allclose(model.coords[:, k], want.coords[:, k], rtol=0,
+                                   atol=tol * rows + 1e-13 * np.abs(want.coords).max())
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("grassmann", "spd", "product")),
+       count=st.sampled_from(COUNTS), spread=st.floats(0.05, 1.0),
+       halving=st.booleans(), rank=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_blocked_fit_matches_the_whole_stack_fit(seed, kind, count, spread, halving, rank):
+    rng = np.random.default_rng(seed)
+    if halving and kind != "grassmann":
+        pts = _halving(rng, kind)
+    else:
+        pts = _draw(rng, kind, count, spread)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "BLOCK", SMALL_BLOCK)
+        r = min(rank, len(pts) - 1)
+        mean = karcher_mean(pts, epsilon=1e-10)
+        for c, a in stats._arrays(oracles.karcher_mean(pts, epsilon=1e-10)).items():
+            np.testing.assert_allclose(stats._arrays(mean)[c], a, rtol=0, atol=1e-12)
+        _assert_same_fit(pga_fit(pts, r=r, epsilon=1e-10),
+                         oracles.pga_fit(pts, r=r, epsilon=1e-10), pts)
+
+
+@pytest.mark.parametrize("kind,count,spread,max_iter", [
+    ("grassmann", 11, 1.0, 3),   # several sweeps
+    ("product", 11, 1.0, 3),
+    ("spd", 11, 1.5, 2),
+    ("spd", None, None, 3),      # the first step is halved
+    ("product", None, None, 3),
+])
+@pytest.mark.parametrize("block", [1, 2, SMALL_BLOCK, 256])
+def test_blocked_trajectory_matches_the_whole_stack_one(rng, monkeypatch, kind, count,
+                                                         spread, max_iter, block):
+    pts = _halving(rng, kind) if count is None else _draw(rng, kind, count, spread)
+    monkeypatch.setattr(stats, "BLOCK", block)
+    with pytest.raises(ConvergenceError) as got:
+        karcher_mean(pts, epsilon=1e-14, max_iter=max_iter)
+    with pytest.raises(ConvergenceError) as want:
+        oracles.karcher_mean(pts, epsilon=1e-14, max_iter=max_iter)
+    t = want.value.trajectory
+    assert len(t) == max_iter
+    assert got.value.trajectory == pytest.approx(t, rel=1e-12)
+    assert got.value.gradient_norm == got.value.trajectory[-1]
+    if count is None:
+        assert t[1] > t[0] > t[2]  # the unit step grew the norm; half of it did not
+
+
+def _refusing_ensemble(rng, kind, count, refused):
+    """Members near span(e1, e2) in R^8, tilted into e5..e8, except those
+    at ``refused``, which span (e3, e4): orthogonal to every member the
+    chordal start begins from, so to every base the sweeps reach."""
+    reps = np.zeros((count, 8, 2))
+    reps[:, [0, 1], [0, 1]] = 1.0
+    reps[:, 4:] = 0.1 * rng.standard_normal((count, 4, 2))
+    reps[refused] = 0.0
+    reps[refused, [[2], [3]], [[0], [1]]] = 1.0
+    grass = GrassmannPoint(np.linalg.qr(reps)[0])
+    if kind == "grassmann":
+        return grass
+    return ProductPoint(grass, SpdMatrix(np.stack([random_spd(rng).mat for _ in range(count)])))
+
+
+@pytest.mark.parametrize("kind", ["grassmann", "product"])
+@pytest.mark.parametrize("refused", [[4, 8], [1, 2, 10], [10]])
+def test_refusals_in_later_blocks_name_members_as_one_sweep_does(rng, monkeypatch,
+                                                                   kind, refused):
+    pts = _refusing_ensemble(rng, kind, 11, refused)
+    monkeypatch.setattr(stats, "BLOCK", SMALL_BLOCK)
+    for fit, oracle in ((lambda p: karcher_mean(p), oracles.karcher_mean),
+                        (lambda p: pga_fit(p, r=2), lambda p: oracles.pga_fit(p, r=2))):
+        with pytest.raises(NormalNeighborhoodError) as got:
+            fit(pts)
+        with pytest.raises(NormalNeighborhoodError) as want:
+            oracle(pts)
+        assert got.value.index == want.value.index == (refused[0],)
+        assert [e.index for e in got.value.refused] == [(i,) for i in refused]
+        assert ([(e.index, str(e)) for e in got.value.refused]
+                == [(e.index, str(e)) for e in want.value.refused])
+        assert str(got.value) == str(want.value)
+    # the CLI drops what ``refused`` names and fits the rest
+    members = [pts[k] for k in range(len(pts))]
+    kept, model, dropped = without_refused(lambda p: pga_fit(p, r=2), members)
+    assert sorted(dropped) == refused
+    assert kept == [k for k in range(len(pts)) if k not in refused]
+    assert model.n_samples == len(kept)
+
+
+def test_pga_fit_allocates_little_beyond_its_data_matrix():
+    """The fit's largest array is its (N, 2n) data matrix: no stack of
+    logs, copy of it or scaled copy is made beside it."""
+    rng = np.random.default_rng(0)
+    coeffs = _NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(4000, 2, 9)))
+    rep, _, _ = _standardize_raw(cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=201), "gl2")
+    pts = GrassmannPoint(rep)
+    data_bytes = rep.shape[0] * rep.shape[1] * 2 * rep.itemsize
+    tracemalloc.start()
+    try:
+        pga_fit(pts, r=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * data_bytes, peak / data_bytes
+
 
 def test_mean_scale_extrinsic_average():
     f1 = AffineFactor(np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
