@@ -2,7 +2,7 @@
 
 A blade is an ordered set of stations (eta_k, shape_k) along the span.
 Each section is standardized; the representatives are then aligned by
-sequential Procrustes rotations (tip to root by default).  Alignment is
+sequential Procrustes rotations, tip to root.  Alignment is
 what makes the piecewise-geodesic evaluation seamless: after it, every
 adjacent cross-Gram X_k^T X_{k+1} is symmetric positive definite, so the
 interval geodesic Exp_{X_k}(t Log_{X_k}(X_{k+1})) lands exactly on the
@@ -54,32 +54,36 @@ FLAT_INTERVAL = 1e-15
 def procrustes_rotation(a, b, allow_reflection=True):
     """The orthogonal R minimizing ||a - b R||_F: the orthogonal polar
     factor of b^T a, restricted to SO(2) with allow_reflection=False.
-    Broadcasts over leading axes of (..., n, 2) inputs.
+    Broadcasts over leading axes of (..., n, 2) inputs.  A member whose
+    b^T a overflows raises ContractError.
     """
     a, b = _entry(a, ("...", "n", 2), "a"), _entry(b, ("...", "n", 2), "b")
     check_stacks("a and b", a, b)
-    return orthogonal_factor(mT(b) @ a, proper=not allow_reflection)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        m = mT(b) @ a
+    # below 2**1022 the factor's sums and hypots cannot overflow
+    refuse(~(np.abs(m).max(axis=(-2, -1)) < 2.0**1022), lambda _: ContractError(
+        "Procrustes cross product overflows: entries are too large"))
+    return orthogonal_factor(m, proper=not allow_reflection)
 
 
-def cluster_representatives(reps, direction="tip-to-root", allow_reflection=True):
+def cluster_representatives(reps, allow_reflection=True):
     """Sequentially align a chain of representatives by Procrustes.
 
-    Returns (aligned, rotations) stacks, (N, n, 2) and (N, 2, 2).
-    tip-to-root aligns station k-1 to the already-aligned station k for
-    k = N..2; root-to-tip is the mirror image.  rotations[k] is the total
-    rotation applied to station k (identity at the anchor).
+    Returns (aligned, rotations) stacks, (N, n, 2) and (N, 2, 2).  The
+    tip anchors the chain: station k-1 is aligned to the already-aligned
+    station k for k = N..2.  rotations[k] is the total rotation applied
+    to station k (identity at the tip).  Any other anchor differs by one
+    global rotation, which the blade moves into its scales.
     """
     mats = _entry([getattr(r, "rep", r) for r in reps], ("N >= 1", "n", 2),
                   "the chain of representatives")
-    step = {"tip-to-root": -1, "root-to-tip": 1}.get(direction)
-    if step is None:
-        raise ContractError(f"unknown clustering direction {direction!r}")
-    chain = mats[::step]
+    chain = mats[::-1]
     # aligning to X Q gives R Q (Procrustes is equivariant), so the pairwise
     # rotations take one batched call and only their product is sequential
     pairs = procrustes_rotation(chain[:-1], chain[1:], allow_reflection)
     totals = accumulate(pairs, lambda q, r: r @ q, initial=np.eye(2))
-    totals = np.stack(list(totals))[::step]
+    totals = np.stack(list(totals))[::-1]
     return mats @ totals, totals
 
 
@@ -245,8 +249,8 @@ def evaluate_representative(model, eta):
     return GrassmannPoint(model._rep_at(etas, model._interval(etas))[0])
 
 
-def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
-                span_length=1.0, bend=None, affine_overrides=None):
+def build_blade(stations, variant="gl2-schedule", span_length=1.0, bend=None,
+                affine_overrides=None):
     """Assemble a BladeModel from (eta, LandmarkShape) stations.
 
     Shapes must share a landmark count (preprocess first if they do not).
@@ -274,14 +278,12 @@ def build_blade(stations, variant="gl2-schedule", direction="tip-to-root",
         if len(affine_overrides) != len(stations):
             raise ContractError("need one affine override per station")
         ms, bs = zip(*affine_overrides)
-    return _assemble(variant, etas, reps, ms, bs, closed, direction,
-                     span_length, bend)
+    return _assemble(variant, etas, reps, ms, bs, closed, span_length, bend)
 
 
-def _assemble(variant, etas, reps, ms, bs, closed, direction,
-              span_length=1.0, bend=None):
+def _assemble(variant, etas, reps, ms, bs, closed, span_length=1.0, bend=None):
     aligned, rotations = cluster_representatives(
-        reps, direction, allow_reflection=variant == "gl2-schedule")
+        reps, allow_reflection=variant == "gl2-schedule")
     # the rotation moved into the representative comes out of the scale:
     # (X R)(R^T m) reproduces X m
     ms = mT(rotations) @ _entry(ms, (len(etas), 2, 2), "station scales")
@@ -351,5 +353,5 @@ def consistent_deform(model, pga, coeffs, scale=None):
         raise ContractError("scale must be None or a MeanScale")
     return _assemble(
         model.variant, model.etas, new_reps, ms, model.affine_b,
-        model.closed, "tip-to-root", model.span_length, model.bend,
+        model.closed, model.span_length, model.bend,
     )

@@ -111,8 +111,7 @@ def read_blade_definition(path):
 
 def build_blade_from_definition(defn, variant="gl2-schedule", n=None,
                                 spline="cubic-natural",
-                                sampling="uniform-arclength",
-                                direction="tip-to-root"):
+                                sampling="uniform-arclength"):
     """Read the station files, resample to a common landmark count, and
     assemble the blade.  ``n=None`` keeps the largest station count."""
     shapes = [read_landmarks(p) for _, p, _, _ in defn.stations]
@@ -133,9 +132,8 @@ def build_blade_from_definition(defn, variant="gl2-schedule", n=None,
             overrides.append((m, np.zeros(2) if b is None else b))
     stations = [(e, s) for (e, _, _, _), s in zip(defn.stations, shapes)]
     return build_blade(
-        stations, variant=variant, direction=direction,
-        span_length=defn.span_length, bend=defn.bend,
-        affine_overrides=overrides,
+        stations, variant=variant, span_length=defn.span_length,
+        bend=defn.bend, affine_overrides=overrides,
     )
 
 

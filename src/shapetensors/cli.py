@@ -324,7 +324,7 @@ def cmd_blade_build(args):
     t0 = time.perf_counter()
     model = build_blade_from_definition(
         defn, variant=args.variant, n=args.n, spline=args.spline,
-        sampling=args.sampling, direction=args.direction,
+        sampling=args.sampling,
     )
     _timed(f"built blade ({model.n_stations} stations, n={model.n})", t0)
     if model.has_reflection:
@@ -472,8 +472,6 @@ def build_parser():
     p.add_argument("--spline", choices=SPLINE_KINDS, default="cubic-natural")
     p.add_argument("--sampling", choices=SAMPLING_KINDS,
                    default="uniform-arclength")
-    p.add_argument("--direction", choices=("tip-to-root", "root-to-tip"),
-                   default="tip-to-root")
     p.add_argument("--out", required=True, help="blade artifact file")
     p.set_defaults(func=cmd_blade_build)
 

@@ -244,14 +244,19 @@ def principal_angles(x, y):
     R = Y - X X.T Y and the two are combined through arctan2 (accurate at
     both ends).  The cosines are the closed-form singular values of X.T Y;
     the sines are the column norms of R V, V the eigenvectors of R.T R.
+    A member whose products overflow raises ContractError.
     """
     x, y = _entry(x, ("...", "n", 2), "x"), _entry(y, ("...", "n", 2), "y")
     check_stacks("x and y", x, y)
-    q = mT(x) @ y
-    r = y - x @ q
-    cos = np.clip(sv2(q), 0.0, 1.0)  # descending
-    sin = np.clip(_right_frame(r, _gram(r)[1])[2], 0.0, 1.0)  # descending
-    return np.arctan2(sin[..., ::-1], cos)
+    # an overflow anywhere leaves an inf or NaN in cos or sin: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = mT(x) @ y
+        r = y - x @ q
+        cos = sv2(q)  # descending
+        sin = _right_frame(r, _gram(r)[1])[2]  # descending
+    refuse(~(np.isfinite(cos) & np.isfinite(sin)).all(axis=-1),
+           lambda _: ContractError("principal angles overflow: entries are too large"))
+    return np.arctan2(np.clip(sin[..., ::-1], 0.0, 1.0), np.clip(cos, 0.0, 1.0))
 
 
 def gr_distance(a, b, metric="frobenius"):

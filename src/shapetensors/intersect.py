@@ -101,10 +101,10 @@ def _folds_back(first, shared, other):
     onto itself (the three points collinear, ``first`` and ``other`` on the
     same side of ``shared``)?"""
     collinear = _orient_signs(first, shared, other) == 0
-    # signs of differences are exact even where a difference overflows
-    same_side = np.any(
-        np.sign(first - shared) * np.sign(other - shared) > 0, axis=1
-    )
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        same_side = np.any(
+            np.sign(first - shared) * np.sign(other - shared) > 0, axis=1
+        )
     return bool(np.any(collinear & (same_side | np.all(first == other, axis=1))))
 
 

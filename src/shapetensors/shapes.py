@@ -143,10 +143,14 @@ def _chord_params(pts):
 def landmark_gauge(shape):
     """The gauge h_n: the largest Euclidean gap between consecutive
     landmarks.  A float for one shape, an array of per-member gauges for
-    an (..., n, 2) stack; each member has the bits of its own call."""
+    an (..., n, 2) stack; each member has the bits of its own call.  A
+    gap that overflows raises ContractError."""
     pts = (shape.x if isinstance(shape, LandmarkShape) else
            _entry(shape, ("...", "n >= 2", 2), "landmarks"))
-    gauge = np.linalg.norm(np.diff(pts, axis=-2), axis=-1).max(axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing gap is refused below
+        gauge = np.linalg.norm(np.diff(pts, axis=-2), axis=-1).max(axis=-1)
+    refuse(np.isinf(gauge), lambda _: ContractError(
+        "chord lengths overflow: coordinates are too large"))
     return gauge if gauge.ndim else float(gauge)
 
 

@@ -77,20 +77,11 @@ def test_clustering_makes_cross_grams_spd(rng):
 
 def test_clustering_preserves_subspaces_and_anchor(rng):
     reps = [random_grassmann_point(rng, 15) for _ in range(4)]
-    aligned, rotations = cluster_representatives(reps, direction="tip-to-root")
+    aligned, rotations = cluster_representatives(reps)
     np.testing.assert_array_equal(aligned[-1], reps[-1].rep)
     np.testing.assert_array_equal(rotations[-1], np.eye(2))
     for a, r in zip(aligned, reps):
         assert gr_distance(GrassmannPoint(a), r) < 1e-13
-    rooted, rot0 = cluster_representatives(reps, direction="root-to-tip")
-    np.testing.assert_array_equal(rooted[0], reps[0].rep)
-    np.testing.assert_array_equal(rot0[0], np.eye(2))
-
-
-def test_clustering_rejects_unknown_direction(rng):
-    reps = [random_grassmann_point(rng, 8) for _ in range(3)]
-    with pytest.raises(ContractError):
-        cluster_representatives(reps, direction="sideways")
 
 
 def test_blade_reproduces_stations_at_knots():

@@ -2,7 +2,8 @@
 
 The oracles (tests/oracles.py) are the scalar kernels the broadcasting
 ones replaced, the per-shape standardization and the per-station
-clustering loop.  Each property draws a stack mixing generic inputs with
+clustering loop.  A blade built from the clustering loop anchored at the
+root has the sections of the library's tip-anchored blade.  Each property draws a stack mixing generic inputs with
 the hard cases: tangents shrinking to zero, equal or nearly equal singular
 values, principal angles close to pi/2, 2x2 matrices that are exactly
 diagonal with a double eigenvalue, and collinear or overflowing landmarks.
@@ -29,7 +30,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
 import oracles
-from shapetensors.blade import _polar_split, cluster_representatives
+from shapetensors.blade import (VARIANTS, BladeModel, _assemble, _polar_split,
+                                cluster_representatives)
+from shapetensors.bladeio import wireframe_sections
 from shapetensors.errors import (
     ContractError,
     DegenerateGeometryError,
@@ -424,18 +427,58 @@ def test_standardize_reports_first_degenerate_shape(seed, n, variant, cases):
 
 @PROPERTY
 @given(seed=seeds, n=st.integers(3, 12), count=st.integers(2, 8),
-       direction=st.sampled_from(("tip-to-root", "root-to-tip")),
        allow_reflection=st.booleans(), reflect=st.booleans())
-def test_cluster_chain_equals_per_station_loop(seed, n, count, direction,
-                                               allow_reflection, reflect):
+def test_cluster_chain_equals_per_station_loop(seed, n, count, allow_reflection,
+                                               reflect):
     rng = np.random.default_rng(seed)
     reps = _chain(rng, n, count, reflect)
-    aligned, rotations = cluster_representatives(reps, direction, allow_reflection)
-    want, want_rot = oracles.cluster_representatives(reps, direction,
+    aligned, rotations = cluster_representatives(reps, allow_reflection)
+    want, want_rot = oracles.cluster_representatives(reps, "tip-to-root",
                                                      allow_reflection)
     np.testing.assert_allclose(aligned, np.stack([p.rep for p in want]),
                                rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(rotations, np.stack(want_rot), rtol=0.0, atol=1e-13)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(4, 12), count=st.integers(2, 6),
+       variant=st.sampled_from(VARIANTS), closed=st.booleans(),
+       reflect=st.booleans(), bent=st.booleans())
+def test_blade_sections_do_not_depend_on_the_clustering_anchor(
+        seed, n, count, variant, closed, reflect, bent):
+    rng = np.random.default_rng(seed)
+    if closed:
+        # representatives whose first and last rows agree, as a closed
+        # shape's do: the chain lives in the span of this basis
+        basis = np.linalg.qr(np.vstack([np.eye(n - 1), np.eye(1, n - 1)]))[0]
+        reps = basis @ _chain(rng, n - 1, count, False)
+    else:
+        reps = _chain(rng, n, count, False)
+    if reflect:  # station 0 in a reflected frame: gl2 aligns it by a reflection
+        reps[0] = reps[0] @ np.diag([1.0, -1.0])
+    etas = np.cumsum(rng.uniform(0.1, 1.0, count))
+    a = rng.standard_normal((count, 2, 2))
+    ms = (a @ mT(a) + 0.5 * np.eye(2)) @ rotation2(rng.uniform(-3.0, 3.0, count))
+    bs = rng.standard_normal((count, 2))
+    bend = None
+    if bent:
+        knots = np.linspace(etas[0], etas[-1], 4)
+        bend = np.column_stack([knots, 0.1 * rng.standard_normal((4, 2)), knots])
+    model = _assemble(variant, etas, reps, ms, bs, closed, 1.7, bend)
+    # the same chain anchored at the root instead
+    aligned, rotations = oracles.cluster_representatives(
+        reps, "root-to-tip", allow_reflection=variant == "gl2-schedule")
+    rotations = np.stack(rotations)
+    rooted = BladeModel(variant, etas, np.stack([p.rep for p in aligned]),
+                        mT(rotations) @ ms, bs, closed=closed,
+                        has_reflection=bool(np.any(np.linalg.det(rotations) < 0.0)),
+                        span_length=1.7, bend=bend)
+    assert model.has_reflection == rooted.has_reflection
+    assert model.has_reflection == (reflect and variant == "gl2-schedule")
+    at = np.linspace(etas[0], etas[-1], 101)
+    got = np.stack([p for _, p in wireframe_sections(model, at)])
+    want = np.stack([p for _, p in wireframe_sections(rooted, at)])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 @PROPERTY

@@ -806,6 +806,23 @@ def test_blade_build_names_a_corrupt_definition_line(blade_setup, tmp_path,
     assert not (tmp_path / "x.bld").exists()
 
 
+def test_blade_build_has_no_clustering_direction(blade_setup, tmp_path, capsys):
+    # clustering is always anchored at the tip, so there is no option for it
+    out = tmp_path / "x.bld"
+    with pytest.raises(SystemExit) as exit_:
+        run("blade", "build", "--blade", blade_setup / "blade.def",
+            "--direction", "root-to-tip", "--out", out)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --direction" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exit_:
+        run("blade", "build", "--help")
+    assert exit_.value.code == 0
+    options = capsys.readouterr().out.split("\n\n", 1)[1]  # after the usage
+    assert re.findall(r"^  (--[a-z]+)", options, re.M) == [
+        "--blade", "--variant", "--n", "--spline", "--sampling", "--out"]
+
+
 def test_blade_deform_zero_matches_undeformed(blade_setup, dataset, tmp_path):
     deformed = tmp_path / "deformed.bld"
     assert run("blade", "deform", "--blade", blade_setup / "blade.bld",

@@ -524,3 +524,53 @@ def test_l4_matrix_refuses_huge_and_vanishing_scales_without_warning(l, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             lib.l4_matrix(l)
+
+
+def _overflowing_gap(rng):
+    pts = _airfoil(rng, ())
+    pts[2:4] = [[1e308, 0.0], [-1e308, 0.0]]
+    return [pts]
+
+
+# name -> (a fine member's arguments, arguments of a member that overflows)
+NEAR_OVERFLOW = {
+    "landmark_gauge": (lambda r: [_airfoil(r, ())], _overflowing_gap),
+    "principal_angles": (lambda r: [_orthonormal(r, ()), _orthonormal(r, ())],
+                         lambda r: [1e200 * _orthonormal(r, ()), _orthonormal(r, ())]),
+    "procrustes_rotation": (lambda r: [_orthonormal(r, ()), _orthonormal(r, ())],
+                            lambda r: [1e200 * _orthonormal(r, ()),
+                                       1e200 * _orthonormal(r, ())]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_OVERFLOW))
+def test_near_overflow_members_are_refused_by_index_without_warning(name):
+    rng = np.random.default_rng(5)
+    fine, bad = NEAR_OVERFLOW[name]
+    f = getattr(lib, name)
+    members = [fine(rng), bad(rng), fine(rng)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError) as err:
+            f(*members[1])
+        assert err.value.index == ()
+        stacks = [np.stack(args) for args in zip(*members)]
+        with pytest.raises(ContractError) as err:
+            f(*stacks)
+        assert err.value.index == (1,)
+        # the members that do not overflow keep the bits of their own calls
+        got = f(*[a[::2] for a in stacks])
+        for k, args in enumerate(members[::2]):
+            np.testing.assert_array_equal(got[k], f(*args))
+
+
+@pytest.mark.parametrize("pts,verdict", [
+    ([[-1e308, 0.0], [1e308, 0.0], [1e308, 1.0]], False),
+    ([[-1e308, 0.0], [1e308, 0.0], [0.0, 0.0]], True),  # folds back
+    ([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308], [-1e308, 1e308]], True),
+    ([[-1e308, 0.0], [1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]], False),
+])
+def test_self_intersects_is_exact_near_overflow_without_warning(pts, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lib.self_intersects(np.array(pts)) is verdict
