@@ -2,7 +2,10 @@
 
 An ensemble is one stacked point: a GrassmannPoint, SpdMatrix or
 ProductPoint whose members lie along one leading axis, checked when it
-was built.  A list of points is accepted too and stacked once.
+was built.  A list of points is accepted too: the sweeps copy each
+block of its members into one reused buffer, and only a refusal (to
+name every member refused) and the log-Euclidean start of an SPD factor
+(N 2x2 matrices) stack it whole.
 The Karcher mean is the fixed point of p <- Exp_p(mean_k Log_p(p_k)),
 iterated until the mean tangent drops below epsilon in Frobenius norm.
 The iteration starts near the mean without a log sweep: a Grassmann
@@ -73,7 +76,10 @@ def _chordal_start(reps):
     """One subspace-iteration step of sum_k X_k X_k^T from X_0: the span
     of sum_k X_k (X_k^T X_0), near the chordal mean (the top-2 eigenspace
     of that sum), taken block by block with matmul."""
-    x0 = reps[0]
+    # a copy, so that no block shares memory with X_0: matmul can round
+    # an operand that overlaps the other differently, and a stacked
+    # point and its list of members then part in their last bits
+    x0 = reps[0].copy()
     m = np.zeros_like(x0)
     for i in range(0, len(reps), BLOCK):
         block = reps[i:i + BLOCK]
@@ -111,7 +117,7 @@ _COMPONENTS = {
         unvec=lambda v: np.stack([v[..., :2], v[..., 1:]], axis=-2) / _SPD_WEIGHTS,
         dim=lambda p: 3,
         # the log-Euclidean mean
-        start=lambda ps: sym2_exp(sym2_log(ps).mean(axis=0)),
+        start=lambda ps: sym2_exp(sym2_log(np.asarray(ps)).mean(axis=0)),
     ),
 }
 
@@ -142,10 +148,40 @@ def _point(arrays):
     return ProductPoint(grass, spd)
 
 
+class _Listed:
+    """One component of a list of points read as a stack, BLOCK members
+    at a time: a slice copies its members into one reused buffer and
+    returns it as their (m, ...) stack, valid until the next slice; an
+    index returns the member's own array and ``np.asarray`` the whole
+    stack."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+        self.ndim = arrays[0].ndim + 1
+        self._buf = np.empty(0)
+
+    def __len__(self):
+        return len(self.arrays)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return self.arrays[key]
+        members = self.arrays[key]
+        shape = members[0].shape
+        size = len(members) * shape[0]
+        if len(self._buf) < size:
+            self._buf = np.empty((size,) + shape[1:])
+        return np.concatenate(members, out=self._buf[:size]).reshape(
+            (len(members),) + shape)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack(self.arrays)
+
+
 def _members(points):
     """{component: (N, ...) stack} of a point stacked along one leading
-    axis, or of a list of single points, stacked once: each was checked
-    when it was built."""
+    axis, or of a list of single points, each component read through a
+    ``_Listed``: each point was checked when it was built."""
     if isinstance(points, list):
         parts = [_arrays(pt) for pt in points]
         if any(part.keys() != parts[0].keys() for part in parts):
@@ -155,7 +191,7 @@ def _members(points):
             arrays = [part[c] for part in parts]
             if len({a.shape for a in arrays}) != 1:
                 raise ContractError("all Grassmann points must share the same n")
-            stacks[c] = np.stack(arrays)
+            stacks[c] = _Listed(arrays)
     else:
         stacks = _arrays(points)
     if any(a.ndim != 3 for a in stacks.values()):
@@ -166,9 +202,10 @@ def _members(points):
 
 def _sweep(base, stacks, data=None):
     """{component: mean of the logs at ``base`` of the ``_members``
-    stacks}, taken and summed BLOCK members at a time; each block's
-    vectorized logs go into its rows of ``data`` when it is given.  A
-    refusal names members as one log over the whole stack does."""
+    stacks}, taken and summed BLOCK members at a time, each block used
+    before the next is read; each block's vectorized logs go into its
+    rows of ``data`` when it is given.  A refusal names members as one
+    log over the whole stack does."""
     n = len(next(iter(stacks.values())))
     total = {c: np.zeros_like(b) for c, b in base.items()}
     for i in range(0, n, BLOCK):
@@ -180,7 +217,7 @@ def _sweep(base, stacks, data=None):
                 # the logs of the whole stacks raise the same refusal with
                 # every refused member's index in the stack
                 for c2, a2 in stacks.items():
-                    _COMPONENTS[c2].log(base[c2], a2)
+                    _COMPONENTS[c2].log(base[c2], np.asarray(a2))
                 raise
             total[c] += logs.sum(axis=0)
             if data is not None:
@@ -235,7 +272,7 @@ def _karcher(points, stacks, epsilon, max_iter, data=None):
 
 def karcher_mean(points, epsilon=KARCHER_EPSILON, max_iter=KARCHER_MAX_ITER):
     """Iterative Karcher (Frechet) mean of a stacked point: its members
-    along one leading axis.  A list of points is stacked once.
+    along one leading axis.  A list of points is read a block at a time.
 
     Starts near the mean without a log sweep: a Grassmann factor at one
     subspace-iteration step of sum_k X_k X_k^T from points[0] (towards
@@ -318,7 +355,7 @@ class SampleDomain:
 
 def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     """Fit a PgaModel of rank r to an ensemble: a stacked point, or a
-    list of points, which is stacked once.
+    list of points, which is read a block at a time.
 
     The basis columns are unit tangent directions at the mean (in
     vectorized form), eigenvalues are the sample variances captured per
@@ -328,7 +365,7 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     n = len(points)
     if n < 2:
         raise ContractError("PGA needs at least two points")
-    limit = min(n - 1, sum(_COMPONENTS[c].dim(a) for c, a in stacks.items()))
+    limit = min(n - 1, sum(_COMPONENTS[c].dim(a[0]) for c, a in stacks.items()))
     if int(r) != r or not 1 <= r <= limit:
         raise ContractError(
             f"rank r={r} must be an integer in [1, {limit}] "
@@ -336,7 +373,7 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
         )
     data = np.empty((n, sum(_COMPONENTS[c].vec(a[0]).size for c, a in stacks.items())))
     mean = _karcher(points, stacks, epsilon, KARCHER_MAX_ITER, data)
-    del stacks  # a stacked list is not held through the decomposition
+    del stacks  # a list's block buffers are not held through the decomposition
     basis, s, _ = thin_svd(data.T, r)  # columns are samples; a view, no copy
     s = s / np.sqrt(n - 1.0)
     if s[0] <= ZERO_VARIANCE_TOL:

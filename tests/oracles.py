@@ -947,7 +947,7 @@ def run_convergence(draws, n_ref, nc_list, seed):
 
 def karcher(points, stacks, epsilon, max_iter):
     """(mean, {component: (N, ...) logs at the mean}) of N points, given
-    with their ``stats._members`` stacks."""
+    with their ``whole_stacks``."""
     import math
 
     from shapetensors import stats
@@ -992,17 +992,26 @@ def karcher(points, stacks, epsilon, max_iter):
     )
 
 
-def karcher_mean(points, epsilon=1e-8, max_iter=200):
+def whole_stacks(points):
+    """``stats._members`` of a stacked point or a list of points, a
+    list's components stacked whole with np.stack."""
     from shapetensors import stats
 
-    return karcher(points, stats._members(points), epsilon, max_iter)[0]
+    stacks = stats._members(points)
+    if isinstance(points, list):
+        stacks = {c: np.stack([stats._arrays(p)[c] for p in points]) for c in stacks}
+    return stacks
+
+
+def karcher_mean(points, epsilon=1e-8, max_iter=200):
+    return karcher(points, whole_stacks(points), epsilon, max_iter)[0]
 
 
 def pga_fit(points, r, epsilon=1e-8):
     from shapetensors import stats
     from shapetensors.errors import DegenerateGeometryError
 
-    stacks = stats._members(points)
+    stacks = whole_stacks(points)
     n = len(points)
     if n < 2:
         raise ContractError("PGA needs at least two points")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shapetensors import grassmann, spd
+from shapetensors import grassmann, spd, stats
 from shapetensors.cst import cst_airfoils
 from shapetensors.errors import ContractError, refuse, without_refused
 from shapetensors.grassmann import (ORTHO_TOL, GrassmannPoint, check_orthonormal,
@@ -95,12 +95,11 @@ def test_a_vector_of_coefficients_returns_a_single_point(models):
         assert len(generate(model, row[None])) == 1
 
 
-@settings(max_examples=12, deadline=None)
-@given(count=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
-def test_stacked_and_listed_points_fit_bit_for_bit(count, seed):
-    reps, preps, scales = _airfoils(count, seed)
-    stacks = [GrassmannPoint(reps), ProductPoint(preps, scales), SpdMatrix(scales)]
-    for point in stacks:
+def _assert_listed_fits_as_stacked(reps, preps, scales):
+    """pga_fit and karcher_mean of each kind of stacked point and of its
+    list of members give the same bytes."""
+    count = len(reps)
+    for point in (GrassmannPoint(reps), ProductPoint(preps, scales), SpdMatrix(scales)):
         members = [point[k] for k in range(len(point))]
         r = min(count - 1, 3)
         got, want = pga_fit(point, r=r), pga_fit(members, r=r)
@@ -111,6 +110,24 @@ def test_stacked_and_listed_points_fit_bit_for_bit(count, seed):
         mean, listed = karcher_mean(point), karcher_mean(members)
         for a, b in zip(_parts(mean), _parts(listed)):
             assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(count=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+def test_stacked_and_listed_points_fit_bit_for_bit(count, seed):
+    _assert_listed_fits_as_stacked(*_airfoils(count, seed))
+
+
+@pytest.mark.parametrize("block", [3, 128])
+@pytest.mark.parametrize("count", [2, 4, 11])
+def test_listed_points_fit_as_their_stack_bit_for_bit_at_n_401(monkeypatch, count, block):
+    """At n = 401, where a matmul can round an operand that shares memory
+    with the other differently, over one block and over several: a list
+    is read through its own block buffer, a stack through views of it."""
+    monkeypatch.setattr(stats, "BLOCK", block)
+    reps, preps, scales = _airfoils(count, seed=count, n_c=401)
+    assert reps.shape[1] == 401
+    _assert_listed_fits_as_stacked(reps, preps, scales)
 
 
 def test_a_stack_of_one_is_its_own_mean():

@@ -419,7 +419,7 @@ def _halving(rng, kind):
 
 def _scaled_data(model, pts):
     """The vectorized logs at the model's mean over sqrt(N - 1)."""
-    base, stacks = stats._arrays(model.mean), stats._members(pts)
+    base, stacks = stats._arrays(model.mean), oracles.whole_stacks(pts)
     v = np.concatenate([
         stats._COMPONENTS[c].vec(stats._COMPONENTS[c].log(base[c], stacks[c]))
         for c in base], axis=-1)
@@ -511,20 +511,23 @@ def _refusing_ensemble(rng, kind, count, refused):
 def test_refusals_in_later_blocks_name_members_as_one_sweep_does(rng, monkeypatch,
                                                                    kind, refused):
     pts = _refusing_ensemble(rng, kind, 11, refused)
-    monkeypatch.setattr(stats, "BLOCK", SMALL_BLOCK)
-    for fit, oracle in ((lambda p: karcher_mean(p), oracles.karcher_mean),
-                        (lambda p: pga_fit(p, r=2), lambda p: oracles.pga_fit(p, r=2))):
-        with pytest.raises(NormalNeighborhoodError) as got:
-            fit(pts)
-        with pytest.raises(NormalNeighborhoodError) as want:
-            oracle(pts)
-        assert got.value.index == want.value.index == (refused[0],)
-        assert [e.index for e in got.value.refused] == [(i,) for i in refused]
-        assert ([(e.index, str(e)) for e in got.value.refused]
-                == [(e.index, str(e)) for e in want.value.refused])
-        assert str(got.value) == str(want.value)
-    # the CLI drops what ``refused`` names and fits the rest
     members = [pts[k] for k in range(len(pts))]
+    monkeypatch.setattr(stats, "BLOCK", SMALL_BLOCK)
+    # a stacked point, and its list of members, which the refusal path
+    # stacks whole to name every refused member
+    for ensemble in (pts, members):
+        for fit, oracle in ((lambda p: karcher_mean(p), oracles.karcher_mean),
+                            (lambda p: pga_fit(p, r=2), lambda p: oracles.pga_fit(p, r=2))):
+            with pytest.raises(NormalNeighborhoodError) as got:
+                fit(ensemble)
+            with pytest.raises(NormalNeighborhoodError) as want:
+                oracle(ensemble)
+            assert got.value.index == want.value.index == (refused[0],)
+            assert [e.index for e in got.value.refused] == [(i,) for i in refused]
+            assert ([(e.index, str(e)) for e in got.value.refused]
+                    == [(e.index, str(e)) for e in want.value.refused])
+            assert str(got.value) == str(want.value)
+    # the CLI drops what ``refused`` names and fits the rest
     kept, model, dropped = without_refused(lambda p: pga_fit(p, r=2), members)
     assert sorted(dropped) == refused
     assert kept == [k for k in range(len(pts)) if k not in refused]
@@ -533,19 +536,21 @@ def test_refusals_in_later_blocks_name_members_as_one_sweep_does(rng, monkeypatc
 
 def test_pga_fit_allocates_little_beyond_its_data_matrix():
     """The fit's largest array is its (N, 2n) data matrix: no stack of
-    logs, copy of it or scaled copy is made beside it."""
+    logs, copy of it or scaled copy is made beside it, and a list of
+    points is not stacked whole."""
     rng = np.random.default_rng(0)
     coeffs = _NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(4000, 2, 9)))
     rep, _, _ = _standardize_raw(cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=201), "gl2")
     pts = GrassmannPoint(rep)
     data_bytes = rep.shape[0] * rep.shape[1] * 2 * rep.itemsize
-    tracemalloc.start()
-    try:
-        pga_fit(pts, r=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * data_bytes, peak / data_bytes
+    for ensemble in (pts, [pts[k] for k in range(len(pts))]):
+        tracemalloc.start()
+        try:
+            pga_fit(ensemble, r=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data_bytes, (type(ensemble).__name__, peak / data_bytes)
 
 
 def test_mean_scale_extrinsic_average():
