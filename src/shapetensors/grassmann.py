@@ -20,14 +20,19 @@ No map needs an SVD of the (n, 2) matrices: only V and S^2 enter, and
 they are the eigenvectors and eigenvalues of the 2x2 Gram matrix, so
 
     Exp_X(D)  = X cos(sqrt(G)) + D sinc(sqrt(G)),         G = D.T D
-    Log_X(Y)  = W f(W.T W),       f(lam) = arctan(sqrt(lam)) / sqrt(lam)
+    Log_X(Y)  = W f(W.T W),       f(lam) = arctan(sqrt(lam)) / sqrt(lam),
+                W.T W = q^-T q^-1 - I,  q = X.T Y
     tau(G')   = G' + (D c(G) - X s(G)) D.T G',   c(lam) = (cos(t sqrt(lam))
                 - 1) / lam,   s(lam) = sin(t sqrt(lam)) / sqrt(lam)
 
 with sin(s)/s, f and c taken from their Taylor series for tiny lam, and
-one polar step after Exp.  A function of a 2x2 Gram is formed from its two
-eigenvalues and its traceless part (``linalg.sym2_split``), so nearly
-round and tiny Grams keep their off-diagonal.  Near the cut locus
+one polar step after Exp.  Log's Gram needs no (n, 2) product: for
+orthonormal Y, W.T W = q^-T (Y.T Y) q^-1 - I = q^-T q^-1 - I, from the
+inverse the lift is made of (both eigenvalues clipped at 0, as rounding
+leaves it slightly indefinite where Y spans X).  A function of a 2x2
+Gram is formed from its two eigenvalues and its traceless part
+(``linalg.sym2_split``), so nearly round and tiny Grams keep their
+off-diagonal.  Near the cut locus
 (sigma_1(W) > GRAM_S1_MAX) the Gram's small eigenvalue drowns in the
 rounding of the large one; there Log takes the singular values from the
 column norms of W V, as principal angles take their sines from the
@@ -143,12 +148,12 @@ class GrassmannPoint(StackedPoint):
         return f"GrassmannPoint(n={self.n}{stack})"
 
 
-def _gram(a):
-    """The Gram matrix a.T a of (..., n, 2) stacks as its eigenvalues lam
-    (..., 2), descending and clipped at 0, and its unit traceless part e
-    (``linalg.sym2_split``)."""
-    mid, h, e = sym2_split(mT(a) @ a)
-    return np.stack([mid + h, np.maximum(mid - h, 0.0)], axis=-1), e
+def _eig2(g):
+    """A (..., 2, 2) stack of Gram matrices g as their eigenvalues lam
+    (..., 2), descending and clipped at 0, and their unit traceless part
+    e (``linalg.sym2_split``)."""
+    mid, h, e = sym2_split(g)
+    return np.maximum(np.stack([mid + h, mid - h], axis=-1), 0.0), e
 
 
 def _gram_fn(e, fw):
@@ -169,7 +174,7 @@ def _right_frame(a, e):
 
 def _exp_raw(x, d):
     """Exp on raw (..., n, 2) arrays; returns representatives."""
-    lam, e = _gram(d)
+    lam, e = _eig2(mT(d) @ d)
     y = x @ _gram_fn(e, np.cos(np.sqrt(lam))) + d @ _gram_fn(e, _sinc(lam))
     # one polar step scrubs the O(eps) loss of orthonormality
     return polar_orthonormalize(y)
@@ -186,6 +191,16 @@ def gr_exp(base, delta):
 def _log_raw(x, y):
     """Log on raw (..., n, 2) arrays; returns the horizontal tangents.
 
+    Each y must be orthonormal to ORTHO_TOL, as a checked representative
+    is: the Gram W.T W = q^-T (Y.T Y) q^-1 - I of the lift is taken as
+    q^-T q^-1 - I, from the q^-1 the lift is made of.  With eta =
+    ||Y.T Y - I||_F the two differ by q^-T (Y.T Y - I) q^-1, so each
+    eigenvalue lam moves by at most ||q^-1||_2^2 eta and f(lam) =
+    arctan(sqrt(lam)) / sqrt(lam), whose slope is at most 1/3, by a third
+    of that.  Weighted by W, the result is within eta min(pi/2,
+    ||W||_2 ||q^-1||_2^2 / 3) in Frobenius norm (to first order in eta)
+    of the log of span(Y), on the cut-locus branch too.
+
     Raises NormalNeighborhoodError if any target is outside the normal
     neighborhood of its base; the error's ``index`` is the position of the
     first such target in the stack (``()`` for a single pair).
@@ -197,9 +212,11 @@ def _log_raw(x, y):
                f"{'point ' + ', '.join(map(str, i)) if i else 'target subspace'} "
                "lies outside the normal neighborhood of the base (a principal "
                "angle is at or near pi/2); Log is undefined"))
-    w = y @ inv2(q)
+    qi = inv2(q)
+    w = y @ qi
     w -= x  # the horizontal part: X.T Y q^-1 = I
-    lam, e = _gram(w)
+    # W.T W = q^-T (Y.T Y) q^-1 - I, and Y.T Y = I
+    lam, e = _eig2(mT(qi) @ qi - np.eye(2))
     out = w @ _gram_fn(e, _arctan_ratio(lam))
     far = lam[..., 0] > GRAM_S1_MAX**2
     if np.any(far):
@@ -253,7 +270,7 @@ def principal_angles(x, y):
         q = mT(x) @ y
         r = y - x @ q
         cos = sv2(q)  # descending
-        sin = _right_frame(r, _gram(r)[1])[2]  # descending
+        sin = _right_frame(r, sym2_split(mT(r) @ r)[2])[2]  # descending
     refuse(~(np.isfinite(cos) & np.isfinite(sin)).all(axis=-1),
            lambda _: ContractError("principal angles overflow: entries are too large"))
     return np.arctan2(np.clip(sin[..., ::-1], 0.0, 1.0), np.clip(cos, 0.0, 1.0))
@@ -281,7 +298,7 @@ def _transport_raw(x, d, t, g):
     """Parallel transport of payload g along the geodesic with velocity d,
     evaluated at the scalar time t.  Raw (..., n, 2) arrays in, raw array
     out."""
-    lam, e = _gram(d)
+    lam, e = _eig2(mT(d) @ d)
     mu = (t * t) * lam
     # (cos(t s) - 1) / s^2 = -(t^2 / 2) sinc(t s / 2)^2, free of cancellation
     f = _gram_fn(e, -0.5 * (t * t) * _sinc(0.25 * mu) ** 2)

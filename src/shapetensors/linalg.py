@@ -20,6 +20,9 @@ its projection on a certified Krylov basis.  The 2x2 kernels broadcast
 over leading axes.
 """
 
+import contextlib
+import functools
+
 import numpy as np
 
 # Components smaller than this are treated as zero when picking the sign
@@ -88,6 +91,49 @@ def thin_svd(a, r=None):
         s = s[..., :r]
     fix_svd_signs(u, vt)
     return u, s, vt
+
+
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of the scipy-openblas build
+    that numpy wheels bundle, found through ctypes on first use, or None
+    where there is none (another BLAS build)."""
+    import ctypes
+    import glob
+    import os
+
+    root = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(root + ".libs", "libscipy_openblas*"))
+                 + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+            get = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block under one OpenBLAS thread and restore the count
+    after it, on error too: how OpenBLAS splits a product among threads
+    changes its rounding, so this makes the block's bits independent of
+    the thread count.  Where no scipy-openblas is found it does nothing."""
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, set_threads = found
+    old = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 def _ritz(a, q, r):

@@ -32,6 +32,11 @@ SVD's does.  Squared singular values are the per-direction variances;
 the stored per-sample coordinates are the unscaled projections
 t_k = U_r^T vec(Log_mean(p_k)), so embedding a training point returns
 its row of ``coords`` and generating from that row returns the point.
+They are read off the Ritz triplets, with no pass over the data: the
+Rayleigh-Ritz step makes a^T u = v s, so coords = V_r S_r equals
+U_r^T vec(Log) to rounding.  The decomposition runs under one BLAS
+thread (``linalg.one_blas_thread``), so its bits do not depend on the
+thread count.
 ``generate`` maps an (S, r) matrix of coordinates to a stacked point of
 S through one Exp.
 
@@ -49,7 +54,8 @@ from .errors import (ContractError, ConvergenceError, DegenerateGeometryError,
 from .grassmann import GrassmannPoint
 from .grassmann import _exp_raw as _gr_exp_raw
 from .grassmann import _log_raw as _log_many
-from .linalg import mT, polar_orthonormalize, sv2, sym2_exp, sym2_log, thin_svd
+from .linalg import (mT, one_blas_thread, polar_orthonormalize, sv2, sym2_exp,
+                     sym2_log, thin_svd)
 from .product import ProductPoint
 from .shapes import AffineFactor
 from .spd import SpdMatrix
@@ -374,15 +380,15 @@ def pga_fit(points, r, epsilon=KARCHER_EPSILON):
     data = np.empty((n, sum(_COMPONENTS[c].vec(a[0]).size for c, a in stacks.items())))
     mean = _karcher(points, stacks, epsilon, KARCHER_MAX_ITER, data)
     del stacks  # a list's block buffers are not held through the decomposition
-    basis, s, _ = thin_svd(data.T, r)  # columns are samples; a view, no copy
+    with one_blas_thread():  # bits that do not depend on the thread count
+        basis, s, vt = thin_svd(data.T, r)  # columns are samples; a view, no copy
+    coords = mT(vt) * s  # data @ basis, which the Ritz step makes v s
     s = s / np.sqrt(n - 1.0)
     if s[0] <= ZERO_VARIANCE_TOL:
         raise DegenerateGeometryError(
             "ensemble has zero variance: all points coincide with the mean"
         )
-    eigenvalues = s**2
-    coords = data @ basis
-    return PgaModel(mean, basis, eigenvalues, coords, epsilon)
+    return PgaModel(mean, basis, s**2, coords, epsilon)
 
 
 def embed(model, point):

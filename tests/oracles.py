@@ -21,8 +21,9 @@ searching SVD sign fix as they stood before CST took stacks, the
 per-row PGA generation as it stood before generate took coefficient
 matrices, the airfoil generator that drew, sampled and guarded one
 airfoil at a time, the convergence experiment that drew and sampled
-one trial at a time, and the Karcher mean and PGA fit whose sweeps took
-the logs of the whole ensemble at once.
+one trial at a time, the Karcher mean and PGA fit whose sweeps took
+the logs of the whole ensemble at once, and the Grassmann Log that took
+its Gram from the (n, 2) lift.
 """
 
 import numpy as np
@@ -578,6 +579,39 @@ def gr_log_svd(x, y):
     w -= x @ (mT(x) @ w)
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     return u @ (np.arctan(s)[..., None] * vt)
+
+
+# ---------------------------------------------------------------------------
+# The Grassmann Log as it stood before its Gram came from q^-1: the
+# batched Gram W.T W of the lift W = Y q^-1 - X, which reads Y.T Y as it
+# is, so it is the log of span(Y) for a drifted representative too.
+
+
+def gr_log_gram(x, y):
+    from shapetensors import grassmann as gr
+    from shapetensors.errors import refuse
+    from shapetensors.linalg import sv2, sym2_split
+
+    def gram(a):
+        mid, h, e = sym2_split(mT(a) @ a)
+        return np.stack([mid + h, np.maximum(mid - h, 0.0)], axis=-1), e
+
+    q = mT(x) @ y
+    sq = sv2(q)
+    refuse(sq[..., 1] <= sq[..., 0] / gr.NEIGHBORHOOD_COND_MAX,
+           lambda i: NormalNeighborhoodError(
+               f"{'point ' + ', '.join(map(str, i)) if i else 'target subspace'} "
+               "lies outside the normal neighborhood of the base (a principal "
+               "angle is at or near pi/2); Log is undefined"))
+    w = y @ inv2_stacked(q)
+    w -= x
+    lam, e = gram(w)
+    out = w @ gr._gram_fn(e, gr._arctan_ratio(lam))
+    far = lam[..., 0] > gr.GRAM_S1_MAX**2
+    if np.any(far):
+        wv, v, s = gr._right_frame(w[far], e[far])
+        out[far] = (wv * gr._arctan_ratio(s * s)[..., None, :]) @ mT(v)
+    return out
 
 
 def principal_angles_svd(x, y):

@@ -10,7 +10,10 @@ diagonal with a double eigenvalue, and collinear or overflowing landmarks.
 The 2x2 Gram closed forms of the Grassmann Exp and Log are also checked
 against the SVD forms they replaced, near the cut locus (tan theta_1 up to
 1e6), on tangents down to 1e-9 and at the normal-neighborhood ceiling, and
-the principal angles against their SVD form.  The closed-form 2x2
+the principal angles against their SVD form.  The Log, whose Gram comes
+from (X^T Y)^-1, is checked against the Log that took it from the lift,
+on representatives drifted up to ORTHO_TOL, within the bound that drift
+allows.  The closed-form 2x2
 orthogonal polar factor is checked against the SVD form of Procrustes,
 and the product-spd split it gives against the square-root form, on
 ties between the rotation and reflection parts, rank-one, zero and
@@ -39,6 +42,8 @@ from shapetensors.errors import (
     NormalNeighborhoodError,
 )
 from shapetensors.grassmann import (
+    ORTHO_TOL,
+    GrassmannPoint,
     _exp_raw,
     _log_raw,
     _transport_raw,
@@ -256,13 +261,22 @@ def test_grassmann_tiny_tangents_equal_svd(seed, n, size, equal, count):
     _close(_log_raw(x, ys), oracles.gr_log_svd(x, ys))
 
 
-def _target_with_cond(rng, x, cond):
-    """A representative y whose 2x2 X^T Y has condition number ``cond``."""
+def _target(rng, x, c):
+    """A representative y whose principal angles with x have cosines c."""
     n = x.shape[0]
     u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
-    c = np.cos(rng.uniform(0.0, 1.0)) * np.array([1.0, 1.0 / cond])
-    y = x * c + u * np.sqrt(1.0 - c**2)
+    y = x * c + u * np.sqrt(1.0 - np.square(c))
     return y @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+
+
+def _target_with_cond(rng, x, cond):
+    """A representative y whose 2x2 X^T Y has condition number ``cond``.
+    At n = 3 the horizontal complement of x is one line, and two 2-planes
+    of R^3 share a line: there theta_1 = 0 and cos(theta_2) = 1 / cond."""
+    top = 1.0 if x.shape[0] == 3 else np.cos(rng.uniform(0.0, 1.0))
+    y = _target(rng, x, top * np.array([1.0, 1.0 / cond]))
+    assert np.linalg.norm(y.T @ y - np.eye(2)) <= ORTHO_TOL
+    return y
 
 
 @PROPERTY
@@ -281,6 +295,51 @@ def test_neighborhood_refusal_equals_svd(seed, n, conds):
         assert got.value.index == want.value.index == (conds.index(1e13),)
         return
     _close_rows(_log_raw(x, ys), oracles.gr_log_svd(x, ys), conds)
+
+
+LOG_CASES = ("generic", "near-equal", "tiny", "cut", "far", "ceiling")
+
+
+def _cosines(rng, case):
+    """cos(theta_1), cos(theta_2) of a log case: near-equal angles, tiny
+    ones, tan(theta_1) from 1e1 to the Gram's reach, past it to 1e11, and
+    X^T Y conditioned up to 10^11.5, below the 1e12 ceiling by more than a
+    drift of ORTHO_TOL can move it."""
+    theta = rng.uniform(0.0, 1.4)
+    return {
+        "generic": np.cos([theta, rng.uniform(0.0, 1.4)]),
+        "near-equal": np.cos([theta, theta * (1.0 - 1e-13)]),
+        "tiny": np.cos(10.0 ** rng.uniform([-12.0, -14.0], [-6.0, -8.0])),
+        "cut": np.cos([np.arctan(10.0 ** rng.uniform(1.0, 2.0)), theta]),
+        "far": np.cos([np.arctan(10.0 ** rng.uniform(2.0, 11.0)), theta]),
+        "ceiling": [1.0, 10.0 ** rng.uniform(-11.5, -10.0)],
+    }[case]
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(4, 9), drift=st.sampled_from((0.0, 0.4, 0.9)),
+       cases=st.lists(st.sampled_from(LOG_CASES), min_size=1, max_size=6))
+def test_grassmann_log_equals_its_gram_of_the_lift_form(seed, n, drift, cases):
+    # the Gram q^-T q^-1 - I drops Y.T Y; with eta = ||Y.T Y - I||_F each
+    # eigenvalue moves by at most ||q^-1||^2 eta and f = arctan(s) / s by a
+    # third of that (|f'| <= 1/3), and weighted by W the log moves by at
+    # most eta min(pi / 2, ||W|| ||q^-1||^2 / 3), on the cut-locus branch too
+    rng = np.random.default_rng(seed)
+    x = _base(rng, n)
+    ys = []
+    for case in cases:
+        # drifted off orthonormality, within ORTHO_TOL (its class checks it)
+        delta = rng.standard_normal((n, 2))
+        ys.append(_target(rng, x, _cosines(rng, case))
+                  + 0.5 * drift * ORTHO_TOL * delta / np.linalg.norm(delta))
+    ys = GrassmannPoint(np.stack(ys)).rep
+    got, want = _log_raw(x, ys), oracles.gr_log_gram(x, ys)
+    for g, w, y in zip(got, want, ys):
+        q = x.T @ y
+        eta = np.linalg.norm(y.T @ y - np.eye(2))
+        lift = np.linalg.norm(y @ np.linalg.inv(q) - x, ord=2)
+        weight = min(np.pi / 2, lift / np.linalg.svd(q, compute_uv=False)[1] ** 2 / 3)
+        assert np.linalg.norm(g - w) <= eta * weight + 1e-13 * np.linalg.norm(w)
 
 
 @PROPERTY

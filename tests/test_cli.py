@@ -1228,35 +1228,51 @@ def test_convergence_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_fit_under_one_and_two_blas_threads_agrees_to_tolerance(tmp_path):
-    """Fresh processes under one and two OpenBLAS threads fit the same
-    mean, byte for byte; the decomposition's last bits may differ (README),
-    but eigenvalues, basis and coords agree within the acceptance
-    tolerances: 1e-9 relative for eigenvalues, 1e-8 for the rest."""
+UNDER_BLAS_THREADS = """
+import shapetensors.cli as cli
+steps = [["blade", "build", "--blade", "blade.def", "--out", "out/blade.bld"]]
+for data in ("raw", "cooked"):
+    for manifold in ("grassmann", "product"):
+        model = f"out/{data}-{manifold}.txt"
+        steps += [
+            ["fit", "--input", f"{data}/manifest.txt", "--rank", "4",
+             "--manifold", manifold, "--out", model],
+            ["sample", "--model", model, "--sweep", "corner-to-corner",
+             "--count", "5", "--out", model + ".samples"],
+        ]
+for argv in steps:
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_fit_sample_and_blade_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Fresh processes under one and two OpenBLAS threads write the same
+    bytes: ``fit`` of both manifolds on 300 CST airfoils (a certified
+    Krylov decomposition) and on their spline-refined copies (the Gram
+    fallback), ``sample`` from each model and ``blade build``."""
     package_root = os.path.dirname(os.path.dirname(shapetensors.__file__))
     assert run("cst-gen", "--count", "300", "--nc", "401", "--seed", "3",
                "--out", tmp_path / "raw") == 0
-    for manifold in ("grassmann", "product"):
-        files = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (package_root, env.get("PYTHONPATH")) if p)
-            out = tmp_path / f"{manifold}{threads}.txt"
-            proc = subprocess.run(
-                [sys.executable, "-m", "shapetensors", "fit", "--input",
-                 tmp_path / "raw" / "manifest.txt", "--rank", "4",
-                 "--manifold", manifold, "--out", out],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            files.append(out)
-        means = [t[:t.index("\nbasis ")] for t in (f.read_text() for f in files)]
-        assert means[0] == means[1]  # the header and the mean blocks
-        one, two = (load_model(f) for f in files)
-        np.testing.assert_allclose(two.eigenvalues, one.eigenvalues, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(two.basis, one.basis, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(two.coords, one.coords, rtol=0,
-                                   atol=1e-8 * np.abs(one.coords).max())
+    assert run("preprocess", "--input", tmp_path / "raw" / "manifest.txt",
+               "--out", tmp_path / "cooked") == 0
+    (tmp_path / "blade.def").write_text(
+        "bend 0.0 0 0 0\nbend 0.5 0 1 5\nbend 1.0 0 3 10\n"
+        + "".join(f"station {k / 2.0} raw/airfoil_000{k}.txt\n" for k in range(3)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        proc = subprocess.run([sys.executable, "-c", UNDER_BLAS_THREADS],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
+        outputs.append({p.relative_to(tmp_path): p.read_bytes() for p in files})
+    # the blade, and per fit its model, coords, 5 samples, their manifest
+    # and guard.csv
+    assert len(outputs[0]) == 1 + 4 * (2 + 5 + 2)
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_mapping():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from shapetensors import linalg
 from shapetensors.linalg import (
     fix_svd_signs,
     inv2,
@@ -79,3 +81,25 @@ def test_rotation2_is_the_explicit_matrix():
     assert rotation2(theta).tobytes() == np.ascontiguousarray(want).tobytes()
     c, s = np.cos(0.3), np.sin(0.3)
     assert rotation2(0.3).tobytes() == np.array([[c, s], [-s, c]]).tobytes()
+
+
+def test_one_blas_thread_sets_one_and_restores_the_count(monkeypatch):
+    found = linalg._openblas_threads()
+    if found is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    get, set_threads = found
+    old = get()
+    try:
+        set_threads(2)
+        with linalg.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(ValueError), linalg.one_blas_thread():
+            raise ValueError
+        assert get() == 2
+    finally:
+        set_threads(old)
+    # without a setter the block runs as it is
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    with linalg.one_blas_thread():
+        assert get() == old

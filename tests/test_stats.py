@@ -343,6 +343,38 @@ def test_pga_fit_of_cst_airfoils_takes_the_certified_krylov_probe(rng, monkeypat
         np.testing.assert_allclose(model.basis, want.basis, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("certified", [True, False])
+def test_pga_coords_from_the_ritz_triplets_equal_data_times_basis(rng, monkeypatch,
+                                                                  certified):
+    """coords are v s of the Ritz triplets (a^T u = v s on both of
+    thin_svd's paths): they equal the logs at the mean times the basis, on
+    CST airfoils, whose logs the Krylov probe certifies, and on clouds of
+    rank wider than the probe's 24 columns, which take the Gram probe."""
+    if certified:
+        coeffs = _NOMINAL * (1.0 + rng.uniform(-0.2, 0.2, size=(300, 2, 9)))
+        rep, m, _ = _standardize_raw(cst_airfoils(coeffs[:, 0], coeffs[:, 1], n_c=101),
+                                     "polar")
+        ensembles = [GrassmannPoint(rep), ProductPoint(GrassmannPoint(rep), SpdMatrix(m))]
+    else:
+        pts, _ = _cloud(rng, n=20, count=60, spread=0.5)
+        ensembles = [pts, [ProductPoint(p, random_spd(rng)) for p in pts]]
+    gram_calls = []
+    real_gram_basis = linalg._gram_basis
+
+    def gram_basis(a, r):
+        gram_calls.append(a.shape)
+        return real_gram_basis(a, r)
+
+    monkeypatch.setattr(linalg, "_gram_basis", gram_basis)
+    for pts in ensembles:
+        gram_calls.clear()
+        model = pga_fit(pts, r=4)
+        assert bool(gram_calls) != certified
+        want = _scaled_data(model, pts) @ model.basis * np.sqrt(len(pts) - 1.0)
+        np.testing.assert_allclose(model.coords, want, rtol=0.0,
+                                   atol=1e-10 * np.abs(want).max())
+
+
 def test_pga_zero_variance_error(rng):
     p = random_grassmann_point(rng)
     with pytest.raises(DegenerateGeometryError):
