@@ -83,6 +83,10 @@ def thin_svd(a, r=None):
     Rayleigh-Ritz step.  Either way s matches the full SVD's to rounding
     relative to s_1; a leading subspace whose gap s_r - s_r+1 is tiny
     next to s_1 is less sharp than the full SVD's.
+
+    The probe's products keep a on the right, a z as (z^T a^T)^T: a fit
+    passes the transposed view of its (N, m) data, which on the left of a
+    skinny block runs at half speed (20 against 8 ms at 10 000 x 802).
     """
     if r is None:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -143,6 +147,11 @@ def _ritz(a, q, r):
     return q @ w[..., :r], s, vt[..., :r, :]
 
 
+def _times(a, z):
+    """a @ z, formed with a on the right (see ``thin_svd``)."""
+    return mT(mT(z) @ mT(a))
+
+
 def _gram_basis(a, r):
     """Orthonormal (..., m, r) basis of a M, M from the top-r eigenvectors
     of the smaller Gram matrix."""
@@ -159,9 +168,9 @@ def _krylov_top(a, r):
     ``thin_svd``), or None when a member fails the certificate."""
     omega = np.random.default_rng(PROBE_SEED).standard_normal(
         (a.shape[-1], r + PROBE_OVERSAMPLE))
-    blocks = [np.linalg.qr(a @ omega)[0]]
+    blocks = [np.linalg.qr(_times(a, omega))[0]]
     for _ in range(PROBE_BLOCKS - 1):
-        blocks.append(np.linalg.qr(a @ (mT(a) @ blocks[-1]))[0])
+        blocks.append(np.linalg.qr(_times(a, mT(mT(blocks[-1]) @ a)))[0])
     q = np.linalg.qr(np.concatenate(blocks, axis=-1))[0]
     u, s, vt = _ritz(a, q, r)
     # einsum reads a (a transposed view, in a fit) without a temporary copy
@@ -169,7 +178,7 @@ def _krylov_top(a, r):
     tau = np.sqrt(np.maximum(norm2 - (s * s).sum(axis=-1), 0.0)
                   + q.shape[-1] * np.finfo(float).eps * norm2)
     after = s[..., r] if s.shape[-1] > r else 0.0
-    residual = np.linalg.norm(a @ mT(vt) - u * s[..., None, :r], ord=2,
+    residual = np.linalg.norm(_times(a, mT(vt)) - u * s[..., None, :r], ord=2,
                               axis=(-2, -1))
     if np.all((residual <= CERTIFY_TOL * s[..., 0])
               & (s[..., r - 1] - (after + tau) > 0.0)):

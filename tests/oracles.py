@@ -11,7 +11,8 @@ Below them are earlier forms of the code, kept as references: the scalar
 kernels, the per-shape standardization, the per-station clustering loop,
 the SVD form of Procrustes and the square-root form of the polar split,
 the per-section wireframe writer, the full-SVD PGA decomposition, the
-Gram probe of the rank-r thin SVD, the all-pairs self-intersection guard, the per-element row writer, the
+Gram probe of the rank-r thin SVD and its block Krylov probe with the
+matrix on the left of every product, the all-pairs self-intersection guard, the per-element row writer, the
 broadcasting SVD forms of the Grassmann Exp and Log, the SVD form of the
 principal angles, the per-line
 text readers and per-row writers of landmark, block and OBJ files,
@@ -380,6 +381,47 @@ def gram_thin_svd(a, r):
     u = q @ w
     fix_svd_signs(u, vt)
     return u, s, vt
+
+
+def left_krylov_top(a, r):
+    """The certified block Krylov probe of the rank-r thin SVD as it stood
+    with a on the left of every product that streams it (a Omega, a (a^T
+    Q) and the residual's a v^T): the Rayleigh-Ritz triplets, or None when
+    a member fails the certificate."""
+    from shapetensors.linalg import (CERTIFY_TOL, PROBE_BLOCKS,
+                                     PROBE_OVERSAMPLE, PROBE_SEED)
+
+    omega = np.random.default_rng(PROBE_SEED).standard_normal(
+        (a.shape[-1], r + PROBE_OVERSAMPLE))
+    blocks = [np.linalg.qr(a @ omega)[0]]
+    for _ in range(PROBE_BLOCKS - 1):
+        blocks.append(np.linalg.qr(a @ (mT(a) @ blocks[-1]))[0])
+    q = np.linalg.qr(np.concatenate(blocks, axis=-1))[0]
+    w, s, vt = np.linalg.svd(mT(q) @ a, full_matrices=False)
+    u, vt = q @ w[..., :r], vt[..., :r, :]
+    norm2 = np.einsum("...ij,...ij->...", a, a)
+    tau = np.sqrt(np.maximum(norm2 - (s * s).sum(axis=-1), 0.0)
+                  + q.shape[-1] * np.finfo(float).eps * norm2)
+    after = s[..., r] if s.shape[-1] > r else 0.0
+    residual = np.linalg.norm(a @ mT(vt) - u * s[..., None, :r], ord=2,
+                              axis=(-2, -1))
+    if np.all((residual <= CERTIFY_TOL * s[..., 0])
+              & (s[..., r - 1] - (after + tau) > 0.0)):
+        return u, s, vt
+    return None
+
+
+def left_thin_svd(a, r):
+    """The rank-r thin SVD with the probe of ``left_krylov_top``, falling
+    back to ``gram_thin_svd``."""
+    from shapetensors.linalg import fix_svd_signs
+
+    top = left_krylov_top(a, r)
+    if top is None:
+        return gram_thin_svd(a, r)
+    u, s, vt = top
+    fix_svd_signs(u, vt)
+    return u, s[..., :r], vt
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,15 @@ The rank-r thin SVD is checked against the full one truncated, on
 matrices wide, square and tall, graded down to s_r/s_1 = 1e-6,
 rank-deficient or zero, and with repeated singular values; on matrices
 wider than its Krylov probe's space, a low-rank one certifies and every
-other kind falls back to the bytes of the Gram probe it replaced.
+other kind falls back to the bytes of the Gram probe it replaced.  The
+probe, which keeps a on the right of each product, is checked against
+the probe with a on the left, on contiguous matrices, transposed views
+and stacks.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
@@ -89,15 +92,30 @@ def _base(rng, n):
 
 
 def _lift(rng, x, sigma):
-    """A horizontal tangent at x with singular values sigma."""
+    """A horizontal tangent at x with descending singular values sigma.
+    At n = 3 the horizontal complement of x is one line, so a tangent
+    there has rank one: sigma[1] must be 0 (see ``_one_line``)."""
     n = x.shape[0]
     # orthonormal horizontal frame u and a rotation v
     u = np.linalg.qr(np.column_stack([x, rng.standard_normal((n, 2))]))[0][:, 2:]
-    return (u * sigma) @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+    d = (u * sigma) @ rotation2(rng.uniform(0.0, 2.0 * np.pi))
+    np.testing.assert_allclose(np.linalg.svd(d, compute_uv=False), sigma,
+                               rtol=0.0, atol=1e-14 * sigma[0])
+    return d
+
+
+def _one_line(x, sigma):
+    """sigma, with its second value 0 at n = 3 (one horizontal line)."""
+    return [sigma[0], 0.0] if x.shape[0] == 3 else sigma
+
+
+# the tangent kinds that need two horizontal directions, so n >= 4
+TWO_ANGLE_CASES = {"equal-sigma", "near-equal-sigma"}
 
 
 def _tangent(rng, x, case):
-    """A horizontal tangent at x of the given kind."""
+    """A horizontal tangent at x of the given kind; at n = 3 the one-angle
+    kinds ask for (sigma_1, 0), and the two-angle kinds are not drawn."""
     top = rng.uniform(0.1, 1.4)
     sigma = {
         "generic": [top, rng.uniform(0.0, top)],
@@ -107,7 +125,7 @@ def _tangent(rng, x, case):
         "near-equal-sigma": [top, top * (1.0 - 1e-13)],
         "near-cut": [np.pi / 2 - 10.0 ** rng.uniform(-7, -2), rng.uniform(0.0, 1.0)],
     }[case]
-    return _lift(rng, x, sigma)
+    return _lift(rng, x, sigma if case in TWO_ANGLE_CASES else _one_line(x, sigma))
 
 
 def _tangents(rng, x, cases):
@@ -184,7 +202,7 @@ def _chain(rng, n, count, reflect):
         reps.append(x @ frame)
         # principal angles kept apart, so the SO(2) solution is well posed
         top = rng.uniform(0.2, 0.6)
-        x = _exp_raw(x, _lift(rng, x, [top, rng.uniform(0.0, 0.5) * top]))
+        x = _exp_raw(x, _lift(rng, x, _one_line(x, [top, rng.uniform(0.0, 0.5) * top])))
     return np.stack(reps)
 
 
@@ -196,6 +214,7 @@ def _close(got, want, scale=1.0):
 @given(seed=seeds, n=st.integers(3, 9),
        cases=st.lists(st.sampled_from(TANGENT_CASES), min_size=1, max_size=5))
 def test_grassmann_exp_and_log(seed, n, cases):
+    assume(n > 3 or not TWO_ANGLE_CASES.intersection(cases))
     rng = np.random.default_rng(seed)
     x = _base(rng, n)
     d = _tangents(rng, x, cases)
@@ -234,9 +253,9 @@ def test_grassmann_log_near_the_cut_locus_equals_svd(seed, n, second):
     rng = np.random.default_rng(seed)
     x = _base(rng, n)
     d = np.stack([
-        _lift(rng, x, [np.arctan(10.0**e),
-                       {"generic": rng.uniform(0.0, 1.2), "tiny": 1e-9,
-                        "zero": 0.0}[kind]])
+        _lift(rng, x, _one_line(x, [np.arctan(10.0**e),
+                                    {"generic": rng.uniform(0.0, 1.2), "tiny": 1e-9,
+                                     "zero": 0.0}[kind]]))
         for e, kind in zip(range(1, 7), second)
     ])
     ys = oracles.gr_exp_svd(x, d)
@@ -251,10 +270,12 @@ def test_grassmann_log_near_the_cut_locus_equals_svd(seed, n, second):
 def test_grassmann_tiny_tangents_equal_svd(seed, n, size, equal, count):
     # ||D|| from 1e-6 down to 1e-9, where a Gram's entries are 1e-12 to
     # 1e-18: an absolute double-eigenvalue test would drop its off-diagonal
+    assume(n > 3 or not equal)
     rng = np.random.default_rng(seed)
     x = _base(rng, n)
     top = 10.0**size
-    d = np.stack([_lift(rng, x, [top, top if equal else rng.uniform(0.0, top)])
+    d = np.stack([_lift(rng, x, [top, top] if equal
+                        else _one_line(x, [top, rng.uniform(0.0, top)]))
                   for _ in range(count)])
     ys = _exp_raw(x, d)
     _close(ys, oracles.gr_exp_svd(x, d))
@@ -346,6 +367,7 @@ def test_grassmann_log_equals_its_gram_of_the_lift_form(seed, n, drift, cases):
 @given(seed=seeds, n=st.integers(3, 9), t=st.floats(-1.5, 1.5),
        cases=st.lists(st.sampled_from(TANGENT_CASES), min_size=1, max_size=5))
 def test_grassmann_transport(seed, n, t, cases):
+    assume(n > 3 or not TWO_ANGLE_CASES.intersection(cases))
     rng = np.random.default_rng(seed)
     x = _base(rng, n)
     d = _tangents(rng, x, cases)
@@ -635,6 +657,47 @@ def test_krylov_probe_certifies_or_falls_back_to_the_gram_probe(
     else:  # one member that fails takes the whole stack to the Gram probe
         for got, want in zip((u, s, vt), oracles.gram_thin_svd(a, r)):
             _same_bits(got, want)
+
+
+@PROPERTY
+@given(seed=seeds, wide=st.booleans(), extra=st.integers(0, 8),
+       longer=st.integers(0, 40), r=st.integers(1, 4),
+       layout=st.sampled_from(("contiguous", "transposed")), stacked=st.booleans(),
+       cases=st.lists(st.sampled_from(("low-rank",) + FALLBACK_CASES), min_size=1,
+                      max_size=3))
+def test_krylov_probe_with_a_on_the_right_equals_it_on_the_left(
+        seed, wide, extra, longer, r, layout, stacked, cases):
+    # the probe forms a z as (z^T a^T)^T, the order that reads a fit's
+    # transposed view of its data at full speed; the oracle forms a z.
+    # Both span the same Krylov space up to rounding, so the certificate
+    # gives the same verdict, s agrees to rounding relative to s_1, and
+    # the j-th singular vectors move by rounding over the gap g_j between
+    # s_j and the rest of the spectrum (0 included) (Wedin)
+    rng = np.random.default_rng(seed)
+    small = 3 * (r + PROBE_OVERSAMPLE) + 9 + extra
+    m, n = (small, small + longer) if wide else (small + longer, small)
+    a = np.stack([_matrix(rng, m, n, r, c, _probe_spectrum) for c in cases])
+    if layout == "transposed":  # as pga_fit passes its (N, m) data
+        a = mT(np.ascontiguousarray(mT(a)))
+    members = a
+    if not stacked:
+        a = a[0]
+        members = a[None]
+    assert ([_krylov_top(ak, r) is not None for ak in members]
+            == [oracles.left_krylov_top(ak, r) is not None for ak in members])
+    got, want = thin_svd(a, r), oracles.left_thin_svd(a, r)
+    if not stacked:
+        got, want = ([x[None] for x in out] for out in (got, want))
+    for ak, u, s, vt, uo, so, vo in zip(members, *got, *want):
+        full = np.linalg.svd(ak, compute_uv=False)
+        np.testing.assert_allclose(s, so, rtol=0.0, atol=1e-13 * full[0])
+        spectrum = np.append(full, 0.0)
+        gaps = np.array([np.delete(np.abs(spectrum - spectrum[j]), j).min()
+                         for j in range(r)])
+        bound = np.divide(1e-12 * full[0], gaps, out=np.full(r, np.inf),
+                          where=gaps > 0.0)
+        assert np.all(np.linalg.norm(u - uo, axis=0) <= bound)
+        assert np.all(np.linalg.norm(vt - vo, axis=1) <= bound)
 
 
 # row-0 entries of a left singular-vector matrix: the sign search falls
